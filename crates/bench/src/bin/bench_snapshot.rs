@@ -80,6 +80,7 @@ use cc_linalg::{
 };
 use cc_maxflow::{max_flow_ipm, IpmOptions};
 use cc_mcf::{min_cost_flow_ipm, McfOptions};
+use cc_model::util::{fnv1a_bytes, fnv1a_words, Fnv1a};
 use cc_model::{
     AdversaryComm, AdversarySchedule, AdversaryStrategy, BroadcastComm, Clique, Communicator,
     ThreadedComm, TracingComm,
@@ -274,12 +275,7 @@ fn large_batch_rhs(n: usize, k: usize) -> Vec<f64> {
 
 /// FNV-1a over the IEEE-754 bits of a float slice.
 fn hash_f64(xs: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &x in xs {
-        h ^= x.to_bits();
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_words(xs.iter().map(|x| x.to_bits()))
 }
 
 /// One large-tier timing row: batched kernel vs `k` repeated single-RHS
@@ -557,12 +553,7 @@ fn congestion_section() -> String {
 /// FNV-1a over the flow values' two's-complement bits — one word per
 /// edge, so any single-edge change flips the digest.
 fn hash_i64(xs: &[i64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &x in xs {
-        h ^= x as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_words(xs.iter().map(|&x| x as u64))
 }
 
 /// Golden end-to-end IPM runs: fixed instances through both
@@ -687,11 +678,7 @@ fn threaded_outboxes(n: usize, round: usize) -> Vec<Vec<(usize, Vec<u64>)>> {
 /// Replays the threaded workload — alternating `route` and `exchange`
 /// rounds — and folds every delivered envelope into an FNV-1a digest.
 fn threaded_workload<C: Communicator>(comm: &mut C, n: usize) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let fold = |h: &mut u64, w: u64| {
-        *h ^= w;
-        *h = h.wrapping_mul(0x100000001b3);
-    };
+    let mut h = Fnv1a::default();
     for round in 0..THREADED_ROUNDS {
         let routed = comm
             .route(threaded_outboxes(n, 2 * round))
@@ -701,14 +688,12 @@ fn threaded_workload<C: Communicator>(comm: &mut C, n: usize) -> u64 {
             .expect("well-formed workload");
         for inbox in routed.iter().chain(exchanged.iter()) {
             for env in inbox {
-                fold(&mut h, env.src as u64);
-                for &w in &env.payload {
-                    fold(&mut h, w);
-                }
+                h.word(env.src as u64);
+                env.payload.iter().for_each(|&w| h.word(w));
             }
         }
     }
-    h
+    h.finish()
 }
 
 /// The threaded-scaling section (schema v5): the same deterministic
@@ -748,24 +733,11 @@ fn threaded_section() -> String {
     format!("[\n{}\n  ]", rows.join(",\n"))
 }
 
-/// FNV-1a over raw bytes (used to pin the rendered chaos matrix).
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// FNV-1a over a service response's bits: a variant tag, then every
 /// field (floats by IEEE-754 bits, integers by two's complement).
 fn hash_response(r: &Response) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut fold = |w: u64| {
-        h ^= w;
-        h = h.wrapping_mul(0x100000001b3);
-    };
+    let mut h = Fnv1a::default();
+    let mut fold = |w: u64| h.word(w);
     match r {
         Response::Potentials { x, iterations } => {
             fold(1);
@@ -779,7 +751,7 @@ fn hash_response(r: &Response) -> u64 {
         }
         other => unreachable!("recovery scenarios return potentials or flows, got {other:?}"),
     }
-    h
+    h.finish()
 }
 
 /// Node count of the recovery scenarios (matches the service-layer
@@ -812,7 +784,7 @@ fn adversary_section() -> String {
         report.count(cc_conform::CellOutcome::Detected),
         report.count(cc_conform::CellOutcome::Tolerated),
         report.count(cc_conform::CellOutcome::Corrupted),
-        hash_bytes(report.matrix_markdown().as_bytes()),
+        fnv1a_bytes(report.matrix_markdown().as_bytes()),
     );
 
     fn register<C: Communicator>(engine: &mut FlowEngine<C>) {
@@ -947,14 +919,11 @@ fn broadcast_section() -> String {
     let mut bc = BroadcastComm::measured(Clique::new(n));
     let got = build_sparsifier(&mut bc, &g, &SparsifyParams::default()).expect("broadcast");
     let edge_hash = |s: &cc_sparsify::SpectralSparsifier| {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &(u, v, w) in s.edges() {
-            for word in [u as u64, v as u64, w.to_bits()] {
-                h ^= word;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-        h
+        fnv1a_words(
+            s.edges()
+                .iter()
+                .flat_map(|&(u, v, w)| [u as u64, v as u64, w.to_bits()]),
+        )
     };
     assert_eq!(
         (edge_hash(&want), want.alpha().to_bits()),
@@ -998,7 +967,7 @@ fn broadcast_section() -> String {
     format!(
         "{{\"pipelines\": [\n{}\n  ], \"trace_hash\": \"{:#018x}\", \"trace\": {}}}",
         rows.join(",\n"),
-        hash_bytes(trace_json.as_bytes()),
+        fnv1a_bytes(trace_json.as_bytes()),
         trace_json
             .lines()
             .enumerate()

@@ -18,6 +18,7 @@ use cc_maxflow::{
     max_flow_ford_fulkerson, max_flow_ipm, max_flow_trivial, IpmOptions, MaxFlowError,
 };
 use cc_mcf::{min_cost_flow_ipm, McfError, McfOptions};
+use cc_model::util::fnv1a_bytes;
 use cc_model::{Communicator, FaultPlan, ModelError};
 use cc_sparsify::{build_sparsifier, SparsifyError, SparsifyParams};
 
@@ -47,15 +48,6 @@ impl Default for Tolerances {
             apsp_eps: 0.25,
         }
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn dipole(n: usize) -> Vec<f64> {
@@ -153,7 +145,7 @@ pub fn check_sparsifier<C: Communicator>(
         "{}: certified α must be a finite value ≥ 1, got {alpha}",
         case.id
     );
-    let probes = oracle::probe_vectors(g.n(), 8, fnv(&case.id));
+    let probes = oracle::probe_vectors(g.n(), 8, fnv1a_bytes(case.id.as_bytes()));
     let (lo, hi) =
         oracle::schur_quadratic_ratio_bounds(g.n(), h.edges(), &g.edge_triples(), &probes);
     assert!(

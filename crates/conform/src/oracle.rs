@@ -10,6 +10,7 @@
 
 use cc_graph::{DiGraph, Graph};
 use cc_linalg::{laplacian_from_edges, laplacian_quadratic_form, GroundedCholesky, LinalgError};
+use cc_model::util::SplitMix64;
 
 /// Exact solution of `L x = b` (zero mean per connected component) via
 /// the dense/grounded LDLᵀ factorization, for differencing against the
@@ -82,19 +83,10 @@ pub fn quadratic_form(edges: &[(usize, usize, f64)], x: &[f64]) -> f64 {
 /// each centered to zero mean (so they lie in the range of a connected
 /// Laplacian).
 pub fn probe_vectors(n: usize, count: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::new(seed);
     (0..count)
         .map(|_| {
-            let mut v: Vec<f64> = (0..n)
-                .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
-                .collect();
+            let mut v: Vec<f64> = (0..n).map(|_| rng.next_f64() - 0.5).collect();
             let mean = v.iter().sum::<f64>() / n.max(1) as f64;
             for x in &mut v {
                 *x -= mean;

@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 
 use cc_graph::DiGraph;
+use cc_model::util::{Fnv1a, SplitMix64};
 use cc_model::{Clique, Communicator};
 use cc_service::{FlowEngine, GraphSpec, Request, Response};
 
@@ -98,84 +99,56 @@ enum OracleData {
     },
 }
 
-/// A SplitMix64 stream — the same generator the oracle probes use.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed ^ 0x9E37_79B9_7F4A_7C15)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-
-    /// Uniform in `[-0.5, 0.5)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-    }
-}
-
-/// FNV-1a over one 64-bit word (little-endian bytes).
-fn fnv_word(mut h: u64, w: u64) -> u64 {
-    for b in w.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn fnv_opt(h: u64, v: Option<i64>) -> u64 {
-    match v {
-        Some(d) => fnv_word(fnv_word(h, 1), d as u64),
-        None => fnv_word(h, 0),
-    }
-}
-
-/// Folds a response into the stream fingerprint (floats by bits).
-fn fingerprint_response(mut h: u64, resp: &Response) -> u64 {
+/// Folds a response into the stream fingerprint: byte-wise FNV-1a over
+/// each word's little-endian bytes, a variant tag first (floats by bits).
+fn fingerprint_response(h: &mut Fnv1a, resp: &Response) {
+    let mut word = |w: u64| h.bytes(&w.to_le_bytes());
     match resp {
         Response::Potentials { x, iterations } => {
-            h = fnv_word(h, 1);
-            h = fnv_word(h, *iterations as u64);
-            x.iter().fold(h, |h, v| fnv_word(h, v.to_bits()))
+            word(1);
+            word(*iterations as u64);
+            x.iter().for_each(|v| word(v.to_bits()));
         }
         Response::Resistance { value, iterations } => {
-            h = fnv_word(h, 2);
-            h = fnv_word(h, *iterations as u64);
-            fnv_word(h, value.to_bits())
+            word(2);
+            word(*iterations as u64);
+            word(value.to_bits());
         }
         Response::MaxFlow { flow, value } => {
-            h = fnv_word(h, 3);
-            h = fnv_word(h, *value as u64);
-            flow.iter().fold(h, |h, f| fnv_word(h, *f as u64))
+            word(3);
+            word(*value as u64);
+            flow.iter().for_each(|f| word(*f as u64));
         }
         Response::MinCostFlow { flow, cost } => {
-            h = fnv_word(h, 4);
-            h = fnv_word(h, *cost as u64);
-            flow.iter().fold(h, |h, f| fnv_word(h, *f as u64))
+            word(4);
+            word(*cost as u64);
+            flow.iter().for_each(|f| word(*f as u64));
         }
         Response::Sssp {
             dist,
             negative_cycle,
         } => {
-            h = fnv_word(h, 5);
-            h = fnv_word(h, *negative_cycle as u64);
-            dist.iter().fold(h, |h, d| fnv_opt(h, *d))
+            word(5);
+            word(*negative_cycle as u64);
+            dist.iter().for_each(|d| fold_distance(&mut word, *d));
         }
         Response::Apsp { dist } => {
-            h = fnv_word(h, 6);
+            word(6);
             dist.iter()
-                .fold(h, |h, row| row.iter().fold(h, |h, d| fnv_opt(h, *d)))
+                .flatten()
+                .for_each(|d| fold_distance(&mut word, *d));
         }
+    }
+}
+
+/// Folds an optional distance: a presence tag, then the value.
+fn fold_distance(word: &mut impl FnMut(u64), d: Option<i64>) {
+    match d {
+        Some(d) => {
+            word(1);
+            word(d as u64);
+        }
+        None => word(0),
     }
 }
 
@@ -274,7 +247,7 @@ fn next_request(
                 OracleData::Laplacian { n, .. } => *n,
                 _ => unreachable!(),
             };
-            let mut b: Vec<f64> = (0..n).map(|_| rng.unit()).collect();
+            let mut b: Vec<f64> = (0..n).map(|_| rng.next_f64() - 0.5).collect();
             let mean = b.iter().sum::<f64>() / n as f64;
             for v in &mut b {
                 *v -= mean;
@@ -534,9 +507,10 @@ pub fn run_service_soak_on<C: Communicator>(
         builds: 0,
         total_rounds: 0,
         charged_rounds: 0,
-        fingerprint: 0xcbf2_9ce4_8422_2325,
+        fingerprint: 0,
         counts_by_kind: [0; 6],
     };
+    let mut fingerprint = Fnv1a::default();
 
     let mut emitted = 0usize;
     while emitted < config.requests {
@@ -559,7 +533,7 @@ pub fn run_service_soak_on<C: Communicator>(
             if out.stats.batched_with > 1 {
                 report.batched_requests += 1;
             }
-            report.fingerprint = fingerprint_response(report.fingerprint, &out.response);
+            fingerprint_response(&mut fingerprint, &out.response);
             if config.oracle_every > 0 && report.requests.is_multiple_of(config.oracle_every) {
                 report.oracle_checks += 1;
                 if let Some(m) = oracle_check(&oracles, req, &out.response) {
@@ -569,6 +543,7 @@ pub fn run_service_soak_on<C: Communicator>(
         }
     }
 
+    report.fingerprint = fingerprint.finish();
     report.total_rounds = engine.ledger().total_rounds();
     report.charged_rounds = engine.ledger().charged_rounds();
     report

@@ -71,7 +71,7 @@ mod tests {
 
     #[test]
     fn phase_partition_accepts_a_real_ledger() {
-        use cc_model::Clique;
+        use cc_model::{Clique, Communicator};
         let mut clique = Clique::new(4);
         clique.phase("a", |c| {
             c.broadcast_all(&[0, 1, 2, 3]).unwrap();

@@ -165,7 +165,7 @@ fn stacked_plans_compose_with_tracing() {
     assert!(comm_rooted(&err), "stacked fault not comm-rooted: {err}");
     assert!(comm.injected_faults() > 0);
     assert_eq!(
-        comm.inner().injected_faults(),
+        cc_model::Decorator::inner(&comm).injected_faults(),
         0,
         "benign layer stays quiet"
     );

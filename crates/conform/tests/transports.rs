@@ -6,7 +6,7 @@
 
 use cc_conform::driver::{check_maxflow_ipm, check_orientation, check_solver, Tolerances};
 use cc_conform::{eulerian_corpus, flow_corpus, shapes, undirected_corpus, FaultComm, FaultPlan};
-use cc_model::{Clique, TracingComm};
+use cc_model::{Clique, Communicator, TracingComm};
 
 #[test]
 fn solver_rounds_identical_across_transports() {

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use cc_core::ElectricalFlow;
 use cc_ipm::{BarrierEngine, EngineOptions};
 use cc_linalg::par;
-use cc_model::Clique;
+use cc_model::{Clique, Communicator};
 
 struct CountingAlloc;
 

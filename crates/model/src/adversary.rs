@@ -35,7 +35,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::{CliqueConfig, Communicator, Envelope, ModelError, NodeId, RoundLedger, Words};
+use crate::util::{json_escape, SplitMix64};
+use crate::{Communicator, Envelope, ModelError, NodeId, Words};
 
 /// Per-node behavior under an [`AdversarySchedule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,28 +164,6 @@ pub struct AdversaryEvent {
     pub round: u64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A [`Communicator`] decorator executing a node-level
 /// [`AdversarySchedule`] deterministically.
 ///
@@ -214,7 +193,7 @@ fn json_escape(s: &str) -> String {
 pub struct AdversaryComm<C: Communicator> {
     inner: C,
     schedule: AdversarySchedule,
-    rng_state: u64,
+    rng: SplitMix64,
     events: Vec<AdversaryEvent>,
     /// Event counts per `/`-joined phase path, per node.
     phases: BTreeMap<String, BTreeMap<NodeId, u64>>,
@@ -225,22 +204,17 @@ pub struct AdversaryComm<C: Communicator> {
 impl<C: Communicator> AdversaryComm<C> {
     /// Wraps `inner` under the given schedule.
     pub fn new(inner: C, schedule: AdversarySchedule) -> Self {
-        let mut rng_state = schedule.seed ^ 0x9E37_79B9_7F4A_7C15;
-        let _ = splitmix64(&mut rng_state);
+        let mut rng = SplitMix64::new(schedule.seed);
+        rng.next_u64(); // the pinned corruption streams start at the second draw
         Self {
             inner,
             schedule,
-            rng_state,
+            rng,
             events: Vec::new(),
             phases: BTreeMap::new(),
             omissions: 0,
             corruptions: 0,
         }
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        &self.inner
     }
 
     /// Unwraps, discarding the schedule and events.
@@ -401,7 +375,7 @@ impl<C: Communicator> AdversaryComm<C> {
         if total == 0 {
             return;
         }
-        let word_index = (splitmix64(&mut self.rng_state) % total as u64) as usize;
+        let word_index = self.rng.below(total);
         let mut remaining = word_index;
         for payload in payloads.iter_mut() {
             if remaining < payload.len() {
@@ -473,41 +447,19 @@ impl<C: Communicator> AdversaryComm<C> {
     }
 }
 
-impl<C: Communicator> Communicator for AdversaryComm<C> {
-    fn n(&self) -> usize {
-        self.inner.n()
+impl<C: Communicator> crate::Decorator for AdversaryComm<C> {
+    type Inner = C;
+
+    fn inner(&self) -> &C {
+        &self.inner
     }
 
-    fn config(&self) -> CliqueConfig {
-        self.inner.config()
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.inner.ledger_mut()
+    fn inner_mut(&mut self) -> &mut C {
+        &mut self.inner
     }
 
     fn faults_observed(&self) -> u64 {
         self.events.len() as u64 + self.inner.faults_observed()
-    }
-
-    fn push_phase(&mut self, name: &str) {
-        self.inner.push_phase(name);
-    }
-
-    fn pop_phase(&mut self) {
-        self.inner.pop_phase();
-    }
-
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.inner.charge_oracle(rounds);
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.inner.charge_implemented(rounds);
     }
 
     fn exchange(
@@ -545,7 +497,7 @@ impl<C: Communicator> Communicator for AdversaryComm<C> {
                 }
                 if self.corrupting(node) {
                     let vals = owned.get_or_insert_with(|| values.to_vec());
-                    let _ = splitmix64(&mut self.rng_state); // one-word draw
+                    self.rng.next_u64(); // one-word draw
                     vals[node] ^= 1;
                     self.record(
                         node,
@@ -559,15 +511,6 @@ impl<C: Communicator> Communicator for AdversaryComm<C> {
             }
         }
         self.inner.broadcast_all(values)
-    }
-
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        // Route through `broadcast_all` so screening, events, and the
-        // corruption stream are identical to the allocating variant.
-        let view = self.broadcast_all(values)?;
-        out.clear();
-        out.extend_from_slice(&view);
-        Ok(())
     }
 
     fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {

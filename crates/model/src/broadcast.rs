@@ -51,15 +51,17 @@
 //!
 //! The wrapper performs all broadcast-specific accounting itself,
 //! charging the wrapped substrate's ledger directly; the 1-word and
-//! word-vector all-broadcasts (whose cost is mode-independent) delegate
-//! to the substrate. Consequently `BroadcastComm<Clique>` and
+//! word-vector all-broadcasts (whose cost is model-independent) and the
+//! ledger plumbing forward to the substrate through the [`crate::Decorator`]
+//! seam, and [`Communicator::mode`] reports
+//! [`CommunicationMode::Broadcast`] so wrappers stacked above attribute
+//! congestion broadcast-style. Consequently `BroadcastComm<Clique>` and
 //! `BroadcastComm<ThreadedComm>` are bitwise identical — results *and*
 //! ledgers — which `crates/model/tests/broadcast.rs` pins with identity
 //! proptests at worker counts 1, 2, and 8.
 
 use crate::{
-    delivery, CliqueConfig, CommunicationMode, Communicator, CostKind, Envelope, ModelError,
-    NodeId, RoundLedger, Words,
+    delivery, CommunicationMode, Communicator, CostKind, Envelope, ModelError, NodeId, Words,
 };
 
 /// How a [`BroadcastComm`] treats unicast-shaped primitives.
@@ -121,29 +123,13 @@ impl<C: Communicator> BroadcastComm<C> {
     }
 
     /// The mode chosen at construction.
-    pub fn mode(&self) -> BroadcastMode {
+    pub fn broadcast_mode(&self) -> BroadcastMode {
         self.mode
-    }
-
-    /// The wrapped substrate.
-    pub fn inner(&self) -> &C {
-        &self.inner
     }
 
     /// Unwraps, returning the substrate (and its ledger).
     pub fn into_inner(self) -> C {
         self.inner
-    }
-
-    /// The accounting constants with the mode forced to broadcast — the
-    /// config used for every broadcast cost formula, and what
-    /// [`Communicator::config`] reports so wrappers above (e.g.
-    /// [`crate::TracingComm`]) can detect the broadcast regime.
-    fn broadcast_config(&self) -> CliqueConfig {
-        CliqueConfig {
-            mode: CommunicationMode::Broadcast,
-            ..self.inner.config()
-        }
     }
 
     /// Strict-mode gate for a unicast-shaped primitive.
@@ -182,44 +168,19 @@ impl<C: Communicator> BroadcastComm<C> {
     }
 }
 
-impl<C: Communicator> Communicator for BroadcastComm<C> {
-    fn n(&self) -> usize {
-        self.inner.n()
+impl<C: Communicator> crate::Decorator for BroadcastComm<C> {
+    type Inner = C;
+
+    fn inner(&self) -> &C {
+        &self.inner
     }
 
-    /// Reports the substrate's constants with
-    /// [`CliqueConfig::mode`] = [`CommunicationMode::Broadcast`], so
-    /// transports stacked above attribute congestion broadcast-style.
-    fn config(&self) -> CliqueConfig {
-        self.broadcast_config()
+    fn inner_mut(&mut self) -> &mut C {
+        &mut self.inner
     }
 
-    fn ledger(&self) -> &RoundLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.inner.ledger_mut()
-    }
-
-    fn push_phase(&mut self, name: &str) {
-        self.inner.push_phase(name);
-    }
-
-    fn pop_phase(&mut self) {
-        self.inner.pop_phase();
-    }
-
-    fn faults_observed(&self) -> u64 {
-        self.inner.faults_observed()
-    }
-
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.inner.charge_oracle(rounds);
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.inner.charge_implemented(rounds);
+    fn mode(&self) -> CommunicationMode {
+        CommunicationMode::Broadcast
     }
 
     fn exchange(
@@ -260,16 +221,8 @@ impl<C: Communicator> Communicator for BroadcastComm<C> {
         Ok(delivery::deliver(n, outboxes))
     }
 
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        self.inner.broadcast_all(values)
-    }
-
     fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
         self.inner.broadcast_all_into(values, out)
-    }
-
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.inner.broadcast_all_words(per_node)
     }
 
     fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
@@ -277,19 +230,17 @@ impl<C: Communicator> Communicator for BroadcastComm<C> {
         if src >= n {
             return Err(ModelError::InvalidNode { node: src, n });
         }
-        let rounds = delivery::broadcast_from_cost(&self.broadcast_config(), n, words.len() as u64);
-        self.charge(rounds);
+        // No scatter helpers: the source broadcasts its words one a round.
+        self.charge(words.len() as u64);
         Ok(words.clone())
     }
 
     fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
         let n = self.inner.n();
         delivery::check_len(n, per_node.len())?;
-        // The broadcast-mode allgather always touches the ledger (the
-        // unbalanced fallback broadcast runs even when empty), exactly
-        // like `Clique` in broadcast mode.
-        let rounds = delivery::allgather_cost(&self.broadcast_config(), n, per_node);
-        self.charge(rounds);
+        // No load balancing: everyone broadcasts its vector, so the call
+        // costs the longest one and touches the ledger even when empty.
+        self.charge(delivery::broadcast_words_cost(per_node));
         Ok(delivery::concat_words(n, per_node))
     }
 
@@ -322,7 +273,7 @@ impl<C: Communicator> Communicator for BroadcastComm<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Clique;
+    use crate::{Clique, CliqueConfig};
 
     #[test]
     fn strict_rejects_every_unicast_primitive_with_typed_error() {
@@ -463,15 +414,12 @@ mod tests {
     }
 
     #[test]
-    fn config_reports_broadcast_mode() {
+    fn reports_broadcast_mode() {
         let comm = BroadcastComm::strict(Clique::new(2));
-        assert_eq!(comm.config().mode, CommunicationMode::Broadcast);
-        assert_eq!(comm.mode(), BroadcastMode::Strict);
-        // The substrate's other constants pass through.
-        assert_eq!(
-            comm.config().lenzen_rounds,
-            comm.inner().config().lenzen_rounds
-        );
+        assert_eq!(Communicator::mode(&comm), CommunicationMode::Broadcast);
+        assert_eq!(comm.broadcast_mode(), BroadcastMode::Strict);
+        // The substrate's constants pass through.
+        assert_eq!(comm.config(), CliqueConfig::default());
     }
 
     #[test]

@@ -1,22 +1,5 @@
 use crate::{delivery, Communicator, CostKind, ModelError, NodeId, RoundLedger, Words};
 
-/// Which communication primitives the simulated model admits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommunicationMode {
-    /// The (unicast) congested clique \[LPSPP05\]: per round, every
-    /// ordered pair may exchange one word. All primitives available.
-    #[default]
-    Unicast,
-    /// The Broadcast Congested Clique \[DKO12\] (§2.1 of the paper): per
-    /// round every node sends the *same* word to everyone. Point-to-point
-    /// primitives ([`Clique::exchange`], [`Clique::route`]) are rejected —
-    /// which operationalizes the paper's §1.1 observation that Eulerian
-    /// orientation (and hence flow rounding) "seems to be a hard problem
-    /// in the Broadcast Congested Clique", while the Laplacian solver's
-    /// broadcast-only communication pattern still runs (cf. \[FV22\]).
-    Broadcast,
-}
-
 /// Tunable accounting constants of the simulated model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CliqueConfig {
@@ -27,8 +10,6 @@ pub struct CliqueConfig {
     /// Per-node word budget of one routing application, as a multiple of
     /// `n`. Lenzen's theorem uses factor 1 (send ≤ n, receive ≤ n words).
     pub routing_capacity_factor: usize,
-    /// Unicast (default) or broadcast-only communication.
-    pub mode: CommunicationMode,
 }
 
 impl Default for CliqueConfig {
@@ -36,7 +17,6 @@ impl Default for CliqueConfig {
         Self {
             lenzen_rounds: 2,
             routing_capacity_factor: 1,
-            mode: CommunicationMode::Unicast,
         }
     }
 }
@@ -50,24 +30,30 @@ pub struct Envelope {
     pub payload: Words,
 }
 
-/// A simulated congested clique of `n` nodes.
+/// A simulated (unicast) congested clique of `n` nodes — the canonical
+/// [`Communicator`].
 ///
 /// The struct owns no per-node state — algorithms keep their node states in
 /// ordinary `Vec`s indexed by [`NodeId`] and call the communication
-/// primitives here, which deliver messages deterministically and charge
-/// rounds to the [`RoundLedger`].
+/// primitives of [`Communicator`], which deliver messages
+/// deterministically and charge rounds to the [`RoundLedger`].
 ///
 /// # Round accounting
 ///
+/// With total volume `W`, maximum per-node contribution `L`, and `w` the
+/// words of one source:
+///
 /// | primitive | rounds charged |
 /// |-----------|----------------|
-/// | [`exchange`](Clique::exchange) | max over ordered pairs of words sent on that pair |
-/// | [`route`](Clique::route) | `lenzen_rounds · ⌈max node load / (capacity·n)⌉` |
-/// | [`broadcast_all`](Clique::broadcast_all) | `max_i ⌈words_i⌉` (1 word from everyone to everyone per round) |
-/// | [`broadcast_from`](Clique::broadcast_from) | `⌈w/(n−1)⌉ + 1` for `w > 1`, else `w` |
-/// | [`allgather`](Clique::allgather) | balancing route + `⌈total/n⌉` broadcast rounds |
-/// | [`gather_to`](Clique::gather_to) | `⌈total/(n−1)⌉` |
-/// | [`charge_oracle`](Clique::charge_oracle) | the given formula cost, tagged [`CostKind::Charged`] |
+/// | [`exchange`](Communicator::exchange) | max over ordered pairs of words sent on that pair |
+/// | [`route`](Communicator::route) | `lenzen_rounds · ⌈max node load / (capacity·n)⌉` |
+/// | [`broadcast_all`](Communicator::broadcast_all) | 1 (one word from everyone to everyone) |
+/// | [`broadcast_all_words`](Communicator::broadcast_all_words) | `max_i w_i` |
+/// | [`broadcast_from`](Communicator::broadcast_from) | `2·⌈w/(n−1)⌉` for `w > 1`, else `w` |
+/// | [`allgather`](Communicator::allgather) | `lenzen_rounds·⌈L/n⌉ + ⌈W/n⌉` |
+/// | [`sort`](Communicator::sort) | `lenzen_rounds · ⌈max_i k_i / n⌉` |
+/// | [`gather_to`](Communicator::gather_to) | `⌈W/(n−1)⌉` |
+/// | [`charge_oracle`](Communicator::charge_oracle) | the given formula cost, tagged [`CostKind::Charged`] |
 #[derive(Debug, Clone)]
 pub struct Clique {
     n: usize,
@@ -102,90 +88,44 @@ impl Clique {
             ledger: RoundLedger::new(),
         }
     }
+}
 
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
+impl Communicator for Clique {
+    fn n(&self) -> usize {
         self.n
     }
 
-    /// The accounting constants in effect.
-    pub fn config(&self) -> CliqueConfig {
+    fn config(&self) -> CliqueConfig {
         self.config
     }
 
-    /// Read access to the round ledger.
-    pub fn ledger(&self) -> &RoundLedger {
+    fn ledger(&self) -> &RoundLedger {
         &self.ledger
     }
 
-    /// Mutable access to the round ledger (e.g. to reset between phases of
-    /// a benchmark).
-    pub fn ledger_mut(&mut self) -> &mut RoundLedger {
+    fn ledger_mut(&mut self) -> &mut RoundLedger {
         &mut self.ledger
     }
 
-    /// Runs `f` inside a named ledger phase, so all rounds charged by `f`
-    /// are attributed under `name`. The phase is popped even if `f`
-    /// unwinds (drop guard), keeping the phase stack balanced.
-    pub fn phase<R>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> R) -> R {
-        crate::comm::scoped_phase(self, name, f)
-    }
-
-    /// Charges `rounds` rounds for an oracle subroutine that is simulated
-    /// rather than executed distributedly (tagged [`CostKind::Charged`];
-    /// see `DESIGN.md` §2).
-    pub fn charge_oracle(&mut self, rounds: u64) {
-        self.ledger.charge(rounds, CostKind::Charged);
-    }
-
-    /// Charges `rounds` implemented rounds without moving data — used by
-    /// primitives built on top of the simulator whose data movement is
-    /// performed by the caller (rare; prefer the message primitives).
-    pub fn charge_implemented(&mut self, rounds: u64) {
-        self.ledger.charge(rounds, CostKind::Implemented);
-    }
-
-    /// Direct point-to-point exchange.
-    ///
-    /// `outboxes[u]` lists the `(destination, payload)` messages node `u`
-    /// sends. Rounds charged: the maximum, over ordered pairs `(u, v)`, of
-    /// the total number of payload words sent from `u` to `v` — i.e. the
-    /// messages are pushed through the per-pair links without any routing
-    /// cleverness.
-    ///
-    /// Returns `inboxes[v]`: the envelopes received by each node, sorted by
-    /// sender.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::WrongOutboxCount`] if `outboxes.len() != n`;
-    /// [`ModelError::InvalidNode`] on an out-of-range destination.
-    pub fn exchange(
+    /// Pushes the messages through the per-pair links without any
+    /// routing cleverness; inboxes are sorted by sender.
+    fn exchange(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::unicast_gate(&self.config)?;
         delivery::check_outboxes(self.n, &outboxes)?;
         let max_pair = delivery::exchange_cost(self.n, &outboxes);
         self.ledger.charge(max_pair, CostKind::Implemented);
         Ok(delivery::deliver(self.n, outboxes))
     }
 
-    /// Routed exchange via Lenzen's routing theorem \[Len13\].
-    ///
-    /// Any message set in which every node sends at most `n` words and
-    /// receives at most `n` words is deliverable in `O(1)` rounds. Larger
-    /// batches are automatically split: with maximum per-node load `L`, the
-    /// cost is `lenzen_rounds · ⌈L / (capacity·n)⌉`.
-    ///
-    /// # Errors
-    ///
-    /// Same structural errors as [`Clique::exchange`].
-    pub fn route(
+    /// Any message set in which every node sends and receives at most `n`
+    /// words is deliverable in `O(1)` rounds \[Len13\]; larger batches are
+    /// split automatically.
+    fn route(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::unicast_gate(&self.config)?;
         delivery::check_outboxes(self.n, &outboxes)?;
         let (send, recv) = delivery::shard_loads(self.n, &outboxes);
         let load = send.iter().chain(recv.iter()).copied().max().unwrap_or(0);
@@ -196,15 +136,7 @@ impl Clique {
         Ok(delivery::deliver(self.n, outboxes))
     }
 
-    /// Like [`Clique::route`], but fails instead of batching when a node's
-    /// load exceeds one application of the routing theorem.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::CongestionExceeded`] if some node would send or receive
-    /// more than `capacity·n` words, plus the structural errors of
-    /// [`Clique::exchange`].
-    pub fn route_strict(
+    fn route_strict(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
@@ -214,36 +146,16 @@ impl Clique {
         self.route(outboxes)
     }
 
-    /// Every node broadcasts one word; everyone learns all `n` words.
-    ///
-    /// This is the classic 1-round all-to-all broadcast (each ordered pair
-    /// carries exactly one word). Returns the shared view `values` in node
-    /// order — identical at every node.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::WrongOutboxCount`] if `values.len() != n`.
-    pub fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
+    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
         delivery::check_len(self.n, values.len())?;
         self.ledger
             .charge(delivery::broadcast_all_cost(), CostKind::Implemented);
         Ok(values.to_vec())
     }
 
-    /// [`Clique::broadcast_all`] into a caller-owned buffer: identical
-    /// round accounting and shared view, but `out` is cleared and refilled
-    /// instead of allocating a fresh vector — allocation-free once `out`
-    /// has capacity `n`. Used by the per-iteration solver hot paths.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::WrongOutboxCount`] if `values.len() != n` (leaving
-    /// `out` untouched).
-    pub fn broadcast_all_into(
-        &mut self,
-        values: &[u64],
-        out: &mut Vec<u64>,
-    ) -> Result<(), ModelError> {
+    /// Allocation-free once `out` has capacity `n`; used by the
+    /// per-iteration solver hot paths.
+    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
         delivery::check_len(self.n, values.len())?;
         self.ledger
             .charge(delivery::broadcast_all_cost(), CostKind::Implemented);
@@ -252,17 +164,7 @@ impl Clique {
         Ok(())
     }
 
-    /// Every node broadcasts a word vector; everyone learns all of them.
-    ///
-    /// Node `i` broadcasts `per_node[i]` (possibly empty). Cost: one round
-    /// per word of the longest vector (`max_i |per_node[i]|`), since in each
-    /// round every node can ship one word to all others. Returns the shared
-    /// per-source view, identical at every node.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::WrongOutboxCount`] if `per_node.len() != n`.
-    pub fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
+    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
         delivery::check_len(self.n, per_node.len())?;
         self.ledger.charge(
             delivery::broadcast_words_cost(per_node),
@@ -271,72 +173,39 @@ impl Clique {
         Ok(per_node.to_vec())
     }
 
-    /// One node broadcasts `w` words to everyone.
-    ///
-    /// For `w ≤ 1` this is direct (cost `w`). For larger payloads the
-    /// standard doubling trick applies: the source scatters the words over
-    /// distinct helper nodes (`⌈w/(n−1)⌉` rounds), then every helper
-    /// broadcasts its words (`⌈w/(n−1)⌉` rounds). Total
-    /// `2·⌈w/(n−1)⌉` rounds.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::InvalidNode`] if `src` is out of range.
-    pub fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
+    /// For `w > 1` words the source scatters them over distinct helper
+    /// nodes (`⌈w/(n−1)⌉` rounds), then every helper broadcasts its share
+    /// (`⌈w/(n−1)⌉` rounds).
+    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
         if src >= self.n {
             return Err(ModelError::InvalidNode {
                 node: src,
                 n: self.n,
             });
         }
-        let rounds = delivery::broadcast_from_cost(&self.config, self.n, words.len() as u64);
+        let rounds = delivery::broadcast_from_cost(self.n, words.len() as u64);
         self.ledger.charge(rounds, CostKind::Implemented);
         Ok(words.clone())
     }
 
-    /// Everyone learns everyone's word vector (all-gather).
-    ///
-    /// Semantically equivalent to [`Clique::broadcast_all_words`] but with
-    /// load balancing: the words are first spread evenly over the clique
-    /// with Lenzen routing, then broadcast at `n` words per round. With
-    /// total volume `W` and maximum per-node contribution `L`, the cost is
-    /// `lenzen_rounds·⌈L/n⌉ + ⌈W/n⌉` (in broadcast mode: the unbalanced
-    /// `max_i w_i`). Use this instead of `broadcast_all_words` when
-    /// contributions are skewed.
-    ///
-    /// Returns the concatenation of all vectors in node order (identical at
-    /// every node), together with per-node offsets.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::WrongOutboxCount`] if `per_node.len() != n`.
-    pub fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
+    /// The words are first spread evenly over the clique with Lenzen
+    /// routing, then broadcast at `n` words per round — use this instead
+    /// of `broadcast_all_words` when contributions are skewed.
+    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
         delivery::check_len(self.n, per_node.len())?;
-        // Broadcast mode always touches the ledger (the fallback broadcast
-        // runs even when empty); the balanced path is free for empty input.
-        let nonempty = per_node.iter().any(|w| !w.is_empty());
-        if self.config.mode == CommunicationMode::Broadcast || nonempty {
+        if per_node.iter().any(|w| !w.is_empty()) {
             let rounds = delivery::allgather_cost(&self.config, self.n, per_node);
             self.ledger.charge(rounds, CostKind::Implemented);
         }
         Ok(delivery::concat_words(self.n, per_node))
     }
 
-    /// Globally sorts all keys across the clique (Lenzen's deterministic
-    /// sorting theorem \[Len13\]: `n` keys per node are sorted in `O(1)`
-    /// rounds). Node `i` receives the `i`-th block of the global sorted
-    /// order (blocks as equal as possible, earlier blocks one longer when
-    /// the total is not divisible by `n`). Larger inputs are batched like
-    /// [`Clique::route`]: `lenzen_rounds · ⌈max per-node keys / n⌉` rounds.
-    ///
-    /// Ties are broken stably by (key, contributing node, position).
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::BroadcastOnly`] in broadcast mode;
-    /// [`ModelError::WrongOutboxCount`] if `per_node.len() != n`.
-    pub fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        delivery::unicast_gate(&self.config)?;
+    /// Lenzen's deterministic sorting theorem \[Len13\]: `n` keys per node
+    /// are sorted in `O(1)` rounds; larger inputs are batched. Node `i`
+    /// receives the `i`-th block of the global order (earlier blocks one
+    /// longer when the total is not divisible by `n`); ties break stably
+    /// by (key, contributing node, position).
+    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
         delivery::check_len(self.n, per_node.len())?;
         if per_node.iter().any(|w| !w.is_empty()) {
             let rounds = delivery::sort_cost(&self.config, self.n, per_node);
@@ -345,17 +214,8 @@ impl Clique {
         Ok(delivery::sorted_blocks(self.n, per_node))
     }
 
-    /// Every node sends its word vector to a single destination.
-    ///
-    /// Cost: `⌈W/(n−1)⌉` rounds for total volume `W` (the destination can
-    /// receive `n−1` words per round).
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::InvalidNode`] if `dst` is out of range;
-    /// [`ModelError::WrongOutboxCount`] if `per_node.len() != n`.
-    pub fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        delivery::unicast_gate(&self.config)?;
+    /// The destination receives `n − 1` words per round.
+    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
         if dst >= self.n {
             return Err(ModelError::InvalidNode {
                 node: dst,
@@ -368,84 +228,6 @@ impl Clique {
             CostKind::Implemented,
         );
         Ok(per_node.to_vec())
-    }
-}
-
-/// The canonical [`Communicator`]: every trait primitive delegates to the
-/// simulator's inherent method of the same name, so generic algorithm code
-/// and direct `Clique` callers charge identical rounds.
-impl Communicator for Clique {
-    fn n(&self) -> usize {
-        Clique::n(self)
-    }
-
-    fn config(&self) -> CliqueConfig {
-        Clique::config(self)
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        Clique::ledger(self)
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        Clique::ledger_mut(self)
-    }
-
-    fn charge_oracle(&mut self, rounds: u64) {
-        Clique::charge_oracle(self, rounds)
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        Clique::charge_implemented(self, rounds)
-    }
-
-    fn exchange(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        Clique::exchange(self, outboxes)
-    }
-
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        Clique::route(self, outboxes)
-    }
-
-    fn route_strict(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        Clique::route_strict(self, outboxes)
-    }
-
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        Clique::broadcast_all(self, values)
-    }
-
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        Clique::broadcast_all_into(self, values, out)
-    }
-
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        Clique::broadcast_all_words(self, per_node)
-    }
-
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        Clique::broadcast_from(self, src, words)
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        Clique::allgather(self, per_node)
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        Clique::sort(self, per_node)
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        Clique::gather_to(self, dst, per_node)
     }
 }
 
@@ -648,43 +430,6 @@ mod tests {
             clique.ledger().total_rounds(),
             3 * clique.config().lenzen_rounds
         );
-    }
-
-    #[test]
-    fn broadcast_mode_rejects_unicast_primitives() {
-        let mut clique = Clique::with_config(
-            4,
-            CliqueConfig {
-                mode: CommunicationMode::Broadcast,
-                ..CliqueConfig::default()
-            },
-        );
-        let outboxes = vec![vec![(1, vec![1u64])], vec![], vec![], vec![]];
-        assert_eq!(
-            clique.exchange(outboxes.clone()),
-            Err(ModelError::BroadcastOnly)
-        );
-        assert_eq!(clique.route(outboxes), Err(ModelError::BroadcastOnly));
-        assert_eq!(
-            clique.gather_to(0, &[vec![], vec![1], vec![], vec![]]),
-            Err(ModelError::BroadcastOnly)
-        );
-        assert_eq!(
-            clique.sort(&[vec![1], vec![], vec![], vec![]]),
-            Err(ModelError::BroadcastOnly)
-        );
-        // Broadcast primitives still work, with broadcast-only accounting.
-        clique.broadcast_all(&[1, 2, 3, 4]).unwrap();
-        let before = clique.ledger().total_rounds();
-        clique.broadcast_from(0, &vec![1, 2, 3, 4, 5, 6]).unwrap();
-        assert_eq!(clique.ledger().total_rounds() - before, 6);
-        let before = clique.ledger().total_rounds();
-        let (all, _) = clique
-            .allgather(&[vec![1, 2], vec![3], vec![], vec![4]])
-            .unwrap();
-        assert_eq!(all, vec![1, 2, 3, 4]);
-        // Broadcast allgather: max contribution = 2 rounds.
-        assert_eq!(clique.ledger().total_rounds() - before, 2);
     }
 
     #[test]

@@ -3,17 +3,32 @@
 //! [`Communicator`] captures the primitive surface of the congested clique
 //! — the message-moving primitives plus round accounting — without naming
 //! a concrete substrate. [`crate::Clique`] is the canonical
-//! implementation (the deterministic simulator); the wrapping transports
-//! [`crate::TracingComm`] and [`crate::FaultComm`] decorate any
-//! communicator with observability and fault injection, and a future
-//! broadcast-clique or real-network backend plugs in at the same seam
-//! (cf. the companion paper arXiv:2205.12059, which re-targets the same
-//! algorithms to the broadcast clique).
+//! implementation (the deterministic simulator) and [`crate::ThreadedComm`]
+//! runs the same kernel over a worker pool. Wrapping transports implement
+//! [`Decorator`], the one forwarding seam: [`crate::TracingComm`],
+//! [`crate::FaultComm`], [`crate::AdversaryComm`] and
+//! [`crate::BroadcastComm`] (the Broadcast Congested Clique of the
+//! companion paper arXiv:2205.12059) each override only the methods they
+//! change.
 //!
 //! Algorithms are generic over `C: Communicator`; nothing outside
 //! `cc-model` needs to know which substrate is charging the rounds.
 
 use crate::{CliqueConfig, CostKind, Envelope, ModelError, NodeId, RoundLedger, Words};
+
+/// Which communication model a [`Communicator`] implements.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CommunicationMode {
+    /// The (unicast) congested clique \[LPSPP05\]: per round, every
+    /// ordered pair may exchange one word.
+    #[default]
+    Unicast,
+    /// The Broadcast Congested Clique \[DKO12\] (§2.1 of the paper): per
+    /// round every node sends the *same* word to everyone. Reported by
+    /// [`crate::BroadcastComm`], so wrappers above it (e.g.
+    /// [`crate::TracingComm`]) attribute congestion broadcast-style.
+    Broadcast,
+}
 
 /// Runs `f` inside a named ledger phase of `comm`, popping the phase even
 /// if `f` unwinds (drop guard), so a panicking solve cannot leave the
@@ -48,10 +63,16 @@ pub fn scoped_phase<C: Communicator, R>(
 /// algorithm code:
 ///
 /// * [`crate::Clique`] — the deterministic simulator;
+/// * [`crate::ThreadedComm`] — the same delivery kernel sharded over a
+///   worker pool, bitwise identical to `Clique`;
 /// * [`crate::TracingComm`] — wraps any communicator with a structured
 ///   event trace and per-phase congestion statistics;
 /// * [`crate::FaultComm`] — wraps any communicator with deterministic,
-///   seeded fault injection for bandwidth-bound testing.
+///   seeded fault injection for bandwidth-bound testing;
+/// * [`crate::AdversaryComm`] — wraps any communicator with seeded
+///   node-level adversaries (silent, crash–recover, corrupting);
+/// * [`crate::BroadcastComm`] — the Broadcast Congested Clique over any
+///   communicator, rejecting (strict) or re-pricing (measured) unicast.
 ///
 /// # Contract
 ///
@@ -95,6 +116,13 @@ pub trait Communicator {
     /// Mutable access to the round ledger (e.g. to reset between phases
     /// of a benchmark).
     fn ledger_mut(&mut self) -> &mut RoundLedger;
+
+    /// The communication model this substrate implements. Unicast
+    /// substrates report [`CommunicationMode::Unicast`] (the default);
+    /// [`crate::BroadcastComm`] reports [`CommunicationMode::Broadcast`].
+    fn mode(&self) -> CommunicationMode {
+        CommunicationMode::Unicast
+    }
 
     /// Enters a named ledger phase. Prefer [`Communicator::phase`], which
     /// guarantees the matching [`Communicator::pop_phase`].
@@ -142,21 +170,22 @@ pub trait Communicator {
         self.ledger_mut().charge(rounds, CostKind::Implemented);
     }
 
-    /// Direct point-to-point exchange; see [`crate::Clique::exchange`]
-    /// for the canonical accounting (max per-ordered-pair words).
+    /// Direct point-to-point exchange; see [`crate::Clique`] for the
+    /// canonical accounting (max per-ordered-pair words).
     ///
     /// # Errors
     ///
     /// [`ModelError::WrongOutboxCount`] if `outboxes.len() != n`;
     /// [`ModelError::InvalidNode`] on an out-of-range destination;
-    /// [`ModelError::BroadcastOnly`] in broadcast-only substrates.
+    /// [`ModelError::UnicastInBroadcastModel`] in a strict
+    /// [`crate::BroadcastComm`].
     fn exchange(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError>;
 
     /// Routed exchange via Lenzen's routing theorem; see
-    /// [`crate::Clique::route`] for the canonical accounting.
+    /// [`crate::Clique`] for the canonical accounting.
     ///
     /// # Errors
     ///
@@ -237,7 +266,8 @@ pub trait Communicator {
     ///
     /// # Errors
     ///
-    /// [`ModelError::BroadcastOnly`] in broadcast-only substrates.
+    /// [`ModelError::UnicastInBroadcastModel`] in a strict
+    /// [`crate::BroadcastComm`].
     fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError>;
 
     /// Every node sends its word vector to a single destination.
@@ -246,6 +276,223 @@ pub trait Communicator {
     ///
     /// [`ModelError::InvalidNode`] if `dst` is out of range.
     fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError>;
+}
+
+/// The forwarding seam of the wrapping transports.
+///
+/// A decorator names the communicator it wraps ([`Decorator::inner`],
+/// [`Decorator::inner_mut`]) and overrides only the methods it changes;
+/// a blanket impl makes every `Decorator` a [`Communicator`]. Every
+/// provided method calls the *same* method on the wrapped communicator —
+/// never its ledger — so a `push_phase` or `charge_*` still reaches a
+/// [`crate::TracingComm`] stacked further down. `n`, `config`, `ledger`
+/// and `ledger_mut` always forward. Forwarding is static: no `dyn` in the
+/// call path.
+///
+/// The one provided method that does not forward is
+/// [`Decorator::broadcast_all_into`]: it goes through the decorator's own
+/// `broadcast_all`, so a decorator that records or screens `broadcast_all`
+/// covers the buffered variant too. Decorators that leave `broadcast_all`'s
+/// payload alone override it with a pass-through, keeping the substrate's
+/// allocation-free path.
+///
+/// The method names mirror [`Communicator`]'s, so with both traits in
+/// scope a method call on a concrete decorator is ambiguous: import
+/// `Decorator` only to implement it, and otherwise call
+/// `Decorator::inner(&comm)` by path.
+pub trait Decorator {
+    /// The wrapped communicator.
+    type Inner: Communicator;
+
+    /// The wrapped communicator.
+    fn inner(&self) -> &Self::Inner;
+
+    /// The wrapped communicator, mutably.
+    fn inner_mut(&mut self) -> &mut Self::Inner;
+
+    /// Forwards [`Communicator::mode`].
+    fn mode(&self) -> CommunicationMode {
+        self.inner().mode()
+    }
+
+    /// Forwards [`Communicator::faults_observed`].
+    fn faults_observed(&self) -> u64 {
+        self.inner().faults_observed()
+    }
+
+    /// Forwards [`Communicator::push_phase`].
+    fn push_phase(&mut self, name: &str) {
+        self.inner_mut().push_phase(name);
+    }
+
+    /// Forwards [`Communicator::pop_phase`].
+    fn pop_phase(&mut self) {
+        self.inner_mut().pop_phase();
+    }
+
+    /// Forwards [`Communicator::charge_oracle`].
+    fn charge_oracle(&mut self, rounds: u64) {
+        self.inner_mut().charge_oracle(rounds);
+    }
+
+    /// Forwards [`Communicator::charge_implemented`].
+    fn charge_implemented(&mut self, rounds: u64) {
+        self.inner_mut().charge_implemented(rounds);
+    }
+
+    /// Forwards [`Communicator::exchange`].
+    fn exchange(
+        &mut self,
+        outboxes: Vec<Vec<(NodeId, Words)>>,
+    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
+        self.inner_mut().exchange(outboxes)
+    }
+
+    /// Forwards [`Communicator::route`].
+    fn route(
+        &mut self,
+        outboxes: Vec<Vec<(NodeId, Words)>>,
+    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
+        self.inner_mut().route(outboxes)
+    }
+
+    /// Forwards [`Communicator::route_strict`].
+    fn route_strict(
+        &mut self,
+        outboxes: Vec<Vec<(NodeId, Words)>>,
+    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
+        self.inner_mut().route_strict(outboxes)
+    }
+
+    /// Forwards [`Communicator::broadcast_all`].
+    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
+        self.inner_mut().broadcast_all(values)
+    }
+
+    /// [`Communicator::broadcast_all_into`] through this decorator's own
+    /// [`Decorator::broadcast_all`] (see the trait docs).
+    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
+        let view = Decorator::broadcast_all(self, values)?;
+        out.clear();
+        out.extend_from_slice(&view);
+        Ok(())
+    }
+
+    /// Forwards [`Communicator::broadcast_all_words`].
+    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
+        self.inner_mut().broadcast_all_words(per_node)
+    }
+
+    /// Forwards [`Communicator::broadcast_from`].
+    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
+        self.inner_mut().broadcast_from(src, words)
+    }
+
+    /// Forwards [`Communicator::allgather`].
+    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
+        self.inner_mut().allgather(per_node)
+    }
+
+    /// Forwards [`Communicator::sort`].
+    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
+        self.inner_mut().sort(per_node)
+    }
+
+    /// Forwards [`Communicator::gather_to`].
+    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
+        self.inner_mut().gather_to(dst, per_node)
+    }
+}
+
+impl<D: Decorator> Communicator for D {
+    fn n(&self) -> usize {
+        self.inner().n()
+    }
+
+    fn config(&self) -> CliqueConfig {
+        self.inner().config()
+    }
+
+    fn ledger(&self) -> &RoundLedger {
+        self.inner().ledger()
+    }
+
+    fn ledger_mut(&mut self) -> &mut RoundLedger {
+        self.inner_mut().ledger_mut()
+    }
+
+    fn mode(&self) -> CommunicationMode {
+        Decorator::mode(self)
+    }
+
+    fn push_phase(&mut self, name: &str) {
+        Decorator::push_phase(self, name);
+    }
+
+    fn pop_phase(&mut self) {
+        Decorator::pop_phase(self);
+    }
+
+    fn faults_observed(&self) -> u64 {
+        Decorator::faults_observed(self)
+    }
+
+    fn charge_oracle(&mut self, rounds: u64) {
+        Decorator::charge_oracle(self, rounds);
+    }
+
+    fn charge_implemented(&mut self, rounds: u64) {
+        Decorator::charge_implemented(self, rounds);
+    }
+
+    fn exchange(
+        &mut self,
+        outboxes: Vec<Vec<(NodeId, Words)>>,
+    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
+        Decorator::exchange(self, outboxes)
+    }
+
+    fn route(
+        &mut self,
+        outboxes: Vec<Vec<(NodeId, Words)>>,
+    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
+        Decorator::route(self, outboxes)
+    }
+
+    fn route_strict(
+        &mut self,
+        outboxes: Vec<Vec<(NodeId, Words)>>,
+    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
+        Decorator::route_strict(self, outboxes)
+    }
+
+    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
+        Decorator::broadcast_all(self, values)
+    }
+
+    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
+        Decorator::broadcast_all_into(self, values, out)
+    }
+
+    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
+        Decorator::broadcast_all_words(self, per_node)
+    }
+
+    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
+        Decorator::broadcast_from(self, src, words)
+    }
+
+    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
+        Decorator::allgather(self, per_node)
+    }
+
+    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
+        Decorator::sort(self, per_node)
+    }
+
+    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
+        Decorator::gather_to(self, dst, per_node)
+    }
 }
 
 #[cfg(test)]

@@ -22,20 +22,7 @@
 //! single shard covering all sources, so the two transports are bitwise
 //! identical by construction — results *and* ledgers.
 
-use crate::{CliqueConfig, CommunicationMode, Envelope, ModelError, NodeId, Words};
-
-/// Rejects point-to-point primitives in broadcast-only mode.
-///
-/// # Errors
-///
-/// [`ModelError::BroadcastOnly`] when `config.mode` is
-/// [`CommunicationMode::Broadcast`].
-pub fn unicast_gate(config: &CliqueConfig) -> Result<(), ModelError> {
-    if config.mode == CommunicationMode::Broadcast {
-        return Err(ModelError::BroadcastOnly);
-    }
-    Ok(())
-}
+use crate::{CliqueConfig, Envelope, ModelError, NodeId, Words};
 
 /// Checks that a per-node collection has exactly `n` entries.
 ///
@@ -173,7 +160,7 @@ pub fn shard_loads(n: usize, shard: &[Vec<(NodeId, Words)>]) -> (Vec<u64>, Vec<u
     (send, recv)
 }
 
-/// Rounds charged by [`crate::Clique::route`] for maximum per-node load
+/// Rounds charged by a unicast `route` for maximum per-node load
 /// `load`: `lenzen_rounds · ⌈load / (capacity·n)⌉`, and 0 for an empty
 /// message set.
 pub fn route_cost(config: &CliqueConfig, n: usize, load: u64) -> u64 {
@@ -184,8 +171,8 @@ pub fn route_cost(config: &CliqueConfig, n: usize, load: u64) -> u64 {
     load.div_ceil(cap) * config.lenzen_rounds
 }
 
-/// The strict-budget scan of [`crate::Clique::route_strict`]: nodes in
-/// id order, send budget checked before receive budget.
+/// The strict-budget scan of `route_strict`: nodes in id order, send
+/// budget checked before receive budget.
 ///
 /// # Errors
 ///
@@ -242,16 +229,16 @@ pub fn broadcast_words_cost(per_node: &[Words]) -> u64 {
     per_node.iter().map(|w| w.len() as u64).max().unwrap_or(0)
 }
 
-/// Rounds charged by a single-source broadcast of `w` words: `w` in
-/// broadcast mode (no helper scattering) and for `w ≤ 1`; otherwise the
-/// scatter-then-broadcast doubling trick, `2·⌈w/(n−1)⌉`.
+/// Rounds charged by a single-source broadcast of `w` words: `w` for
+/// `w ≤ 1`, otherwise the scatter-then-broadcast doubling trick,
+/// `2·⌈w/(n−1)⌉`.
 ///
 /// Requires `n ≥ 2` (the transport invariant — a clique needs two nodes;
 /// [`crate::Clique::new`] enforces it). With `n < 2` the scatter formula
 /// divides by `n − 1`, which is zero or underflows.
-pub fn broadcast_from_cost(config: &CliqueConfig, n: usize, w: u64) -> u64 {
+pub fn broadcast_from_cost(n: usize, w: u64) -> u64 {
     debug_assert!(n >= 2, "clique cost formulas require n >= 2, got {n}");
-    if config.mode == CommunicationMode::Broadcast || w <= 1 {
+    if w <= 1 {
         w
     } else {
         2 * w.div_ceil(n as u64 - 1)
@@ -259,12 +246,8 @@ pub fn broadcast_from_cost(config: &CliqueConfig, n: usize, w: u64) -> u64 {
 }
 
 /// Rounds charged by the load-balanced all-gather: `lenzen·⌈L/n⌉ + ⌈W/n⌉`
-/// for total volume `W` and max per-node contribution `L` (0 when empty);
-/// in broadcast mode the unbalanced fallback `max_i w_i`.
+/// for total volume `W` and max per-node contribution `L` (0 when empty).
 pub fn allgather_cost(config: &CliqueConfig, n: usize, per_node: &[Words]) -> u64 {
-    if config.mode == CommunicationMode::Broadcast {
-        return broadcast_words_cost(per_node);
-    }
     let total: u64 = per_node.iter().map(|w| w.len() as u64).sum();
     if total == 0 {
         return 0;
@@ -442,8 +425,8 @@ mod tests {
     fn cost_formulas_match_documented_values() {
         assert_eq!(broadcast_all_cost(), 1);
         assert_eq!(broadcast_words_cost(&[vec![1, 2, 3], vec![], vec![9]]), 3);
-        assert_eq!(broadcast_from_cost(&cfg(), 5, 8), 4);
-        assert_eq!(broadcast_from_cost(&cfg(), 5, 1), 1);
+        assert_eq!(broadcast_from_cost(5, 8), 4);
+        assert_eq!(broadcast_from_cost(5, 1), 1);
         assert_eq!(
             allgather_cost(&cfg(), 3, &[vec![1, 2], vec![], vec![3]]),
             2 + 1

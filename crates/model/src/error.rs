@@ -14,7 +14,7 @@ pub enum ModelError {
         /// Number of nodes of the clique.
         n: usize,
     },
-    /// A [`crate::Clique::route`] call violated Lenzen's precondition:
+    /// A `route_strict` call violated Lenzen's precondition:
     /// some node would have to send or receive more than `capacity` words.
     CongestionExceeded {
         /// Node exceeding its budget.
@@ -26,9 +26,6 @@ pub enum ModelError {
         /// True if the violation is on the sending side.
         sending: bool,
     },
-    /// A point-to-point primitive was invoked in broadcast-only mode
-    /// (the Broadcast Congested Clique admits no unicast messages).
-    BroadcastOnly,
     /// An outbox vector had the wrong length (must be one entry per node).
     WrongOutboxCount {
         /// Entries supplied.
@@ -77,12 +74,6 @@ impl fmt::Display for ModelError {
                 write!(
                     f,
                     "routing congestion: node {node} would {dir} {words} words, capacity {capacity}"
-                )
-            }
-            ModelError::BroadcastOnly => {
-                write!(
-                    f,
-                    "point-to-point messages are not allowed in broadcast mode"
                 )
             }
             ModelError::WrongOutboxCount { got, expected } => {

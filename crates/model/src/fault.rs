@@ -28,7 +28,8 @@
 //!   an oversized single message into a panic at the send site, pinning
 //!   the `O(log n)`-bit word discipline.
 
-use crate::{CliqueConfig, Communicator, Envelope, ModelError, NodeId, RoundLedger, Words};
+use crate::util::SplitMix64;
+use crate::{delivery, CliqueConfig, Communicator, Envelope, ModelError, NodeId, Words};
 
 /// Configuration of a [`FaultComm`]. The default plan injects nothing.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,34 +91,21 @@ impl Default for FaultPlan {
 pub struct FaultComm<C: Communicator> {
     inner: C,
     plan: FaultPlan,
-    rng_state: u64,
+    rng: SplitMix64,
     injected: u64,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl<C: Communicator> FaultComm<C> {
     /// Wraps `inner` under the given plan.
     pub fn new(inner: C, plan: FaultPlan) -> Self {
-        let mut rng_state = plan.seed ^ 0x9E37_79B9_7F4A_7C15;
-        let _ = splitmix64(&mut rng_state);
+        let mut rng = SplitMix64::new(plan.seed);
+        rng.next_u64(); // the pinned fault streams start at the second draw
         Self {
             inner,
             plan,
-            rng_state,
+            rng,
             injected: 0,
         }
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        &self.inner
     }
 
     /// Unwraps, discarding the plan.
@@ -154,11 +142,9 @@ impl<C: Communicator> FaultComm<C> {
         {
             return Err(self.injected_error());
         }
-        if self.plan.failure_rate > 0.0 {
-            let draw = (splitmix64(&mut self.rng_state) >> 11) as f64 / (1u64 << 53) as f64;
-            if draw < self.plan.failure_rate {
-                return Err(self.injected_error());
-            }
+        // Only a positive rate draws, so rate-0 plans never advance the stream.
+        if self.plan.failure_rate > 0.0 && self.rng.next_f64() < self.plan.failure_rate {
+            return Err(self.injected_error());
         }
         Ok(())
     }
@@ -175,89 +161,59 @@ impl<C: Communicator> FaultComm<C> {
 
     fn check_outbox_payloads(&self, outboxes: &[Vec<(NodeId, Words)>]) {
         if self.plan.max_message_words.is_some() {
-            for per_node in outboxes {
-                for (_, payload) in per_node {
-                    self.assert_payload(payload.len());
-                }
+            for (_, payload) in outboxes.iter().flatten() {
+                self.assert_payload(payload.len());
+            }
+        }
+    }
+
+    fn check_vector_payloads(&self, per_node: &[Words]) {
+        if self.plan.max_message_words.is_some() {
+            for words in per_node {
+                self.assert_payload(words.len());
             }
         }
     }
 
     /// Tightened per-call budget check (send and receive loads against
-    /// `routing_capacity_factor · n`).
+    /// `routing_capacity_factor · n`). It runs before the substrate's
+    /// structural validation, so out-of-range entries are skipped here.
     fn check_budget(&self, outboxes: &[Vec<(NodeId, Words)>]) -> Result<(), ModelError> {
         let Some(factor) = self.plan.routing_capacity_factor else {
             return Ok(());
         };
         let n = self.inner.n();
-        let cap = factor * n;
-        let mut send = vec![0usize; n];
-        let mut recv = vec![0usize; n];
+        let mut send = vec![0u64; n];
+        let mut recv = vec![0u64; n];
         for (src, per_node) in outboxes.iter().enumerate() {
             for (dst, payload) in per_node {
                 if src < n && *dst < n {
-                    send[src] += payload.len();
-                    recv[*dst] += payload.len();
+                    send[src] += payload.len() as u64;
+                    recv[*dst] += payload.len() as u64;
                 }
             }
         }
-        for node in 0..n {
-            if send[node] > cap {
-                return Err(ModelError::CongestionExceeded {
-                    node,
-                    words: send[node],
-                    capacity: cap,
-                    sending: true,
-                });
-            }
-            if recv[node] > cap {
-                return Err(ModelError::CongestionExceeded {
-                    node,
-                    words: recv[node],
-                    capacity: cap,
-                    sending: false,
-                });
-            }
-        }
-        Ok(())
+        let config = CliqueConfig {
+            routing_capacity_factor: factor,
+            ..self.inner.config()
+        };
+        delivery::strict_violation(&config, n, &send, &recv)
     }
 }
 
-impl<C: Communicator> Communicator for FaultComm<C> {
-    fn n(&self) -> usize {
-        self.inner.n()
+impl<C: Communicator> crate::Decorator for FaultComm<C> {
+    type Inner = C;
+
+    fn inner(&self) -> &C {
+        &self.inner
     }
 
-    fn config(&self) -> CliqueConfig {
-        self.inner.config()
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.inner.ledger_mut()
+    fn inner_mut(&mut self) -> &mut C {
+        &mut self.inner
     }
 
     fn faults_observed(&self) -> u64 {
         self.injected + self.inner.faults_observed()
-    }
-
-    fn push_phase(&mut self, name: &str) {
-        self.inner.push_phase(name);
-    }
-
-    fn pop_phase(&mut self) {
-        self.inner.pop_phase();
-    }
-
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.inner.charge_oracle(rounds);
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.inner.charge_implemented(rounds);
     }
 
     fn exchange(
@@ -302,11 +258,7 @@ impl<C: Communicator> Communicator for FaultComm<C> {
 
     fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
         self.preflight()?;
-        if self.plan.max_message_words.is_some() {
-            for words in per_node {
-                self.assert_payload(words.len());
-            }
-        }
+        self.check_vector_payloads(per_node);
         self.inner.broadcast_all_words(per_node)
     }
 
@@ -318,11 +270,7 @@ impl<C: Communicator> Communicator for FaultComm<C> {
 
     fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
         self.preflight()?;
-        if self.plan.max_message_words.is_some() {
-            for words in per_node {
-                self.assert_payload(words.len());
-            }
-        }
+        self.check_vector_payloads(per_node);
         self.inner.allgather(per_node)
     }
 
@@ -333,11 +281,7 @@ impl<C: Communicator> Communicator for FaultComm<C> {
 
     fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
         self.preflight()?;
-        if self.plan.max_message_words.is_some() {
-            for words in per_node {
-                self.assert_payload(words.len());
-            }
-        }
+        self.check_vector_payloads(per_node);
         self.inner.gather_to(dst, per_node)
     }
 }

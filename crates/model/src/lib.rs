@@ -12,7 +12,7 @@
 //! * [`Clique`] executes communication primitives and charges rounds
 //!   according to the model's rules (at most one word per ordered pair per
 //!   round).
-//! * [`Clique::route`] implements the accounting of Lenzen's routing theorem
+//! * [`Communicator::route`] implements the accounting of Lenzen's routing theorem
 //!   \[Len13\]: any message set in which every node sends at most `n` words
 //!   and receives at most `n` words is deliverable in `O(1)` rounds
 //!   (16 in the paper; configurable via [`CliqueConfig::lenzen_rounds`]).
@@ -27,7 +27,7 @@
 //! ## Example
 //!
 //! ```
-//! use cc_model::Clique;
+//! use cc_model::{Clique, Communicator};
 //!
 //! // 8 nodes; each broadcasts its own id, so afterwards every node knows
 //! // all ids. One word per ordered pair => exactly 1 round.
@@ -54,13 +54,14 @@ mod ledger;
 mod program;
 mod threaded;
 mod trace;
+pub mod util;
 
 pub use adversary::{
     AdversaryAction, AdversaryComm, AdversaryEvent, AdversarySchedule, AdversaryStrategy,
 };
 pub use broadcast::{BroadcastComm, BroadcastMode};
-pub use clique::{Clique, CliqueConfig, CommunicationMode, Envelope};
-pub use comm::{scoped_phase, Communicator};
+pub use clique::{Clique, CliqueConfig, Envelope};
+pub use comm::{scoped_phase, CommunicationMode, Communicator, Decorator};
 pub use encode::{
     decode_f64, decode_f64_fixed, decode_i64, encode_f64, encode_f64_fixed, encode_i64,
 };

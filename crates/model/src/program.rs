@@ -9,8 +9,8 @@
 //! super-rounds:
 //!
 //! 1. every non-halted node is offered its inbox and returns an outbox;
-//! 2. the message set is delivered through [`Clique::route`] (rounds
-//!    charged by the model's rules);
+//! 2. the message set is delivered through [`Communicator::route`]
+//!    (rounds charged by the substrate's rules);
 //! 3. repeat until every node halts.
 //!
 //! ```
@@ -76,8 +76,9 @@ pub trait NodeProgram {
 ///
 /// # Errors
 ///
-/// Propagates routing errors (e.g. [`ModelError::BroadcastOnly`] in
-/// broadcast mode, invalid destinations) and reports
+/// Propagates routing errors (e.g. invalid destinations, or
+/// [`ModelError::UnicastInBroadcastModel`] in a strict
+/// [`crate::BroadcastComm`]) and reports
 /// [`ModelError::WrongOutboxCount`]-style misuse via panics; returns
 /// the per-node outputs on success.
 ///
@@ -248,8 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_mode_rejects_node_programs_that_unicast() {
-        use crate::{CliqueConfig, CommunicationMode};
+    fn strict_broadcast_rejects_node_programs_that_unicast() {
         struct OneShot;
         impl NodeProgram for OneShot {
             type Output = ();
@@ -261,14 +261,11 @@ mod tests {
             }
             fn output(self) {}
         }
-        let mut clique = Clique::with_config(
-            2,
-            CliqueConfig {
-                mode: CommunicationMode::Broadcast,
-                ..CliqueConfig::default()
-            },
+        let mut comm = crate::BroadcastComm::strict(Clique::new(2));
+        let err = run_node_programs(&mut comm, vec![OneShot, OneShot], 3).unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::UnicastInBroadcastModel { primitive: "route" }
         );
-        let err = run_node_programs(&mut clique, vec![OneShot, OneShot], 3).unwrap_err();
-        assert_eq!(err, ModelError::BroadcastOnly);
     }
 }

@@ -21,10 +21,12 @@
 //! * **Errors are selected by lowest shard index** (each shard reports its
 //!   first violation in source order), reproducing the sequential scan's
 //!   first error.
-//! * **Serial primitives stay serial.** The broadcast family, `sort`, and
-//!   `gather_to` are shared-view operations with no per-source message
-//!   fan-out worth sharding; they run on the driver thread through an
-//!   embedded sequential [`crate::Clique`] — identical code, identical
+//! * **Serial primitives stay serial.** `ThreadedComm` is a
+//!   [`crate::Decorator`] over an embedded sequential [`crate::Clique`]
+//!   that overrides only `exchange`, `route` and `route_strict`. The
+//!   broadcast family, `sort`, and `gather_to` are shared-view operations
+//!   with no per-source message fan-out worth sharding; they forward to
+//!   the embedded clique on the driver thread — identical code, identical
 //!   ledger, by definition.
 //!
 //! # Watchdog contract
@@ -40,8 +42,7 @@
 //! round.
 
 use crate::{
-    delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId,
-    RoundLedger, Words,
+    delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId, Words,
 };
 use cc_par::{Job, WorkerPool};
 use std::sync::{Arc, Mutex};
@@ -217,6 +218,29 @@ impl ThreadedComm {
             delivery::merge_inboxes(n, inbox_shards),
         ))
     }
+
+    /// One sharded `route` round, mirroring `Clique::route_strict` when
+    /// `strict`: structural checks, then the strict budget scan, then the
+    /// batching cost.
+    fn route_checked(
+        &mut self,
+        outboxes: Outboxes,
+        strict: bool,
+    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
+        delivery::check_len(self.n(), outboxes.len())?;
+        let reports = self.sharded_round(outboxes);
+        let (_, send, recv, inboxes) = self.merge(reports)?;
+        let config = self.seq.config();
+        if strict {
+            delivery::strict_violation(&config, self.n(), &send, &recv)?;
+        }
+        let load = send.iter().chain(recv.iter()).copied().max().unwrap_or(0);
+        if load > 0 {
+            let rounds = delivery::route_cost(&config, self.n(), load);
+            self.seq.ledger_mut().charge(rounds, CostKind::Implemented);
+        }
+        Ok(inboxes)
+    }
 }
 
 /// The per-shard worker body: validate destinations (first violation in
@@ -241,28 +265,21 @@ fn run_shard(n: usize, src_offset: usize, shard: Vec<Vec<(NodeId, Words)>>) -> S
     }
 }
 
-impl Communicator for ThreadedComm {
-    fn n(&self) -> usize {
-        self.seq.n()
+impl crate::Decorator for ThreadedComm {
+    type Inner = Clique;
+
+    fn inner(&self) -> &Clique {
+        &self.seq
     }
 
-    fn config(&self) -> CliqueConfig {
-        self.seq.config()
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        self.seq.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.seq.ledger_mut()
+    fn inner_mut(&mut self) -> &mut Clique {
+        &mut self.seq
     }
 
     fn exchange(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::unicast_gate(&self.config())?;
         delivery::check_len(self.n(), outboxes.len())?;
         let reports = self.sharded_round(outboxes);
         let (max_pair, _, _, inboxes) = self.merge(reports)?;
@@ -276,64 +293,19 @@ impl Communicator for ThreadedComm {
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::unicast_gate(&self.config())?;
-        delivery::check_len(self.n(), outboxes.len())?;
-        let reports = self.sharded_round(outboxes);
-        let (_, send, recv, inboxes) = self.merge(reports)?;
-        let load = send.iter().chain(recv.iter()).copied().max().unwrap_or(0);
-        if load > 0 {
-            let rounds = delivery::route_cost(&self.config(), self.n(), load);
-            self.seq.ledger_mut().charge(rounds, CostKind::Implemented);
-        }
-        Ok(inboxes)
+        self.route_checked(outboxes, false)
     }
 
     fn route_strict(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        // Mirrors `Clique::route_strict` exactly: structural checks, then
-        // the strict budget scan, then the batching route path (which in
-        // broadcast mode surfaces BroadcastOnly *after* the budget scan).
-        delivery::check_len(self.n(), outboxes.len())?;
-        let reports = self.sharded_round(outboxes);
-        let (_, send, recv, inboxes) = self.merge(reports)?;
-        delivery::strict_violation(&self.config(), self.n(), &send, &recv)?;
-        delivery::unicast_gate(&self.config())?;
-        let load = send.iter().chain(recv.iter()).copied().max().unwrap_or(0);
-        if load > 0 {
-            let rounds = delivery::route_cost(&self.config(), self.n(), load);
-            self.seq.ledger_mut().charge(rounds, CostKind::Implemented);
-        }
-        Ok(inboxes)
+        self.route_checked(outboxes, true)
     }
 
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        self.seq.broadcast_all(values)
-    }
-
+    /// Keeps the embedded clique's allocation-free path.
     fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
         self.seq.broadcast_all_into(values, out)
-    }
-
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.seq.broadcast_all_words(per_node)
-    }
-
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        self.seq.broadcast_from(src, words)
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        self.seq.allgather(per_node)
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.seq.sort(per_node)
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.seq.gather_to(dst, per_node)
     }
 }
 

@@ -17,9 +17,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::{
-    CliqueConfig, CommunicationMode, Communicator, Envelope, ModelError, NodeId, RoundLedger, Words,
-};
+use crate::util::json_escape;
+use crate::{CommunicationMode, Communicator, Envelope, ModelError, NodeId, Words};
 
 /// Number of buckets of the per-message word-count histogram: bucket 0
 /// holds empty payloads, bucket `k ≥ 1` holds sizes in
@@ -221,20 +220,6 @@ fn vector_stats(per_node: &[Words]) -> (CallStats, Vec<usize>) {
     (stats, sizes)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl<C: Communicator> TracingComm<C> {
     /// Wraps `inner`; the trace starts empty.
     pub fn new(inner: C) -> Self {
@@ -246,11 +231,6 @@ impl<C: Communicator> TracingComm<C> {
             max_node_send: 0,
             max_node_recv: 0,
         }
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        &self.inner
     }
 
     /// Unwraps, discarding the trace.
@@ -295,10 +275,10 @@ impl<C: Communicator> TracingComm<C> {
 
     /// Congestion attribution for a unicast-shaped outbox set: per-pair
     /// in unicast substrates, one-sender-to-`n − 1`-receivers when the
-    /// wrapped substrate reports broadcast mode (e.g.
+    /// wrapped substrate reports [`CommunicationMode::Broadcast`] (e.g.
     /// [`crate::BroadcastComm`] in measured mode).
     fn outbox_call_stats(&self, outboxes: &[Vec<(NodeId, Words)>]) -> (CallStats, Vec<usize>) {
-        if self.inner.config().mode == CommunicationMode::Broadcast {
+        if self.inner.mode() == CommunicationMode::Broadcast {
             broadcast_outbox_stats(outboxes)
         } else {
             outbox_stats(self.inner.n(), outboxes)
@@ -440,25 +420,15 @@ impl<C: Communicator> TracingComm<C> {
     }
 }
 
-impl<C: Communicator> Communicator for TracingComm<C> {
-    fn n(&self) -> usize {
-        self.inner.n()
+impl<C: Communicator> crate::Decorator for TracingComm<C> {
+    type Inner = C;
+
+    fn inner(&self) -> &C {
+        &self.inner
     }
 
-    fn config(&self) -> CliqueConfig {
-        self.inner.config()
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.inner.ledger_mut()
-    }
-
-    fn faults_observed(&self) -> u64 {
-        self.inner.faults_observed()
+    fn inner_mut(&mut self) -> &mut C {
+        &mut self.inner
     }
 
     fn push_phase(&mut self, name: &str) {

@@ -110,7 +110,9 @@ fn adversary_stacks_with_tracing_without_changing_rounds() {
             "{label}: tracing changed the adversary ledger"
         );
         // The trace is populated and deterministic JSON.
-        assert!(traced.inner().trace_json().contains("cc-model/trace-v1"));
+        assert!(cc_model::Decorator::inner(&traced)
+            .trace_json()
+            .contains("cc-model/trace-v1"));
     }
 }
 

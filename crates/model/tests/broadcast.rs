@@ -10,7 +10,8 @@
 //!   broadcast-expressible surface stays identical to measured mode;
 //! * the wrapping transports ([`TracingComm`], [`FaultComm`],
 //!   [`AdversaryComm`]) stack over `BroadcastComm` without changing its
-//!   accounting, and their observability output is substrate-independent.
+//!   accounting, and the decorator seam forwards the broadcast mode,
+//!   phase transitions, and fault counts through every layer.
 
 use cc_model::{
     AdversaryComm, AdversarySchedule, AdversaryStrategy, BroadcastComm, Clique, Communicator,
@@ -244,34 +245,32 @@ proptest! {
         }
     }
 
-    /// Stacked wrappers: `TracingComm` and a benign `FaultComm` over
-    /// measured `BroadcastComm` behave exactly as the same stack over
-    /// the `ThreadedComm`-backed broadcast clique, down to the trace
-    /// JSON (which exercises the broadcast congestion attribution).
+    /// The decorator seam forwards `mode()` through every layer: a benign
+    /// `FaultComm` and an honest `AdversaryComm` between the tracer and a
+    /// `ThreadedComm`-backed broadcast clique leave the trace exactly as
+    /// over a bare `BroadcastComm<Clique>`. A layer that dropped `mode()`
+    /// would switch the tracer to unicast congestion attribution.
     #[test]
-    fn wrapped_broadcast_is_substrate_independent(
+    fn decorator_stack_forwards_broadcast_mode(
         n in 2usize..13,
         seed in 0u64..1_000_000,
         steps in 4usize..16,
     ) {
+        let mut bare = TracingComm::new(BroadcastComm::measured(Clique::new(n)));
+        let want = run_script(&mut bare, n, seed, steps);
         for workers in [1usize, 2, 8] {
-            let mut seq = TracingComm::new(FaultComm::new(
-                BroadcastComm::measured(Clique::new(n)),
+            let mut deep = TracingComm::new(FaultComm::new(
+                AdversaryComm::new(
+                    BroadcastComm::measured(ThreadedComm::with_workers(n, workers)),
+                    AdversarySchedule::new(seed),
+                ),
                 FaultPlan::default(),
             ));
-            let mut par = TracingComm::new(FaultComm::new(
-                BroadcastComm::measured(ThreadedComm::with_workers(n, workers)),
-                FaultPlan::default(),
-            ));
-            let want = run_script(&mut seq, n, seed, steps);
-            let got = run_script(&mut par, n, seed, steps);
+            let got = run_script(&mut deep, n, seed, steps);
             prop_assert_eq!(want, got, "workers={}", workers);
-            assert_ledgers_identical(&seq, &par, &format!("stacked workers={workers}"));
-            assert_eq!(
-                seq.trace_json(),
-                par.trace_json(),
-                "trace JSON identical through the stack"
-            );
+            assert_ledgers_identical(&bare, &deep, &format!("stacked workers={workers}"));
+            prop_assert_eq!(bare.congestion_json(), deep.congestion_json());
+            prop_assert_eq!(bare.trace_json(), deep.trace_json());
         }
     }
 
@@ -381,4 +380,33 @@ fn measured_cost_table_is_documented_values() {
     comm.gather_to(0, &[vec![], vec![1, 2, 3, 4], vec![], vec![5], vec![]])
         .unwrap();
     assert_eq!(comm.ledger().total_rounds(), 23);
+}
+
+/// Phase transitions reach a `TracingComm` stacked under a `FaultComm`
+/// (the seam forwards `push_phase`/`pop_phase` to the inner layer, not to
+/// the ledger), and `faults_observed` sums every layer's count.
+#[test]
+fn decorators_forward_phases_and_sum_fault_counts() {
+    let mut traced = FaultComm::new(TracingComm::new(Clique::new(4)), FaultPlan::default());
+    traced.phase("outer", |c| c.charge_oracle(1));
+    let kinds: Vec<&str> = cc_model::Decorator::inner(&traced)
+        .events()
+        .iter()
+        .map(|e| e.primitive)
+        .collect();
+    assert_eq!(kinds, ["phase_enter", "charge_oracle", "phase_exit"]);
+
+    let plan = FaultPlan {
+        fail_phases: vec!["doomed".into()],
+        ..FaultPlan::default()
+    };
+    let schedule = AdversarySchedule::new(3).with(1, AdversaryStrategy::Silent);
+    let mut comm = FaultComm::new(AdversaryComm::new(Clique::new(4), schedule), plan);
+    // The silent node is detected below; the armed phase fails above.
+    comm.broadcast_all(&[1, 2, 3, 4]).unwrap_err();
+    comm.phase("doomed", |c| c.broadcast_all(&[1, 2, 3, 4]))
+        .unwrap_err();
+    assert_eq!(comm.injected_faults(), 1);
+    assert_eq!(cc_model::Decorator::inner(&comm).omissions(), 1);
+    assert_eq!(comm.faults_observed(), 2);
 }

@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn comm_rooted_classification_sees_through_the_wrapper() {
-        let inner = MaxFlowError::Comm(ModelError::BroadcastOnly);
+        let inner = MaxFlowError::Comm(ModelError::UnicastInBroadcastModel { primitive: "route" });
         let e = ServiceError::new(7, "net", ServiceErrorKind::MaxFlow(inner));
         assert!(comm_rooted(&e));
         assert!(e.comm_rooted(), "the method agrees with the classifier");

@@ -22,6 +22,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use cc_model::util::fnv1a_words;
+
 use crate::template::SparsifierTemplate;
 
 /// Structural fingerprint of an edge support: `(n, m, h)` with `h` an
@@ -37,17 +39,10 @@ pub struct TemplateKey {
 impl TemplateKey {
     /// Fingerprints the support of a weighted edge list on `n` vertices.
     pub fn for_support(n: usize, edges: &[(usize, usize, f64)]) -> Self {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &(u, v, _) in edges {
-            for word in [u as u64, v as u64] {
-                h ^= word;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
         Self {
             n,
             m: edges.len(),
-            support_hash: h,
+            support_hash: fnv1a_words(edges.iter().flat_map(|&(u, v, _)| [u as u64, v as u64])),
         }
     }
 

@@ -69,7 +69,9 @@ pub mod prelude {
         MaxFlowOutcome,
     };
     pub use cc_mcf::{min_cost_flow_ipm, ssp_min_cost_flow, McfError, McfOptions, McfOutcome};
-    pub use cc_model::{Clique, CliqueConfig, FaultComm, FaultPlan, ModelError, RoundLedger};
+    pub use cc_model::{
+        Clique, CliqueConfig, Communicator, FaultComm, FaultPlan, ModelError, RoundLedger,
+    };
     pub use cc_service::{FlowEngine, GraphSpec, Request, Response, ServiceError};
     pub use cc_sparsify::{build_sparsifier, verify_sparsifier, SparsifyError, SparsifyParams};
 }

@@ -7,7 +7,7 @@
 use cc_graph::generators;
 use cc_maxflow::{max_flow_ipm, IpmOptions};
 use cc_mcf::{min_cost_flow_ipm, McfOptions};
-use cc_model::Clique;
+use cc_model::{Clique, Communicator};
 use proptest::prelude::*;
 
 /// FNV-1a over the flow values' two's-complement bits (same digest the

@@ -1,37 +1,29 @@
-//! Broadcast Congested Clique (§2.1 / §1.1 of the paper): the Laplacian
-//! solver's communication pattern is broadcast-only and keeps working
-//! (cf. \[FV22\]'s BCC solver), while the Eulerian orientation — whose
-//! contraction relies on unicast routing — cannot run, matching the
-//! paper's remark that orientations "seem to be a hard problem in the
-//! Broadcast Congested Clique".
+//! Broadcast Congested Clique (§2.1 / §1.1 of the paper), modelled by a
+//! strict `BroadcastComm`: the Laplacian solver's communication pattern is
+//! broadcast-only and keeps working (cf. \[FV22\]'s BCC solver), while the
+//! Eulerian orientation — whose contraction relies on unicast routing —
+//! cannot run, matching the paper's remark that orientations "seem to be
+//! a hard problem in the Broadcast Congested Clique".
 
-use laplacian_clique::model::{CliqueConfig, CommunicationMode};
+use laplacian_clique::model::BroadcastComm;
 use laplacian_clique::prelude::*;
 
-fn broadcast_clique(n: usize) -> Clique {
-    Clique::with_config(
-        n,
-        CliqueConfig {
-            mode: CommunicationMode::Broadcast,
-            ..CliqueConfig::default()
-        },
-    )
+fn broadcast_clique(n: usize) -> BroadcastComm<Clique> {
+    BroadcastComm::strict(Clique::new(n))
 }
 
 /// Theorem 1.1 runs verbatim under broadcast-only communication, with the
-/// same per-iteration round count.
+/// same answer and the same solve-phase rounds as in the unicast clique.
 #[test]
 fn laplacian_solver_works_in_broadcast_mode() {
     let g = generators::random_connected(32, 100, 8, 4);
-    let mut bcc = broadcast_clique(32);
-    let solver = LaplacianSolver::build(&mut bcc, &g, &SolverOptions::default()).unwrap();
     let mut b = vec![0.0; 32];
     b[0] = 1.0;
     b[31] = -1.0;
+    let mut bcc = broadcast_clique(32);
+    let solver = LaplacianSolver::build(&mut bcc, &g, &SolverOptions::default()).unwrap();
     let out = solver.solve(&mut bcc, &b, 1e-8).unwrap();
-    assert!(out.relative_error().expect("reference kept") <= 1e-8 * 1.05);
 
-    // Same answer and same solve-phase rounds as in unicast mode.
     let mut ucc = Clique::new(32);
     let solver2 = LaplacianSolver::build(&mut ucc, &g, &SolverOptions::default()).unwrap();
     let out2 = solver2.solve(&mut ucc, &b, 1e-8).unwrap();
@@ -52,22 +44,26 @@ fn electrical_flows_work_in_broadcast_mode() {
     assert!((r - 15.0).abs() < 1e-7, "series chain resistance, got {r}");
 }
 
-/// The Eulerian orientation fails with a typed error (through the routing
-/// layer's `BroadcastOnly` rejection) in broadcast mode — the §1.1
-/// hardness remark made operational.
+/// The Eulerian orientation fails with a typed error (the strict model's
+/// rejection of unicast routing) — the §1.1 hardness remark made
+/// operational.
 #[test]
 fn eulerian_orientation_cannot_run_in_broadcast_mode() {
     let g = generators::random_eulerian(12, 3, 1);
     let mut bcc = broadcast_clique(12);
     let result = eulerian_orientation(&mut bcc, &g);
     assert!(
-        result.is_err(),
-        "orientation must fail without unicast routing"
+        matches!(
+            result,
+            Err(EulerError::Comm(ModelError::UnicastInBroadcastModel { .. }))
+        ),
+        "orientation must fail without unicast routing, got {:?}",
+        result.err()
     );
 }
 
-/// The trivial max-flow baseline still works in BCC (its all-gather has a
-/// broadcast-only fallback) — at a worse round count, as expected.
+/// The trivial max-flow baseline still works in BCC (its all-gather is
+/// broadcast-expressible) — at a worse round count, as expected.
 #[test]
 fn trivial_baseline_degrades_gracefully_in_broadcast_mode() {
     let g = generators::random_flow_network(12, 30, 4, 2);
