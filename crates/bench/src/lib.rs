@@ -1,18 +1,21 @@
 //! # cc-bench — the experiment harness of the reproduction
 //!
 //! One function per experiment of `DESIGN.md` §4 (E1–E8). Each returns the
-//! rows it prints, so the `exp_tables` binary, the Criterion benches, and
-//! the integration tests all share one implementation. The recorded
-//! paper-vs-measured outcomes live in `EXPERIMENTS.md`.
+//! rows it prints, so the `exp_tables` binary and the integration tests
+//! share one implementation. The recorded paper-vs-measured outcomes live
+//! in `EXPERIMENTS.md`.
 //!
-//! The measured quantity is **rounds** (the model's only cost); Criterion
-//! additionally tracks wall-clock time of the kernels so regressions in
-//! the simulator itself are visible.
+//! The measured quantity is **rounds** (the model's only cost). The
+//! `bench_snapshot` binary additionally records kernel wall-clock times
+//! next to the deterministic round totals and result hashes in
+//! `BENCH_baseline.json`, built from the [`json`] module's rows; its
+//! `--check` mode is the CI drift gate over every deterministic field.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod json;
 pub mod table;
 
 pub use experiments::*;

@@ -13,6 +13,7 @@
 //!   accounting, and the decorator seam forwards the broadcast mode,
 //!   phase transitions, and fault counts through every layer.
 
+use cc_model::util::Fnv1a;
 use cc_model::{
     AdversaryComm, AdversarySchedule, AdversaryStrategy, BroadcastComm, Clique, Communicator,
     FaultComm, FaultPlan, ModelError, ThreadedComm, TracingComm,
@@ -64,13 +65,8 @@ fn random_words_per_node(rng: &mut Lcg, n: usize, max_words: usize) -> Vec<Vec<u
 /// primitive surface.
 fn run_script<C: Communicator>(comm: &mut C, n: usize, seed: u64, steps: usize) -> u64 {
     let mut rng = Lcg(seed);
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |s: String| {
-        for b in s.bytes() {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut digest = Fnv1a::default();
+    let mut fold = |s: String| digest.bytes(s.as_bytes());
     for step in 0..steps {
         match rng.below(10) {
             0 => fold(format!(
@@ -128,20 +124,15 @@ fn run_script<C: Communicator>(comm: &mut C, n: usize, seed: u64, steps: usize) 
     bad[n / 2].push((n + 3, vec![1]));
     bad[n - 1].push((n + 9, vec![2]));
     fold(format!("{:?}", comm.route(bad)));
-    digest
+    digest.finish()
 }
 
 /// A broadcast-expressible script: only primitives a *strict* broadcast
 /// clique admits (the sparsifier → solver communication shape).
 fn run_broadcast_script<C: Communicator>(comm: &mut C, n: usize, seed: u64, steps: usize) -> u64 {
     let mut rng = Lcg(seed);
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |s: String| {
-        for b in s.bytes() {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut digest = Fnv1a::default();
+    let mut fold = |s: String| digest.bytes(s.as_bytes());
     for step in 0..steps {
         match rng.below(5) {
             0 => {
@@ -172,7 +163,7 @@ fn run_broadcast_script<C: Communicator>(comm: &mut C, n: usize, seed: u64, step
             }
         }
     }
-    digest
+    digest.finish()
 }
 
 fn assert_ledgers_identical(a: &dyn Communicator, b: &dyn Communicator, ctx: &str) {

@@ -7,6 +7,7 @@
 //! primitive's return value (including errors), the full phase map, and
 //! the human-readable ledger report string.
 
+use cc_model::util::Fnv1a;
 use cc_model::{Clique, Communicator, FaultComm, FaultPlan, ThreadedComm, TracingComm};
 use proptest::prelude::*;
 
@@ -53,13 +54,8 @@ fn random_words_per_node(rng: &mut Lcg, n: usize, max_words: usize) -> Vec<Vec<u
 /// observable outcome (values and errors) into a digest.
 fn run_script<C: Communicator>(comm: &mut C, n: usize, seed: u64, steps: usize) -> u64 {
     let mut rng = Lcg(seed);
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |s: String| {
-        for b in s.bytes() {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut digest = Fnv1a::default();
+    let mut fold = |s: String| digest.bytes(s.as_bytes());
     for step in 0..steps {
         match rng.below(10) {
             0 => fold(format!(
@@ -118,7 +114,7 @@ fn run_script<C: Communicator>(comm: &mut C, n: usize, seed: u64, steps: usize) 
     bad[n / 2].push((n + 3, vec![1]));
     bad[n - 1].push((n + 9, vec![2]));
     fold(format!("{:?}", comm.route(bad)));
-    digest
+    digest.finish()
 }
 
 fn assert_ledgers_identical(a: &dyn Communicator, b: &dyn Communicator, ctx: &str) {

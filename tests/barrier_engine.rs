@@ -7,18 +7,14 @@
 use cc_graph::generators;
 use cc_maxflow::{max_flow_ipm, IpmOptions};
 use cc_mcf::{min_cost_flow_ipm, McfOptions};
+use cc_model::util::fnv1a_words;
 use cc_model::{Clique, Communicator};
 use proptest::prelude::*;
 
 /// FNV-1a over the flow values' two's-complement bits (same digest the
 /// bench snapshot records).
 fn hash_i64(xs: &[i64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &x in xs {
-        h ^= x as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_words(xs.iter().map(|&x| x as u64))
 }
 
 struct Golden {
