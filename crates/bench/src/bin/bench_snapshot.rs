@@ -726,7 +726,6 @@ fn main() {
     let doc = Row::default()
         .det("schema", "cc-bench/snapshot-v7")
         .host("threads", threads)
-        .det("parallel_feature", par::PARALLEL_ENABLED)
         .det("all_bitwise_equal", all_equal)
         .det("records", records)
         .det("large", large);

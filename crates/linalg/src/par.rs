@@ -1,96 +1,14 @@
-//! Deterministic parallel kernel shim.
+//! Deterministic parallel kernel primitives: a re-export of the
+//! fixed-chunk primitives of [`cc_par`].
 //!
-//! With the `parallel` feature (default) this re-exports the fixed-chunk
-//! primitives of [`cc_par`]; without it, drop-in serial implementations
-//! with the same signatures take over. Because every parallel kernel in
-//! this workspace decomposes its work by problem size only — never by
-//! thread count — both configurations produce **bitwise identical**
-//! results, and so does any thread count in between (see
-//! `DESIGN.md`, "Parallelism & determinism").
-//!
-//! Downstream crates (`cc-sparsify`, `cc-maxflow`, `cc-mcf`, benches)
-//! should route their data parallelism through this module rather than
-//! depending on `cc-par` directly, so a single feature flag on
-//! `cc-linalg` controls the whole workspace.
+//! Every parallel kernel in this workspace decomposes its work by problem
+//! size only — never by thread count — so results are **bitwise
+//! identical** at any thread count, and identical to a plain serial loop
+//! over the same chunks (`RAYON_NUM_THREADS=1`; see `DESIGN.md`,
+//! "Parallelism & determinism"). Downstream crates (`cc-sparsify`,
+//! `cc-maxflow`, `cc-mcf`, benches) route their data parallelism through
+//! this module.
 
-/// True when this build routes the kernels through `cc-par` (the
-/// `parallel` feature); false in the serial twin build.
-#[cfg(feature = "parallel")]
-pub const PARALLEL_ENABLED: bool = true;
-/// True when this build routes the kernels through `cc-par` (the
-/// `parallel` feature); false in the serial twin build.
-#[cfg(not(feature = "parallel"))]
-pub const PARALLEL_ENABLED: bool = false;
-
-#[cfg(feature = "parallel")]
 pub use cc_par::{
     current_threads, max_threads, par_chunks_mut, par_map, par_map_chunks, with_threads,
 };
-
-#[cfg(not(feature = "parallel"))]
-mod serial {
-    use std::ops::Range;
-
-    /// The configured thread budget (always 1 in the serial build).
-    pub fn max_threads() -> usize {
-        1
-    }
-
-    /// The thread budget in effect for the current thread (always 1).
-    pub fn current_threads() -> usize {
-        1
-    }
-
-    /// Runs `f`; the serial build has nothing to override.
-    pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        assert!(n > 0, "thread budget must be positive");
-        f()
-    }
-
-    /// Serial twin of `cc_par::par_chunks_mut`: same chunking, same
-    /// visitation order, one thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    pub fn par_chunks_mut<T, F>(data: &mut [T], chunk: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        for (idx, sl) in data.chunks_mut(chunk).enumerate() {
-            f(idx, sl);
-        }
-    }
-
-    /// Serial twin of `cc_par::par_map_chunks`: results in chunk order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk == 0`.
-    pub fn par_map_chunks<R, F>(len: usize, chunk: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        (0..len)
-            .step_by(chunk)
-            .map(|lo| f(lo..(lo + chunk).min(len)))
-            .collect()
-    }
-
-    /// Serial twin of `cc_par::par_map`: plain `iter().map()`.
-    pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        items.iter().map(f).collect()
-    }
-}
-
-#[cfg(not(feature = "parallel"))]
-pub use serial::*;

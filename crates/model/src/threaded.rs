@@ -5,7 +5,7 @@
 //! the **same delivery kernel** ([`crate::delivery`]) across a persistent
 //! [`cc_par::WorkerPool`]: virtual nodes are sharded many-per-worker
 //! (contiguous source ranges, so `n` reaches the thousands without
-//! thousands of threads), each round is barrier-synchronized, and the
+//! thousands of threads), each round is one fork-join step, and the
 //! per-shard partial results are merged in shard-index order.
 //!
 //! # Determinism discipline
@@ -31,21 +31,21 @@
 //!
 //! # Watchdog contract
 //!
-//! Every sharded round dispatches owned jobs ([`WorkerPool::run_owned`])
-//! and waits on a balanced barrier with the
+//! Every sharded round runs on `cc-par`'s one fork-join path
+//! ([`cc_par::par_groups`] over [`cc_par::WorkerPool::scoped`]): one task
+//! per contiguous source shard, shard 0 on the driver thread, and with a
+//! single worker the whole round runs inline. The wait is bounded by the
 //! [`cc_par::watchdog_timeout`] deadline (`CC_WATCHDOG_SECS`, default
-//! 120 s, `0` disables). A round that does not complete within the
-//! deadline panics with shard diagnostics instead of hanging the process —
-//! turning a deadlocked barrier into a fast, attributable test failure.
-//! The barrier itself asserts balanced arrivals, so a protocol bug (a
-//! shard arriving twice) also fails loudly rather than corrupting a later
-//! round.
+//! 120 s, `0` disables). The workers hold borrowed pointers into the
+//! round, so a round that misses the deadline cannot unwind: the process
+//! prints the pending/total task counts and aborts — a fast, attributable
+//! failure instead of a hung process. The completion latch also checks
+//! that completions equal dispatches, so a protocol bug (a shard
+//! completing twice) fails loudly rather than corrupting a later round.
 
 use crate::{
     delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId, Words,
 };
-use cc_par::{Job, WorkerPool};
-use std::sync::{Arc, Mutex};
 
 /// Per-source outboxes: `outboxes[src][i] = (dst, words)`.
 type Outboxes = Vec<Vec<(NodeId, Words)>>;
@@ -80,7 +80,6 @@ pub struct ThreadedComm {
     /// on those paths.
     seq: Clique,
     workers: usize,
-    pool: Arc<WorkerPool>,
 }
 
 impl ThreadedComm {
@@ -126,7 +125,6 @@ impl ThreadedComm {
         Self {
             seq: Clique::with_config(n, config),
             workers,
-            pool: cc_par::global_pool(workers),
         }
     }
 
@@ -136,57 +134,16 @@ impl ThreadedComm {
     }
 
     /// Splits `outboxes` into contiguous per-worker source shards, runs
-    /// one barrier-synchronized round over the pool, and returns the
-    /// shard reports in shard-index order.
+    /// them as one fork-join round, and returns the shard reports in
+    /// shard-index order.
     fn sharded_round(&self, outboxes: Outboxes) -> Vec<ShardReport> {
         let n = self.seq.n();
-        let shard_size = n.div_ceil(self.workers);
-        let mut shards: Vec<(usize, Outboxes)> = Vec::with_capacity(self.workers);
-        let mut rest = outboxes;
-        let mut offset = 0;
-        while !rest.is_empty() {
-            let take = shard_size.min(rest.len());
-            let tail = rest.split_off(take);
-            shards.push((offset, rest));
-            offset += take;
-            rest = tail;
-        }
-        let nshards = shards.len();
-        let slots: Arc<Vec<Mutex<Option<ShardReport>>>> =
-            Arc::new((0..nshards).map(|_| Mutex::new(None)).collect());
-        let jobs: Vec<Job> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(shard_idx, (src_offset, shard))| {
-                let slots = Arc::clone(&slots);
-                Box::new(move || {
-                    let report = run_shard(n, src_offset, shard);
-                    *slots[shard_idx].lock().expect("shard slot poisoned") = Some(report);
-                }) as Job
-            })
-            .collect();
-        if let Err(hang) = self.pool.run_owned(jobs, cc_par::watchdog_timeout()) {
-            let missing: Vec<usize> = slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.lock().map(|g| g.is_none()).unwrap_or(true))
-                .map(|(i, _)| i)
-                .collect();
-            panic!(
-                "ThreadedComm watchdog: round hung ({hang}); shards without reports: {missing:?} \
-                 of {nshards} (n={n}, workers={})",
-                self.workers
-            );
-        }
-        slots
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("shard slot poisoned")
-                    .take()
-                    .expect("shard finished without reporting")
-            })
-            .collect()
+        cc_par::par_groups(
+            outboxes,
+            self.workers,
+            cc_par::watchdog_timeout(),
+            |src_offset, shard| run_shard(n, src_offset, shard),
+        )
     }
 
     /// Merges shard reports into the global (first error, exchange max,
@@ -366,6 +323,31 @@ mod tests {
             seq.exchange(bad.clone()).unwrap_err(),
             par.exchange(bad).unwrap_err()
         );
+    }
+
+    #[test]
+    fn round_inside_a_par_map_task_runs_inline() {
+        let run = |comm: &mut dyn Communicator| {
+            let inboxes = comm.exchange(ring_outboxes(9, 2)).unwrap();
+            let routed = comm.route(ring_outboxes(9, 4)).unwrap();
+            (inboxes, routed, comm.ledger().phases().clone())
+        };
+        let want = run(&mut Clique::new(9));
+        // Item 0 runs on the calling thread, items 1..=3 on pool workers,
+        // where each ThreadedComm round is a nested dispatch.
+        let got = cc_par::with_threads(4, || {
+            cc_par::par_map(&[0, 1, 2, 8], |&workers| {
+                (workers > 0).then(|| {
+                    assert!(cc_par::in_worker());
+                    (workers, run(&mut ThreadedComm::with_workers(9, workers)))
+                })
+            })
+        });
+        let got: Vec<_> = got.into_iter().flatten().collect();
+        assert_eq!(got.len(), 3);
+        for (workers, outcome) in got {
+            assert_eq!(outcome, want, "workers={workers}");
+        }
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! > therefore the result is bitwise identical for 1, 2, or 64 threads —
 //! > and identical to a plain serial loop over the same chunks.
 //!
-//! The execution engine is a persistent [`WorkerPool`] (the container has
-//! no crates.io access, so `rayon` itself is not available; this is the
-//! rayon-shaped layer the workspace codes against): jobs are dispatched
-//! over per-worker channels and synchronized with a [`RoundBarrier`]
-//! instead of paying a thread spawn + join per call. Threads pick up
-//! contiguous *groups* of chunks, which only affects scheduling, not
-//! results.
+//! The execution engine is a persistent [`WorkerPool`] (the workspace
+//! builds without external crates, so this is the rayon-shaped layer it
+//! codes against instead of `rayon` itself). Everything parallel runs on
+//! one fork-join mechanism, [`WorkerPool::scoped`], reached through
+//! [`par_groups`]: the items are cut into contiguous *groups*, the calling
+//! thread runs the first group, pool workers run the rest, and results
+//! come back in group order. Grouping only affects scheduling, not
+//! results. The same helper runs `ThreadedComm`'s sharded rounds (one
+//! group per source shard) under the [`watchdog_timeout`] deadline.
 //!
 //! Thread count resolution order:
 //! 1. a [`with_threads`] override on the current thread (used by the
@@ -31,19 +33,16 @@
 
 mod pool;
 
-pub use pool::{global_pool, in_worker, watchdog_timeout, Hang, Job, RoundBarrier, WorkerPool};
+pub use pool::{global_pool, in_worker, watchdog_timeout, WorkerPool};
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
+use std::time::Duration;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
-
-/// A contiguous group of `(chunk_index, payload)` tasks handed to one
-/// thread, wrapped so exactly one worker can take ownership of it.
-type TaskGroup<P> = Mutex<Option<Vec<(usize, P)>>>;
 
 fn env_threads() -> Option<usize> {
     for var in ["RAYON_NUM_THREADS", "CC_NUM_THREADS"] {
@@ -114,44 +113,20 @@ where
     assert!(chunk > 0, "chunk size must be positive");
     let threads = current_threads();
     let nchunks = data.len().div_ceil(chunk).max(1);
-    if threads <= 1 || nchunks <= 1 || pool::in_worker() {
+    // Checked before grouping so the serial path allocates nothing: the
+    // `_into` kernels promise an allocation-free steady state.
+    if threads <= 1 || nchunks <= 1 || in_worker() {
         for (idx, sl) in data.chunks_mut(chunk).enumerate() {
             f(idx, sl);
         }
         return;
     }
-    let groups = threads.min(nchunks);
-    let per_group = nchunks.div_ceil(groups);
-    let mut grouped: Vec<Vec<(usize, &mut [T])>> = (0..groups).map(|_| Vec::new()).collect();
-    for (idx, sl) in data.chunks_mut(chunk).enumerate() {
-        grouped[(idx / per_group).min(groups - 1)].push((idx, sl));
-    }
-    let mut iter = grouped.into_iter();
-    let own = iter.next();
-    let rest: Vec<TaskGroup<&mut [T]>> = iter.map(|g| Mutex::new(Some(g))).collect();
-    let f = &f;
-    let pool = pool::global_pool(rest.len());
-    pool.scoped(
-        rest.len(),
-        |t| {
-            let group = rest[t]
-                .lock()
-                .expect("group slot poisoned")
-                .take()
-                .expect("group dispatched twice");
-            for (idx, sl) in group {
-                f(idx, sl);
-            }
-        },
-        || {
-            // The dispatching thread works too, on the first group.
-            if let Some(group) = own {
-                for (idx, sl) in group {
-                    f(idx, sl);
-                }
-            }
-        },
-    );
+    let chunks: Vec<&mut [T]> = data.chunks_mut(chunk).collect();
+    par_groups(chunks, threads, None, |first, group| {
+        for (k, sl) in group.into_iter().enumerate() {
+            f(first + k, sl);
+        }
+    });
 }
 
 /// Evaluates `f` on every chunk-range of `0..len` (fixed chunking by
@@ -174,48 +149,61 @@ where
         .step_by(chunk)
         .map(|lo| lo..(lo + chunk).min(len))
         .collect();
-    let threads = current_threads();
-    if threads <= 1 || ranges.len() <= 1 || pool::in_worker() {
-        return ranges.into_iter().map(f).collect();
+    let groups = par_groups(ranges, current_threads(), None, |_, group| {
+        group.into_iter().map(&f).collect::<Vec<R>>()
+    });
+    groups.into_iter().flatten().collect()
+}
+
+/// Splits `items` into at most `lanes` contiguous groups of equal length
+/// (the last may be short) and runs `f(first_item_index, group)` once per
+/// group, returning the results **in group order**. The calling thread
+/// runs group 0 itself; the other groups run as one [`WorkerPool::scoped`]
+/// task each on the [`global_pool`], whose wait is bounded by `watchdog`
+/// (an expired wait aborts the process; see [`WorkerPool::scoped`]).
+///
+/// With a single group, or when called from inside a pool worker, every
+/// group runs inline on the calling thread, in order.
+pub fn par_groups<P, R, F>(items: Vec<P>, lanes: usize, watchdog: Option<Duration>, f: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(usize, Vec<P>) -> R + Sync,
+{
+    let group_len = items.len().div_ceil(lanes.max(1)).max(1);
+    let mut items = items.into_iter();
+    let groups: Vec<Vec<P>> = std::iter::from_fn(|| {
+        let group: Vec<P> = items.by_ref().take(group_len).collect();
+        (!group.is_empty()).then_some(group)
+    })
+    .collect();
+    if groups.len() <= 1 || in_worker() {
+        return groups
+            .into_iter()
+            .enumerate()
+            .map(|(g, group)| f(g * group_len, group))
+            .collect();
     }
-    let groups = threads.min(ranges.len());
-    let per_group = ranges.len().div_ceil(groups);
-    let mut grouped: Vec<Vec<(usize, Range<usize>)>> = (0..groups).map(|_| Vec::new()).collect();
-    for (idx, r) in ranges.into_iter().enumerate() {
-        grouped[(idx / per_group).min(groups - 1)].push((idx, r));
-    }
-    let mut iter = grouped.into_iter();
-    let own = iter.next();
-    let work: Vec<TaskGroup<Range<usize>>> = iter.map(|g| Mutex::new(Some(g))).collect();
-    let done: Vec<Mutex<Vec<(usize, R)>>> =
-        (0..work.len()).map(|_| Mutex::new(Vec::new())).collect();
-    let mut own_results: Vec<(usize, R)> = Vec::new();
-    let f = &f;
-    let pool = pool::global_pool(work.len());
-    pool.scoped(
+    let mut groups = groups.into_iter();
+    let own = groups.next().expect("at least two groups");
+    let work: Vec<Mutex<Option<Vec<P>>>> = groups.map(|g| Mutex::new(Some(g))).collect();
+    let done: Vec<Mutex<Option<R>>> = work.iter().map(|_| Mutex::new(None)).collect();
+    let mut own_result = None;
+    global_pool(work.len()).scoped(
         work.len(),
+        watchdog,
         |t| {
-            let group = work[t]
-                .lock()
-                .expect("group slot poisoned")
-                .take()
-                .expect("group dispatched twice");
-            let results: Vec<(usize, R)> = group.into_iter().map(|(idx, r)| (idx, f(r))).collect();
-            *done[t].lock().expect("result slot poisoned") = results;
+            let group = work[t].lock().expect("group slot poisoned").take();
+            let result = f((t + 1) * group_len, group.expect("group dispatched twice"));
+            *done[t].lock().expect("result slot poisoned") = Some(result);
         },
-        || {
-            // The dispatching thread works too, on the first group.
-            if let Some(group) = own {
-                own_results.extend(group.into_iter().map(|(idx, r)| (idx, f(r))));
-            }
-        },
+        || own_result = Some(f(0, own)),
     );
-    let mut tagged: Vec<(usize, R)> = own_results;
-    for slot in done {
-        tagged.extend(slot.into_inner().expect("result slot poisoned"));
-    }
-    tagged.sort_by_key(|&(idx, _)| idx);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    let rest = done.into_iter().map(|slot| {
+        let result = slot.into_inner().expect("result slot poisoned");
+        result.expect("group finished without reporting")
+    });
+    own_result.into_iter().chain(rest).collect()
 }
 
 /// Maps `f` over `items` (one logical task per item, grouped contiguously

@@ -1,198 +1,65 @@
-//! Persistent worker pool and barrier — the execution substrate for
-//! round-synchronized transports and for the fork-join kernels.
+//! Persistent worker pool — the one execution substrate for the
+//! fork-join kernels and for `ThreadedComm`'s sharded rounds.
 //!
 //! [`crate::par_chunks_mut`] and [`crate::par_map_chunks`] used to spawn a
 //! fresh `std::thread::scope` per call; hot loops (a Chebyshev iteration
 //! calls into the kernel layer thousands of times) paid a thread spawn +
-//! join per call. The [`WorkerPool`] keeps its threads alive across calls:
-//! jobs are sent over per-worker channels and completion is synchronized
-//! with a [`RoundBarrier`].
+//! join per call. The [`WorkerPool`] keeps its threads alive across calls.
 //!
-//! Two dispatch paths, with different safety stories:
+//! There is one dispatch path, [`WorkerPool::scoped`]: it hands a
+//! *borrowed* task closure to the workers (the rayon-style scoped
+//! pattern) while the calling thread does its own share, then blocks on a
+//! completion latch until every dispatched task has finished. The pointer
+//! to the closure is only valid until `scoped` returns, so the wait can
+//! never be abandoned — a drop guard keeps it in place even when the
+//! frame unwinds (the caller-supplied `own` closure runs user code and
+//! may panic). This is the one place in the crate that needs `unsafe` (a
+//! lifetime erasure, see module `erase`).
 //!
-//! * [`WorkerPool::run_owned`] takes `'static` boxed jobs (all captured
-//!   state is owned or `Arc`-shared). This path supports a **watchdog
-//!   timeout**: if the barrier does not collect all arrivals within the
-//!   deadline, the caller gets [`Hang`] back and can panic with
-//!   diagnostics instead of deadlocking forever. Leaking a job on the
-//!   hang path is safe precisely because the jobs own their state.
-//!   `ThreadedComm` rounds run here.
-//! * [`WorkerPool::scoped`] dispatches a *borrowed* task closure to the
-//!   workers (the rayon-style scoped pattern). The pointer to the closure
-//!   is only valid until `scoped` returns, so this path **always blocks
-//!   until every dispatched task has completed** — no timeout, and a
-//!   drop guard keeps that wait in place even when the frame unwinds
-//!   (the caller-supplied `own` closure runs user code and may panic) —
-//!   and is the one place in the crate that needs `unsafe` (a lifetime
-//!   erasure, see module `erase`). The fork-join kernels run here.
+//! **Watchdog.** The wait takes an optional deadline. Because the workers
+//! still hold borrowed pointers, an expired wait cannot unwind: it prints
+//! `pending/total/waited` on stderr and aborts the process, so a hung
+//! round is a fast, attributable failure rather than a hung process.
 //!
 //! Nested dispatch from inside a pool worker would deadlock a fully
-//! loaded pool, so both paths detect re-entry ([`in_worker`]) and run the
-//! jobs inline on the calling worker instead.
+//! loaded pool, so `scoped` detects re-entry ([`in_worker`]) and runs the
+//! tasks inline on the calling worker instead.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A dispatchable unit of work: owned closure, executed once on a worker.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A unit of work sent to a worker: owned closure, executed once.
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// True when the current thread is a [`WorkerPool`] worker executing a
-/// job. Dispatch paths use this to run nested parallelism inline instead
-/// of deadlocking on a fully loaded pool.
+/// job. Dispatch uses this to run nested parallelism inline instead of
+/// deadlocking on a fully loaded pool.
 pub fn in_worker() -> bool {
     IN_WORKER.with(|f| f.get())
 }
 
-/// Returned by [`WorkerPool::run_owned`] when the watchdog deadline
-/// elapses before all jobs arrive at the round barrier.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hang {
-    /// Jobs that had not acknowledged completion at the deadline.
-    pub pending: usize,
-    /// Jobs dispatched in this round.
-    pub total: usize,
-    /// How long the caller waited.
-    pub waited: Duration,
-}
-
-impl std::fmt::Display for Hang {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker pool hang: {}/{} jobs pending after {:?}",
-            self.pending, self.total, self.waited
-        )
-    }
-}
-
-/// A reusable generation-counting barrier with balanced-arrival asserts.
+/// Completion latch for [`WorkerPool::scoped`]: counts tasks successfully
+/// handed to workers against tasks that have finished, and lets the
+/// dispatching frame block until the two balance.
 ///
-/// `parties` participants call [`RoundBarrier::arrive`] (workers) or
-/// [`RoundBarrier::arrive_and_wait`] (the round driver); when the last
-/// participant arrives the generation advances and all waiters wake. The
-/// barrier asserts that no generation ever collects more than `parties`
-/// arrivals — an unbalanced barrier is a protocol bug, not a timing
-/// accident, and must fail loudly.
-pub struct RoundBarrier {
-    parties: usize,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-}
-
-impl RoundBarrier {
-    /// A barrier for `parties` participants (must be positive).
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "barrier needs at least one party");
-        Self {
-            parties,
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Number of participants per generation.
-    pub fn parties(&self) -> usize {
-        self.parties
-    }
-
-    /// Completed generations so far.
-    pub fn generation(&self) -> u64 {
-        self.state.lock().expect("barrier poisoned").generation
-    }
-
-    /// Arrive without waiting (worker side).
-    pub fn arrive(&self) {
-        let mut st = self.state.lock().expect("barrier poisoned");
-        assert!(
-            st.arrived < self.parties,
-            "unbalanced barrier: more than {} arrivals in generation {}",
-            self.parties,
-            st.generation
-        );
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-        }
-    }
-
-    /// Arrive and wait for the generation to complete, with an optional
-    /// deadline. Returns the number of arrivals still missing on timeout.
-    ///
-    /// # Errors
-    ///
-    /// `Err(pending)` if `timeout` elapsed before the generation closed.
-    pub fn arrive_and_wait(&self, timeout: Option<Duration>) -> Result<(), usize> {
-        let mut st = self.state.lock().expect("barrier poisoned");
-        assert!(
-            st.arrived < self.parties,
-            "unbalanced barrier: more than {} arrivals in generation {}",
-            self.parties,
-            st.generation
-        );
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let target = st.generation + 1;
-        let start = Instant::now();
-        while st.generation < target {
-            match timeout {
-                None => st = self.cv.wait(st).expect("barrier poisoned"),
-                Some(limit) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= limit {
-                        return Err(self.parties - st.arrived);
-                    }
-                    let (guard, _) = self
-                        .cv
-                        .wait_timeout(st, limit - elapsed)
-                        .expect("barrier poisoned");
-                    st = guard;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Completion latch for the scoped dispatch path: counts tasks
-/// successfully handed to workers against tasks that have finished, and
-/// lets the dispatching frame block until the two balance.
-///
-/// Unlike [`RoundBarrier`], the expected count is discovered *during*
-/// dispatch — so if dispatch itself panics partway (a `send` to a dead
-/// worker), the wait covers exactly the tasks that were sent, never ones
-/// that were not. Locking ignores mutex poisoning: the latch is waited on
-/// during unwind, where a second panic would abort the process, and its
-/// critical sections are bare counter updates that cannot leave the state
-/// inconsistent.
+/// The expected count is discovered *during* dispatch — so if dispatch
+/// itself panics partway (a `send` to a dead worker), the wait covers
+/// exactly the tasks that were sent, never ones that were not. Locking
+/// ignores mutex poisoning: the latch is waited on during unwind, where a
+/// second panic would abort the process, and its critical sections are
+/// bare counter updates that cannot leave the state inconsistent.
 struct ScopedLatch {
     state: Mutex<LatchState>,
     cv: Condvar,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct LatchState {
     dispatched: usize,
     completed: usize,
@@ -201,10 +68,7 @@ struct LatchState {
 impl ScopedLatch {
     fn new() -> Self {
         Self {
-            state: Mutex::new(LatchState {
-                dispatched: 0,
-                completed: 0,
-            }),
+            state: Mutex::new(LatchState::default()),
             cv: Condvar::new(),
         }
     }
@@ -228,13 +92,38 @@ impl ScopedLatch {
     /// Blocks until every dispatched task has completed. A task may
     /// complete before its dispatch is recorded (the worker races the
     /// dispatch loop), so `completed` can transiently exceed
-    /// `dispatched`; by the time anyone waits, dispatch has stopped and
-    /// the final counts balance.
-    fn wait_all(&self) {
+    /// `dispatched`; by the time anyone waits, dispatch has stopped, so
+    /// the final counts must balance — a surplus completion is a protocol
+    /// bug and panics.
+    ///
+    /// If `watchdog` elapses (measured from `start`) with tasks still
+    /// pending, prints the diagnostics and aborts: the workers still hold
+    /// pointers into the waiting frame, so it must not unwind.
+    fn wait_all(&self, start: Instant, watchdog: Option<Duration>) {
         let mut st = self.lock();
         while st.completed < st.dispatched {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = match watchdog.map(|limit| limit.checked_sub(start.elapsed())) {
+                None => self.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Some(Some(left)) => {
+                    let waited = self.cv.wait_timeout(st, left);
+                    waited.unwrap_or_else(|e| e.into_inner()).0
+                }
+                Some(None) => {
+                    eprintln!(
+                        "cc-par watchdog: {}/{} tasks pending after {:?}; aborting",
+                        st.dispatched - st.completed,
+                        st.dispatched,
+                        start.elapsed()
+                    );
+                    std::process::abort();
+                }
+            };
         }
+        assert_eq!(
+            st.completed, st.dispatched,
+            "unbalanced latch: {} completions for {} dispatched tasks",
+            st.completed, st.dispatched
+        );
     }
 }
 
@@ -245,16 +134,18 @@ impl ScopedLatch {
 /// mid-dispatch) can precede the completion of every dispatched task.
 struct ScopedWaitGuard<'a> {
     latch: &'a ScopedLatch,
+    start: Instant,
+    watchdog: Option<Duration>,
 }
 
 impl Drop for ScopedWaitGuard<'_> {
     fn drop(&mut self) {
-        self.latch.wait_all();
+        self.latch.wait_all(self.start, self.watchdog);
     }
 }
 
-/// A pool of persistent worker threads consuming [`Job`]s from per-worker
-/// channels. See the module docs for the two dispatch paths.
+/// A pool of persistent worker threads consuming jobs from per-worker
+/// channels. See the module docs for the dispatch path.
 pub struct WorkerPool {
     senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
@@ -297,75 +188,21 @@ impl WorkerPool {
         self.senders.len()
     }
 
-    /// Runs owned jobs across the workers (round-robin), synchronizing
-    /// completion on a [`RoundBarrier`] of `jobs.len() + 1` parties.
-    ///
-    /// Panics from jobs are caught on the workers (so the pool survives)
-    /// and re-raised on the calling thread after the barrier closes, with
-    /// the original message preserved. Called from inside a pool worker,
-    /// the jobs run inline (nested dispatch would deadlock a loaded pool).
-    ///
-    /// # Errors
-    ///
-    /// [`Hang`] if `watchdog` elapses before every job arrives at the
-    /// barrier. The round state owned by the jobs is leaked safely (all
-    /// `'static`); the caller should treat this as a deadlock and panic
-    /// with diagnostics.
-    pub fn run_owned(&self, jobs: Vec<Job>, watchdog: Option<Duration>) -> Result<(), Hang> {
-        if jobs.is_empty() {
-            return Ok(());
-        }
-        if in_worker() {
-            for job in jobs {
-                job();
-            }
-            return Ok(());
-        }
-        let total = jobs.len();
-        let barrier = Arc::new(RoundBarrier::new(total + 1));
-        let panics: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let start = Instant::now();
-        for (idx, job) in jobs.into_iter().enumerate() {
-            let barrier = Arc::clone(&barrier);
-            let panics = Arc::clone(&panics);
-            let wrapped: Job = Box::new(move || {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                    panics
-                        .lock()
-                        .expect("panic log poisoned")
-                        .push(panic_message(payload));
-                }
-                barrier.arrive();
-            });
-            self.senders[idx % self.senders.len()]
-                .send(wrapped)
-                .expect("pool worker hung up");
-        }
-        if let Err(pending) = barrier.arrive_and_wait(watchdog) {
-            return Err(Hang {
-                pending,
-                total,
-                waited: start.elapsed(),
-            });
-        }
-        let messages = panics.lock().expect("panic log poisoned");
-        if let Some(first) = messages.first() {
-            panic!("pool job panicked: {first}");
-        }
-        Ok(())
-    }
-
     /// Runs `tasks` invocations of a *borrowed* closure on the workers
-    /// while the calling thread runs `own` concurrently, then blocks until
-    /// every dispatched task has completed (no timeout — the borrow must
-    /// not outlive this call, even on unwind). Task `t` is invoked as
-    /// `f(t)`.
+    /// (task `t` is invoked as `f(t)`, round-robin over the workers) while
+    /// the calling thread runs `own` concurrently, then blocks until every
+    /// dispatched task has completed — the borrow must not outlive this
+    /// call, even on unwind.
+    ///
+    /// `watchdog` bounds that wait: if it elapses first, the process
+    /// prints `pending/total/waited` on stderr and aborts (see the module
+    /// docs). `None` waits forever.
     ///
     /// Panics from tasks are re-raised on the calling thread after all
     /// tasks finish. A panic in `own` still waits for all tasks before
     /// propagating. Called from inside a pool worker, everything runs
     /// inline.
-    pub fn scoped<F, G>(&self, tasks: usize, f: F, own: G)
+    pub fn scoped<F, G>(&self, tasks: usize, watchdog: Option<Duration>, f: F, own: G)
     where
         F: Fn(usize) + Sync,
         G: FnOnce(),
@@ -384,7 +221,11 @@ impl WorkerPool {
         // `own` (caller code) or from a panicking send mid-dispatch,
         // which would otherwise free `f`/`latch`/`panics` while workers
         // still hold erased pointers into them.
-        let guard = ScopedWaitGuard { latch: &latch };
+        let guard = ScopedWaitGuard {
+            latch: &latch,
+            start: Instant::now(),
+            watchdog,
+        };
         erase::dispatch_borrowed(self, tasks, &f, &latch, &panics);
         own();
         drop(guard); // normal path: block until every task is done
@@ -428,8 +269,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// borrow they were erased from. The latch counts only *successful* sends
 /// (recorded after each send), so a send that fails and drops its job
 /// unrun is never waited on and cannot deadlock the guard. Workers catch
-/// task panics, so a panicking task still completes the latch; and the
-/// scoped path has no timeout, so the wait cannot be abandoned early.
+/// task panics, so a panicking task still completes the latch; and an
+/// expired watchdog aborts the process instead of returning, so the wait
+/// is never abandoned while a task may still run.
 #[allow(unsafe_code)]
 mod erase {
     use super::{Job, Mutex, ScopedLatch, WorkerPool};
@@ -512,8 +354,8 @@ pub fn global_pool(min_workers: usize) -> Arc<WorkerPool> {
 /// The variable is read **once per process** and cached; set it in the
 /// environment before the first round runs (as the CI jobs do). Changing
 /// it later — e.g. per-test inside one binary — has no effect. The
-/// threaded test suites rely on CI exporting a low value so a deadlocked
-/// barrier fails fast.
+/// threaded test suites rely on CI exporting a low value so a hung round
+/// aborts fast.
 pub fn watchdog_timeout() -> Option<Duration> {
     *WATCHDOG.get_or_init(|| match std::env::var("CC_WATCHDOG_SECS") {
         Ok(v) => match v.trim().parse::<u64>() {
@@ -528,51 +370,8 @@ pub fn watchdog_timeout() -> Option<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn owned_jobs_all_run() {
-        let pool = WorkerPool::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let jobs: Vec<Job> = (0..37)
-            .map(|_| {
-                let counter = Arc::clone(&counter);
-                Box::new(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Job
-            })
-            .collect();
-        pool.run_owned(jobs, Some(Duration::from_secs(30))).unwrap();
-        assert_eq!(counter.load(Ordering::SeqCst), 37);
-    }
-
-    #[test]
-    fn job_panic_propagates_and_pool_survives() {
-        let pool = WorkerPool::new(2);
-        let boom: Vec<Job> = vec![Box::new(|| panic!("intentional test panic"))];
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_owned(boom, Some(Duration::from_secs(30)))
-        }));
-        assert!(caught.is_err());
-        // The pool is still usable after a job panic.
-        let ok: Vec<Job> = vec![Box::new(|| {})];
-        pool.run_owned(ok, Some(Duration::from_secs(30))).unwrap();
-    }
-
-    #[test]
-    fn watchdog_reports_hang() {
-        let pool = WorkerPool::new(1);
-        let jobs: Vec<Job> = vec![Box::new(|| {
-            std::thread::sleep(Duration::from_millis(400));
-        })];
-        let err = pool
-            .run_owned(jobs, Some(Duration::from_millis(20)))
-            .unwrap_err();
-        assert_eq!(err.total, 1);
-        assert!(err.pending >= 1);
-        // Drain: give the sleeper time to finish so Drop joins cleanly.
-        std::thread::sleep(Duration::from_millis(500));
-    }
 
     #[test]
     fn scoped_runs_all_tasks_and_own_work() {
@@ -581,6 +380,7 @@ mod tests {
         let own_ran = AtomicUsize::new(0);
         pool.scoped(
             10,
+            None,
             |_| {
                 hits.fetch_add(1, Ordering::SeqCst);
             },
@@ -599,6 +399,7 @@ mod tests {
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.scoped(
                 8,
+                None,
                 |_| {
                     std::thread::sleep(Duration::from_millis(30));
                     hits.fetch_add(1, Ordering::SeqCst);
@@ -616,13 +417,19 @@ mod tests {
     fn scoped_task_panic_propagates_and_pool_survives() {
         let pool = WorkerPool::new(2);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scoped(4, |t| assert_ne!(t, 2, "intentional task panic"), || {});
+            pool.scoped(
+                4,
+                None,
+                |t| assert_ne!(t, 2, "intentional task panic"),
+                || {},
+            );
         }));
         assert!(caught.is_err());
         // The pool is still usable after a task panic.
         let ran = AtomicUsize::new(0);
         pool.scoped(
             3,
+            None,
             |_| {
                 ran.fetch_add(1, Ordering::SeqCst);
             },
@@ -638,6 +445,7 @@ mod tests {
         let slots: Vec<Mutex<usize>> = (0..10).map(|_| Mutex::new(0)).collect();
         pool.scoped(
             10,
+            None,
             |t| {
                 let sum: usize = data[t * 10..(t + 1) * 10].iter().sum();
                 *slots[t].lock().unwrap() = sum;
@@ -649,47 +457,69 @@ mod tests {
     }
 
     #[test]
-    fn barrier_generations_advance() {
-        let barrier = Arc::new(RoundBarrier::new(4));
-        for round in 1..=5u64 {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let b = Arc::clone(&barrier);
-                    std::thread::spawn(move || b.arrive())
-                })
-                .collect();
-            barrier
-                .arrive_and_wait(Some(Duration::from_secs(30)))
-                .unwrap();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(barrier.generation(), round);
-        }
+    fn nested_dispatch_runs_inline() {
+        let pool = WorkerPool::new(1);
+        let ran = AtomicUsize::new(0);
+        pool.scoped(
+            1,
+            Some(Duration::from_secs(30)),
+            |_| {
+                assert!(in_worker());
+                // With the only worker busy on this very task, nested
+                // dispatch must run inline instead of deadlocking.
+                pool.scoped(
+                    3,
+                    Some(Duration::from_secs(5)),
+                    |_| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    },
+                    || {},
+                );
+            },
+            || {},
+        );
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
     }
 
     #[test]
-    fn nested_dispatch_runs_inline() {
-        let pool = Arc::new(WorkerPool::new(1));
-        let inner = Arc::clone(&pool);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let ran2 = Arc::clone(&ran);
-        let jobs: Vec<Job> = vec![Box::new(move || {
-            assert!(in_worker());
-            // With one worker busy on this very job, nested dispatch must
-            // run inline instead of deadlocking.
-            let ran3 = Arc::clone(&ran2);
-            inner
-                .run_owned(
-                    vec![Box::new(move || {
-                        ran3.fetch_add(1, Ordering::SeqCst);
-                    }) as Job],
-                    Some(Duration::from_secs(5)),
-                )
-                .unwrap();
-        })];
-        pool.run_owned(jobs, Some(Duration::from_secs(30))).unwrap();
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
+    #[should_panic(expected = "unbalanced latch")]
+    fn double_completion_trips_the_balance_check() {
+        let latch = ScopedLatch::new();
+        latch.note_dispatched();
+        latch.complete();
+        latch.complete();
+        latch.wait_all(Instant::now(), None);
+    }
+
+    /// Set in the child process of [`watchdog_reports_hang`], which runs
+    /// the hanging dispatch; the parent only inspects how the child died.
+    const HANG_CHILD: &str = "CC_PAR_WATCHDOG_HANG_CHILD";
+
+    #[test]
+    fn watchdog_reports_hang() {
+        if std::env::var_os(HANG_CHILD).is_some() {
+            let pool = WorkerPool::new(1);
+            pool.scoped(
+                1,
+                Some(Duration::from_millis(50)),
+                |_| std::thread::sleep(Duration::from_secs(30)),
+                || {},
+            );
+            unreachable!("the watchdog must abort before the task finishes");
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "pool::tests::watchdog_reports_hang",
+                "--nocapture",
+            ])
+            .env(HANG_CHILD, "1")
+            .output()
+            .expect("spawn the test binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "hung round must fail the process");
+        assert!(stderr.contains("watchdog"), "stderr: {stderr}");
+        assert!(stderr.contains("1/1 tasks pending"), "stderr: {stderr}");
     }
 
     #[test]
