@@ -5,7 +5,7 @@
 //! *every transport* — the plain simulator, the tracing wrapper, and
 //! stacked fault-injecting wrappers. The three layers:
 //!
-//! * [`oracle`] — textbook sequential implementations (dense grounded
+//! * [`oracle`] — textbook sequential implementations (exact grounded
 //!   Laplacian solves, Dijkstra, Edmonds–Karp, successive shortest
 //!   paths, brute-force effective resistance and quadratic-form probes)
 //!   written against plain graph data, with **no dependence on the

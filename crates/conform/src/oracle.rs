@@ -13,7 +13,8 @@ use cc_linalg::{laplacian_from_edges, laplacian_quadratic_form, GroundedCholesky
 use cc_model::util::SplitMix64;
 
 /// Exact solution of `L x = b` (zero mean per connected component) via
-/// the dense/grounded LDLᵀ factorization, for differencing against the
+/// the grounded Cholesky factorization (a sparse factor whose entries are
+/// bitwise those of the dense one), for differencing against the
 /// distributed Chebyshev solver.
 ///
 /// # Errors

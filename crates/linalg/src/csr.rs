@@ -111,6 +111,26 @@ impl CsrMatrix {
         }
     }
 
+    /// Wraps CSR arrays that are already in canonical form: row `r` is
+    /// `indices[indptr[r]..indptr[r + 1]]`, strictly ascending and below
+    /// `cols`, with `values` alongside.
+    pub(crate) fn from_sorted_rows(
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(indptr.last(), Some(&indices.len()));
+        debug_assert_eq!(indices.len(), values.len());
+        Self {
+            rows: indptr.len() - 1,
+            cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -1,15 +1,31 @@
 //! Exact solves with (singular) graph Laplacians.
+//!
+//! The factor is sparse: `L` is stored as sorted rows with a separate
+//! diagonal, and `Lᵀ` as sorted rows of its own (the columns of `L`), so
+//! factorization, memory and both substitution sweeps scale with the
+//! factor's nonzeros instead of `k²`. On the star gadgets the sparsifier
+//! builds, the factor is an arrow matrix and the solve is `O(n)`.
 
-use crate::{CsrMatrix, DenseMatrix, LinalgError};
+use crate::{CsrMatrix, LinalgError};
 
 /// Direct solver for Laplacian systems `L x = b`, correct on *singular*
 /// Laplacians: one vertex per connected component is grounded (pinned to
 /// zero), the strictly positive definite reduced system is factored by
-/// dense Cholesky once, and [`GroundedCholesky::solve`] then implements the
-/// pseudo-inverse action `x = L† b` for any right-hand side (the component
-/// of `b` outside `range(L)` is projected away, and the returned solution
-/// has zero mean on every component — the canonical pseudo-inverse
-/// representative).
+/// sparse Cholesky once, and [`GroundedCholesky::solve`] then implements
+/// the pseudo-inverse action `x = L† b` for any right-hand side (the
+/// component of `b` outside `range(L)` is projected away, and the returned
+/// solution has zero mean on every component — the canonical
+/// pseudo-inverse representative).
+///
+/// The factorization and both sweeps perform, for every stored nonzero,
+/// exactly the floating-point operations of a dense left-looking Cholesky
+/// in ascending index order; they skip only products whose factor entry is
+/// exactly zero. Such a product is `±0`, and subtracting it from a partial
+/// sum that is not `−0` leaves the sum unchanged, so factor entries and
+/// solutions are bitwise equal to the dense computation. The one case this
+/// argument does not cover is the sign of an exactly-zero output when the
+/// right-hand side itself holds `−0.0` (a skipped `−0` product would have
+/// turned a `−0` partial sum into `+0`).
 ///
 /// This is the "solve involving `L_H`" of Corollary 2.3: the sparsifier is
 /// globally known, so every node runs this factorization internally at zero
@@ -23,12 +39,16 @@ pub struct GroundedCholesky {
     comp_size: Vec<usize>,
     /// Map reduced index → vertex.
     reduced_vertices: Vec<usize>,
-    /// Lower-triangular Cholesky factor of the reduced matrix.
-    lower: DenseMatrix,
-    /// `lowerᵀ`, stored so the backward substitution sweep reads rows
-    /// instead of walking columns of `lower` at stride `k` — same values,
-    /// same operation order, cache-friendly access.
-    upper: DenseMatrix,
+    /// Diagonal of the Cholesky factor `L` of the reduced matrix.
+    diag: Vec<f64>,
+    /// Strictly lower part of `L` (rows sorted, columns `< i` in row `i`).
+    /// The forward sweep reads it.
+    lower: CsrMatrix,
+    /// `lowerᵀ`: row `i` holds column `i` of `L` below the diagonal, in
+    /// ascending order (exact zeros dropped, as the sweep may skip them).
+    /// The backward sweep reads it, so both sweeps walk contiguous sorted
+    /// rows with the operation order of a column walk of `lower`.
+    upper: CsrMatrix,
 }
 
 impl GroundedCholesky {
@@ -73,22 +93,14 @@ impl GroundedCholesky {
                 reduced_vertices.push(v);
             }
         }
-        let k = reduced_vertices.len();
-        let mut reduced = DenseMatrix::zeros(k, k);
-        for (ri, &v) in reduced_vertices.iter().enumerate() {
-            for (c, val) in lap.row(v) {
-                if let Some(rj) = reduced_index[c] {
-                    reduced.add_to(ri, rj, val);
-                }
-            }
-        }
-        let lower = cholesky_lower(&reduced)?;
+        let (diag, lower) = factor_rows(lap, &reduced_vertices, &reduced_index)?;
         let upper = lower.transpose();
         Ok(Self {
             n,
             component,
             comp_size,
             reduced_vertices,
+            diag,
             lower,
             upper,
         })
@@ -151,7 +163,7 @@ impl GroundedCholesky {
         for (ri, &v) in self.reduced_vertices.iter().enumerate() {
             scratch.rhs[ri] = b[v] - scratch.comp[self.component[v]];
         }
-        cholesky_solve_in_place(&self.lower, &self.upper, &mut scratch.rhs);
+        self.sweeps(&mut scratch.rhs);
         x.fill(0.0);
         for (ri, &v) in self.reduced_vertices.iter().enumerate() {
             x[v] = scratch.rhs[ri];
@@ -169,11 +181,10 @@ impl GroundedCholesky {
 
     /// Batched pseudo-inverse application over `k` interleaved
     /// right-hand sides: `bs` and `xs` hold `n` rows of `k` lanes
-    /// (`bs[v*k + j]` is entry `v` of vector `j`). The dense triangular
-    /// factor — the memory-bandwidth bottleneck of the single-RHS path —
-    /// streams through the cache **once per substitution sweep for the
-    /// whole batch** instead of once per right-hand side, with lanes
-    /// processed in register tiles of [`crate::RHS_LANES`].
+    /// (`bs[v*k + j]` is entry `v` of vector `j`). Each sparse factor row
+    /// is read **once per substitution sweep for the whole batch** instead
+    /// of once per right-hand side, with lanes processed in register tiles
+    /// of [`crate::RHS_LANES`].
     ///
     /// Every lane performs exactly the floating-point operations of
     /// [`GroundedCholesky::solve_into`] on that column (projection,
@@ -217,7 +228,7 @@ impl GroundedCholesky {
                 scratch.rhs[ri * k + j] = bs[v * k + j] - scratch.comp[base + j];
             }
         }
-        cholesky_solve_multi_in_place(&self.lower, &self.upper, &mut scratch.rhs, k);
+        self.sweeps_multi(&mut scratch.rhs, k);
         xs.fill(0.0);
         for (ri, &v) in self.reduced_vertices.iter().enumerate() {
             xs[v * k..(v + 1) * k].copy_from_slice(&scratch.rhs[ri * k..(ri + 1) * k]);
@@ -274,104 +285,157 @@ fn connected_components(lap: &CsrMatrix) -> Vec<usize> {
     comp
 }
 
-/// Dense Cholesky factorization `A = L Lᵀ` returning the lower factor.
-fn cholesky_lower(a: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
-    let n = a.rows();
-    let mut l = DenseMatrix::zeros(n, n);
+/// Up-looking sparse Cholesky `A = L Lᵀ` of the grounded reduction of
+/// `lap` (rows and columns `reduced_vertices`), built row by row straight
+/// from the CSR rows: returns the diagonal of `L` and its strictly lower
+/// rows. Only the lower triangle of `A` is read.
+///
+/// The pattern of row `i` is the union of the elimination-tree paths from
+/// the columns of `A`'s row `i`, found with the tree built so far. Entry
+/// `(i, j)` is `(a_ij − Σ_k l_ik·l_jk) / l_jj` with `k` ascending over row
+/// `j`'s pattern, and the pivot is `a_ii − Σ_k l_ik²` with `k` ascending:
+/// the dense left-looking recurrence minus its exactly-zero products.
+/// Time and memory scale with the factor's nonzeros plus `O(k)` work
+/// arrays; no `k×k` matrix is formed.
+fn factor_rows(
+    lap: &CsrMatrix,
+    reduced_vertices: &[usize],
+    reduced_index: &[Option<usize>],
+) -> Result<(Vec<f64>, CsrMatrix), LinalgError> {
+    const NONE: usize = usize::MAX;
+    let k = reduced_vertices.len();
+    let mut a_diag = vec![0.0; k];
+    for (i, &v) in reduced_vertices.iter().enumerate() {
+        for (c, val) in lap.row(v) {
+            if reduced_index[c] == Some(i) {
+                a_diag[i] += val;
+            }
+        }
+    }
     // Relative pivot tolerance against the largest diagonal entry.
-    let max_diag = (0..n).map(|i| a.get(i, i).abs()).fold(0.0f64, f64::max);
+    let max_diag = a_diag.iter().map(|d| d.abs()).fold(0.0f64, f64::max);
     let tol = 1e-12 * max_diag.max(1e-300);
-    for j in 0..n {
-        let mut d = a.get(j, j);
-        for k in 0..j {
-            let ljk = l.get(j, k);
-            d -= ljk * ljk;
-        }
-        if d <= tol {
-            return Err(LinalgError::NotPositiveDefinite { index: j, pivot: d });
-        }
-        let d = d.sqrt();
-        l.set(j, j, d);
-        for i in (j + 1)..n {
-            let mut s = a.get(i, j);
-            for k in 0..j {
-                s -= l.get(i, k) * l.get(j, k);
-            }
-            l.set(i, j, s / d);
-        }
-    }
-    Ok(l)
-}
-
-/// Solves `L Lᵀ x = b` by forward/back substitution, overwriting `v`
-/// (`b` on entry, `x` on exit). Both sweeps read only entries already in
-/// their target state, so the in-place form performs exactly the
-/// operations of the two-buffer formulation. `u` must be `lᵀ`: the back
-/// sweep reads `u.get(i, k) == l.get(k, i)` so both sweeps walk rows of
-/// a row-major matrix instead of columns at stride `n`.
-fn cholesky_solve_in_place(l: &DenseMatrix, u: &DenseMatrix, v: &mut [f64]) {
-    let n = l.rows();
-    for i in 0..n {
-        let li = l.row(i);
-        let mut s = v[i];
-        for k in 0..i {
-            s -= li[k] * v[k];
-        }
-        v[i] = s / li[i];
-    }
-    for i in (0..n).rev() {
-        let ui = u.row(i);
-        let mut s = v[i];
-        for k in (i + 1)..n {
-            s -= ui[k] * v[k];
-        }
-        v[i] = s / ui[i];
-    }
-}
-
-/// Batched `L Lᵀ X = B` over `k` interleaved columns (`v[r*k + j]` is
-/// entry `r` of column `j`), lanes register-tiled in blocks of
-/// [`crate::RHS_LANES`]. Each factor row is loaded once per sweep for
-/// the whole batch — the `O(kred²)` factor traffic that dominates the
-/// single-RHS solve is amortized over all `k` columns. Per column, the
-/// substitutions perform exactly the operations of
-/// [`cholesky_solve_in_place`], in the same order.
-fn cholesky_solve_multi_in_place(l: &DenseMatrix, u: &DenseMatrix, v: &mut [f64], k: usize) {
-    const LANES: usize = crate::csr::RHS_LANES;
-    let n = l.rows();
-    debug_assert_eq!(v.len(), n * k);
-    let sweep = |rows: &DenseMatrix, v: &mut [f64], i: usize, lo: usize, hi: usize| {
-        let ri = rows.row(i);
-        let mut j = 0;
-        while j + LANES <= k {
-            let mut acc = [0.0f64; LANES];
-            acc.copy_from_slice(&v[i * k + j..i * k + j + LANES]);
-            for kk in lo..hi {
-                let lik = ri[kk];
-                let vk = &v[kk * k + j..kk * k + j + LANES];
-                for (a, &vv) in acc.iter_mut().zip(vk) {
-                    *a -= lik * vv;
+    let mut diag = Vec::with_capacity(k);
+    let (mut ptr, mut idx, mut val) = (vec![0], Vec::new(), Vec::new());
+    let mut parent = vec![NONE; k];
+    let mut mark = vec![NONE; k];
+    // Row `i` of `A`, then of `L` as its entries are computed; zero
+    // outside row `i`'s pattern between rows.
+    let mut work = vec![0.0; k];
+    let mut pattern = Vec::new();
+    for i in 0..k {
+        mark[i] = i;
+        pattern.clear();
+        for (c, val) in lap.row(reduced_vertices[i]) {
+            let Some(j) = reduced_index[c].filter(|&j| j < i) else {
+                continue;
+            };
+            work[j] += val;
+            let mut t = j;
+            while mark[t] != i {
+                mark[t] = i;
+                pattern.push(t);
+                if parent[t] == NONE {
+                    parent[t] = i;
                 }
+                t = parent[t];
             }
-            for (slot, a) in v[i * k + j..i * k + j + LANES].iter_mut().zip(acc) {
-                *slot = a / ri[i];
-            }
-            j += LANES;
         }
-        while j < k {
-            let mut s = v[i * k + j];
-            for kk in lo..hi {
-                s -= ri[kk] * v[kk * k + j];
+        pattern.sort_unstable();
+        let first = pattern.first().copied().unwrap_or(i);
+        let mut d = a_diag[i];
+        for &j in &pattern {
+            let (cols, vals) = (&idx[ptr[j]..ptr[j + 1]], &val[ptr[j]..ptr[j + 1]]);
+            // Columns before `first` meet zeros of row `i`: skip them.
+            let from = cols.partition_point(|&c| c < first);
+            let mut s = work[j];
+            for (&c, &ljc) in cols[from..].iter().zip(&vals[from..]) {
+                s -= work[c] * ljc;
             }
-            v[i * k + j] = s / ri[i];
-            j += 1;
+            let lij = s / diag[j];
+            work[j] = lij;
+            d -= lij * lij;
         }
-    };
-    for i in 0..n {
-        sweep(l, v, i, 0, i);
+        // A NaN pivot (from a NaN weight) fails too, as a typed error.
+        if d.is_nan() || d <= tol {
+            return Err(LinalgError::NotPositiveDefinite { index: i, pivot: d });
+        }
+        diag.push(d.sqrt());
+        for &j in &pattern {
+            idx.push(j);
+            val.push(work[j]);
+            work[j] = 0.0;
+        }
+        ptr.push(idx.len());
     }
-    for i in (0..n).rev() {
-        sweep(u, v, i, i + 1, n);
+    Ok((diag, CsrMatrix::from_sorted_rows(k, ptr, idx, val)))
+}
+
+impl GroundedCholesky {
+    /// Solves `L Lᵀ x = b` on the reduced system by forward/back
+    /// substitution, overwriting `v` (`b` on entry, `x` on exit). Both
+    /// sweeps read only entries already in their target state, so the
+    /// in-place form performs exactly the operations of the two-buffer
+    /// formulation.
+    fn sweeps(&self, v: &mut [f64]) {
+        let n = self.diag.len();
+        let solve_row = |rows: &CsrMatrix, v: &mut [f64], i: usize| {
+            let mut s = v[i];
+            for (c, l) in rows.row(i) {
+                s -= l * v[c];
+            }
+            v[i] = s / self.diag[i];
+        };
+        for i in 0..n {
+            solve_row(&self.lower, v, i);
+        }
+        for i in (0..n).rev() {
+            solve_row(&self.upper, v, i);
+        }
+    }
+
+    /// Batched [`GroundedCholesky::sweeps`] over `k` interleaved columns
+    /// (`v[r*k + j]` is entry `r` of column `j`), lanes register-tiled in
+    /// blocks of [`crate::RHS_LANES`]. Each factor row is read once per
+    /// sweep for the whole batch. Per column, the substitutions perform
+    /// exactly the operations of the single-column sweeps, in the same
+    /// order.
+    fn sweeps_multi(&self, v: &mut [f64], k: usize) {
+        const LANES: usize = crate::csr::RHS_LANES;
+        let n = self.diag.len();
+        debug_assert_eq!(v.len(), n * k);
+        let solve_row = |rows: &CsrMatrix, v: &mut [f64], i: usize| {
+            let d = self.diag[i];
+            let mut j = 0;
+            while j + LANES <= k {
+                let mut acc = [0.0f64; LANES];
+                acc.copy_from_slice(&v[i * k + j..i * k + j + LANES]);
+                for (c, l) in rows.row(i) {
+                    let vc = &v[c * k + j..c * k + j + LANES];
+                    for (a, &x) in acc.iter_mut().zip(vc) {
+                        *a -= l * x;
+                    }
+                }
+                for (slot, a) in v[i * k + j..i * k + j + LANES].iter_mut().zip(acc) {
+                    *slot = a / d;
+                }
+                j += LANES;
+            }
+            while j < k {
+                let mut s = v[i * k + j];
+                for (c, l) in rows.row(i) {
+                    s -= l * v[c * k + j];
+                }
+                v[i * k + j] = s / d;
+                j += 1;
+            }
+        };
+        for i in 0..n {
+            solve_row(&self.lower, v, i);
+        }
+        for i in (0..n).rev() {
+            solve_row(&self.upper, v, i);
+        }
     }
 }
 
@@ -379,8 +443,216 @@ fn cholesky_solve_multi_in_place(l: &DenseMatrix, u: &DenseMatrix, v: &mut [f64]
 mod tests {
     use super::*;
     use crate::laplacian::laplacian_from_edges;
-    use crate::vec_ops;
+    use crate::{vec_ops, DenseMatrix, RHS_LANES};
     use proptest::prelude::*;
+
+    // The dense reference: the left-looking Cholesky (with the NaN-aware
+    // pivot test) and the two substitution kernels the sparse factor
+    // replaced, so the sparse code can be differenced against them bit
+    // for bit.
+
+    /// Dense Cholesky factorization `A = L Lᵀ` returning the lower factor.
+    fn cholesky_lower(a: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
+        let n = a.rows();
+        let mut l = DenseMatrix::zeros(n, n);
+        let max_diag = (0..n).map(|i| a.get(i, i).abs()).fold(0.0f64, f64::max);
+        let tol = 1e-12 * max_diag.max(1e-300);
+        for j in 0..n {
+            let mut d = a.get(j, j);
+            for k in 0..j {
+                let ljk = l.get(j, k);
+                d -= ljk * ljk;
+            }
+            if d.is_nan() || d <= tol {
+                return Err(LinalgError::NotPositiveDefinite { index: j, pivot: d });
+            }
+            let d = d.sqrt();
+            l.set(j, j, d);
+            for i in (j + 1)..n {
+                let mut s = a.get(i, j);
+                for k in 0..j {
+                    s -= l.get(i, k) * l.get(j, k);
+                }
+                l.set(i, j, s / d);
+            }
+        }
+        Ok(l)
+    }
+
+    /// Dense `L Lᵀ x = b` in place; `u` is `lᵀ`.
+    fn dense_sweeps(l: &DenseMatrix, u: &DenseMatrix, v: &mut [f64]) {
+        let n = l.rows();
+        for i in 0..n {
+            let li = l.row(i);
+            let mut s = v[i];
+            for k in 0..i {
+                s -= li[k] * v[k];
+            }
+            v[i] = s / li[i];
+        }
+        for i in (0..n).rev() {
+            let ui = u.row(i);
+            let mut s = v[i];
+            for k in (i + 1)..n {
+                s -= ui[k] * v[k];
+            }
+            v[i] = s / ui[i];
+        }
+    }
+
+    /// Dense batched `L Lᵀ X = B` over `k` interleaved columns.
+    fn dense_sweeps_multi(l: &DenseMatrix, u: &DenseMatrix, v: &mut [f64], k: usize) {
+        const LANES: usize = RHS_LANES;
+        let n = l.rows();
+        let sweep = |rows: &DenseMatrix, v: &mut [f64], i: usize, lo: usize, hi: usize| {
+            let ri = rows.row(i);
+            let mut j = 0;
+            while j + LANES <= k {
+                let mut acc = [0.0f64; LANES];
+                acc.copy_from_slice(&v[i * k + j..i * k + j + LANES]);
+                for kk in lo..hi {
+                    let lik = ri[kk];
+                    let vk = &v[kk * k + j..kk * k + j + LANES];
+                    for (a, &vv) in acc.iter_mut().zip(vk) {
+                        *a -= lik * vv;
+                    }
+                }
+                for (slot, a) in v[i * k + j..i * k + j + LANES].iter_mut().zip(acc) {
+                    *slot = a / ri[i];
+                }
+                j += LANES;
+            }
+            while j < k {
+                let mut s = v[i * k + j];
+                for kk in lo..hi {
+                    s -= ri[kk] * v[kk * k + j];
+                }
+                v[i * k + j] = s / ri[i];
+                j += 1;
+            }
+        };
+        for i in 0..n {
+            sweep(l, v, i, 0, i);
+        }
+        for i in (0..n).rev() {
+            sweep(u, v, i, i + 1, n);
+        }
+    }
+
+    /// The grounded reduction of `lap` as a dense matrix, assembled as the
+    /// dense solver did.
+    fn dense_reduced(lap: &CsrMatrix, chol: &GroundedCholesky) -> DenseMatrix {
+        let k = chol.reduced_vertices.len();
+        let mut reduced_index = vec![None; lap.rows()];
+        for (ri, &v) in chol.reduced_vertices.iter().enumerate() {
+            reduced_index[v] = Some(ri);
+        }
+        let mut reduced = DenseMatrix::zeros(k, k);
+        for (ri, &v) in chol.reduced_vertices.iter().enumerate() {
+            for (c, val) in lap.row(v) {
+                if let Some(rj) = reduced_index[c] {
+                    reduced.add_to(ri, rj, val);
+                }
+            }
+        }
+        reduced
+    }
+
+    /// `L† B` over `k` interleaved columns with the dense factor: the
+    /// projection and mean shift of [`GroundedCholesky::solve_multi_into`]
+    /// around the dense kernels (`multi == false` runs the single-column
+    /// kernel, which needs `k == 1`).
+    fn dense_solve(
+        chol: &GroundedCholesky,
+        (l, u): (&DenseMatrix, &DenseMatrix),
+        bs: &[f64],
+        k: usize,
+        multi: bool,
+    ) -> Vec<f64> {
+        let size = |c: usize| chol.comp_size[c] as f64;
+        let mut comp = vec![0.0; chol.comp_size.len() * k];
+        for (v, brow) in bs.chunks(k).enumerate() {
+            for (j, &bv) in brow.iter().enumerate() {
+                comp[chol.component[v] * k + j] += bv;
+            }
+        }
+        for (i, s) in comp.iter_mut().enumerate() {
+            *s /= size(i / k);
+        }
+        let mut rhs = Vec::with_capacity(chol.reduced_vertices.len() * k);
+        for &v in &chol.reduced_vertices {
+            let c = chol.component[v];
+            rhs.extend((0..k).map(|j| bs[v * k + j] - comp[c * k + j]));
+        }
+        if multi {
+            dense_sweeps_multi(l, u, &mut rhs, k);
+        } else {
+            assert_eq!(k, 1);
+            dense_sweeps(l, u, &mut rhs);
+        }
+        let mut xs = vec![0.0; bs.len()];
+        for (ri, &v) in chol.reduced_vertices.iter().enumerate() {
+            xs[v * k..(v + 1) * k].copy_from_slice(&rhs[ri * k..(ri + 1) * k]);
+        }
+        comp.fill(0.0);
+        for (v, xrow) in xs.chunks(k).enumerate() {
+            for (j, &xv) in xrow.iter().enumerate() {
+                comp[chol.component[v] * k + j] += xv;
+            }
+        }
+        for (v, xrow) in xs.chunks_mut(k).enumerate() {
+            let c = chol.component[v];
+            for (j, xv) in xrow.iter_mut().enumerate() {
+                *xv -= comp[c * k + j] / size(c);
+            }
+        }
+        xs
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Differences the sparse factor of `lap` against the dense reference
+    /// bit for bit: every factor entry, `solve_into`, and
+    /// `solve_multi_into` at batch widths around the register tile.
+    ///
+    /// The right-hand sides hold no `−0.0`, the one input on which the
+    /// sign of an exactly-zero output may differ (see
+    /// [`GroundedCholesky`]).
+    fn assert_matches_dense(lap: &CsrMatrix) {
+        let chol = GroundedCholesky::new(lap).unwrap();
+        let l = cholesky_lower(&dense_reduced(lap, &chol)).unwrap();
+        let u = l.transpose();
+        let k = chol.diag.len();
+        for i in 0..k {
+            for j in 0..=i {
+                let got = if j == i {
+                    chol.diag[i]
+                } else {
+                    chol.lower.get(i, j)
+                };
+                assert_eq!(got.to_bits(), l.get(i, j).to_bits(), "factor ({i}, {j})");
+            }
+        }
+        let n = chol.n();
+        for lanes in [1, 3, RHS_LANES, RHS_LANES + 1, 16] {
+            let bs: Vec<f64> = (0..n * lanes)
+                .map(|e| (1.7 * e as f64 + 0.3).sin() * 4.0)
+                .collect();
+            let mut xs = vec![0.0; n * lanes];
+            chol.solve_multi_into(&bs, lanes, &mut xs, &mut SolveScratch::default());
+            assert_eq!(
+                bits(&xs),
+                bits(&dense_solve(&chol, (&l, &u), &bs, lanes, true))
+            );
+            if lanes == 1 {
+                let mut x = vec![0.0; n];
+                chol.solve_into(&bs, &mut x, &mut SolveScratch::default());
+                assert_eq!(bits(&x), bits(&dense_solve(&chol, (&l, &u), &bs, 1, false)));
+            }
+        }
+    }
 
     #[test]
     fn solves_connected_laplacian() {
@@ -462,5 +734,97 @@ mod tests {
                 prop_assert!((got - want).abs() < 1e-7);
             }
         }
+
+        #[test]
+        fn bitwise_equal_to_dense_on_random_connected_graphs(
+            n in 2usize..24,
+            extra in proptest::collection::vec((0usize..24, 0usize..24, 0.1f64..5.0), 0..40),
+        ) {
+            let mut edges: Vec<(usize, usize, f64)> =
+                (1..n).map(|i| (i - 1, i, 1.0 + i as f64 / 7.0)).collect();
+            edges.extend(extra.into_iter().filter(|&(u, v, _)| u != v && u < n && v < n));
+            assert_matches_dense(&laplacian_from_edges(n, &edges));
+        }
+
+        #[test]
+        fn bitwise_equal_to_dense_on_disconnected_graphs(
+            n in 1usize..24,
+            edges in proptest::collection::vec((0usize..24, 0usize..24, 0.01f64..100.0), 0..30),
+        ) {
+            // Few random edges on up to 24 vertices: several components
+            // and isolated vertices, in no particular order.
+            let edges: Vec<_> = edges
+                .into_iter()
+                .filter(|&(u, v, _)| u != v && u < n && v < n)
+                .collect();
+            assert_matches_dense(&laplacian_from_edges(n, &edges));
+        }
+    }
+
+    #[test]
+    fn bitwise_equal_to_dense_on_corpus_sparsifier_gadgets() {
+        use cc_conform::corpus::undirected_corpus;
+        use cc_sparsify::{build_sparsifier, SparsifyParams};
+        let mut stars = 0;
+        for case in undirected_corpus(4) {
+            let g = &case.graph;
+            let mut comm = cc_model::Clique::new(g.n());
+            let h = build_sparsifier(&mut comm, g, &SparsifyParams::default()).unwrap();
+            stars += h.aux_count();
+            assert_matches_dense(&laplacian_from_edges(h.total_vertices(), h.edges()));
+        }
+        assert!(stars > 0, "no corpus sparsifier has a star center");
+    }
+
+    #[test]
+    fn nan_weight_is_not_positive_definite() {
+        // Path 0-1-2 whose edge {1, 2} has a NaN weight; the diagonal
+        // stays finite, so only the pivot test can catch it.
+        let m = CsrMatrix::from_triplets(
+            3,
+            3,
+            &[
+                (0, 0, 1.0),
+                (0, 1, -1.0),
+                (1, 0, -1.0),
+                (1, 1, 2.0),
+                (1, 2, f64::NAN),
+                (2, 1, f64::NAN),
+                (2, 2, 1.0),
+            ],
+        );
+        match GroundedCholesky::new(&m) {
+            Err(LinalgError::NotPositiveDefinite { index, pivot }) => {
+                assert_eq!(index, 1);
+                assert!(pivot.is_nan());
+            }
+            other => panic!("expected NotPositiveDefinite, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn star_with_100k_leaves_factors_in_linear_space() {
+        // Leaves 0..LEAVES, hub last: vertex 0 is grounded, the hub row of
+        // the factor is dense and every other row is empty — the arrow
+        // shape of the sparsifier's star gadgets. A dense factor would
+        // need three 100k × 100k matrices (3 × 80 GB).
+        const LEAVES: usize = 100_000;
+        let hub = LEAVES;
+        let edges: Vec<_> = (0..LEAVES)
+            .map(|v| (v, hub, 1.0 + (v % 7) as f64))
+            .collect();
+        let lap = laplacian_from_edges(LEAVES + 1, &edges);
+        let chol = GroundedCholesky::new(&lap).unwrap();
+        assert_eq!(chol.lower.nnz(), LEAVES - 1);
+        let mut b: Vec<f64> = (0..=LEAVES).map(|v| (v as f64).sin()).collect();
+        vec_ops::remove_mean(&mut b);
+        let x = chol.solve(&b);
+        let lx = lap.matvec(&x);
+        let residual = lx
+            .iter()
+            .zip(&b)
+            .map(|(got, want)| (got - want).abs())
+            .fold(0.0f64, f64::max);
+        assert!(residual < 1e-9, "residual {residual}");
     }
 }

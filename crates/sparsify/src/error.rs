@@ -9,14 +9,14 @@ use cc_model::ModelError;
 ///
 /// Precondition violations (clique too small, out-of-range params) remain
 /// panics; runtime failures — a communication substrate rejecting a
-/// broadcast, or a dense factorization/eigendecomposition failing on
-/// degenerate weights — surface here.
+/// broadcast, or a grounded factorization or dense eigendecomposition
+/// failing on degenerate weights — surface here.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SparsifyError {
     /// The communication substrate rejected a primitive call.
     Comm(ModelError),
-    /// A dense factorization or eigendecomposition failed.
+    /// A grounded factorization or dense eigendecomposition failed.
     Factorization(LinalgError),
 }
 

@@ -191,9 +191,9 @@ impl SparsifierSolver {
     /// sides (`bs[v*k + j]` is entry `v` of vector `j`): pads every
     /// column with zero demand at the auxiliary star centers, runs the
     /// batched gadget solve
-    /// ([`cc_linalg::GroundedCholesky::solve_multi_into`] — the dense
-    /// factor streams through the cache once per sweep for the whole
-    /// batch), and restricts to the original vertices. This is the
+    /// ([`cc_linalg::GroundedCholesky::solve_multi_into`] — each row of
+    /// the sparse factor is read once per sweep for the whole batch), and
+    /// restricts to the original vertices. This is the
     /// amortization of one sparsifier build across a batch of solves:
     /// column `j` of the result is bitwise identical to
     /// [`SparsifierSolver::solve_into`] on column `j`.
