@@ -46,7 +46,7 @@ use cc_linalg::{
 use cc_maxflow::{max_flow_ipm, IpmOptions};
 use cc_mcf::{min_cost_flow_ipm, McfOptions};
 use cc_model::util::{fnv1a_bytes, fnv1a_words, Fnv1a};
-use cc_model::{AdversaryComm, AdversarySchedule, AdversaryStrategy, BroadcastComm};
+use cc_model::{BroadcastComm, FaultComm, FaultPlan, FaultRule};
 use cc_model::{Clique, Communicator, ThreadedComm, TracingComm};
 use cc_service::{EngineConfig, FlowEngine, GraphSpec, Request, Response, RetryPolicy};
 use cc_sparsify::{build_sparsifier, SparsifyParams};
@@ -550,11 +550,12 @@ fn adversary() -> Json {
         // Node 1 is down for the first 50 ledger rounds, so every
         // scenario's first attempt hits it; the 200-round backoff starts
         // attempt 2 after it recovered.
-        let crash = AdversaryStrategy::CrashRecover {
+        let crash = FaultRule::CrashRecover {
+            node: 1,
             from_round: 0,
             until_round: 50,
         };
-        let comm = AdversaryComm::new(Clique::new(14), AdversarySchedule::new(17).with(1, crash));
+        let comm = FaultComm::new(Clique::new(14), FaultPlan::new(17).with(crash));
         let mut engine = recovery_engine(comm, RetryPolicy::retries(3, 200));
         let got = engine.submit(request).expect("retry must recover");
         let degraded = got.stats.degraded.expect("recovered request is degraded");

@@ -1,6 +1,8 @@
 //! The chaos suite: every pipeline's differential checker, replayed
-//! under node-level [`AdversarySchedule`]s, with each (pipeline ×
-//! strategy) cell classified as
+//! under [`FaultPlan`]s of per-node rules (the [`adversary_plans`]
+//! slate) through the fault suite's own dispatcher,
+//! [`crate::driver::run_target`], with each (pipeline × strategy) cell
+//! classified as
 //!
 //! * **detected** — the pipeline surfaced a typed error (for silent and
 //!   crash–recover adversaries always comm-rooted: the transport turns
@@ -19,23 +21,16 @@
 //! which no transport can detect — those cells document which pipelines
 //! happen to absorb, reject, or propagate a one-bit forgery.
 //!
-//! The suite is deterministic (fixed schedule slate, seeded corruption
+//! The suite is deterministic (fixed plan slate, seeded corruption
 //! streams) and substrate-agnostic: [`run_adversary_suite_on`] produces
 //! cell-for-cell identical reports over `Clique` and `ThreadedComm` at
 //! any worker count. `CONFORM_ADVERSARY_CASES=N` appends `N` extra
-//! seeded schedules per pipeline for chaos soak runs.
+//! seeded plans per pipeline for chaos soak runs.
 
-use std::error::Error;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use cc_model::{Clique, Communicator, FaultPlan, FaultRule};
 
-use cc_model::{AdversaryComm, AdversarySchedule, AdversaryStrategy, Clique, Communicator};
-
-use crate::corpus::{self, adversary_case_budget, ArcCase, DemandCase, FlowCase, UndirectedCase};
-use crate::driver::{
-    check_maxflow_ff, check_maxflow_ipm, check_maxflow_trivial, check_mcf, check_orientation,
-    check_resistance, check_rounding, check_solver, check_sparsifier, check_sssp, comm_rooted,
-    FaultTarget, Tolerances,
-};
+use crate::corpus::adversary_case_budget;
+use crate::driver::{comm_rooted, fault_plans, run_target, FaultTarget};
 
 /// Classification of one (pipeline × strategy) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +59,9 @@ impl CellOutcome {
 pub struct AdversaryCell {
     /// Pipeline under test.
     pub pipeline: FaultTarget,
-    /// Name of the schedule from the slate (e.g. `silent`).
+    /// Name of the plan from the slate (e.g. `silent`).
     pub strategy: String,
-    /// True if the schedule is omission-only (no value-corrupting
+    /// True if the plan is omission-only (no value-corrupting
     /// node) — the class whose cells must never be `Corrupted`.
     pub detectable: bool,
     /// The classification.
@@ -93,19 +88,12 @@ impl AdversaryReport {
         self.cells.iter().filter(|c| c.outcome == outcome).count()
     }
 
-    /// The cells violating the detectability invariant: `Corrupted`
-    /// under an omission-only schedule. Must always be empty.
-    pub fn detectable_corruptions(&self) -> Vec<&AdversaryCell> {
-        self.cells
-            .iter()
-            .filter(|c| c.detectable && c.outcome == CellOutcome::Corrupted)
-            .collect()
-    }
-
-    /// Panics if any omission-only schedule produced a `Corrupted`
+    /// Panics if any omission-only plan produced a `Corrupted`
     /// cell (the E12 invariant).
     pub fn assert_detectable_strategies_never_corrupt(&self) {
-        let bad = self.detectable_corruptions();
+        let bad: Vec<&AdversaryCell> = (self.cells.iter())
+            .filter(|c| c.detectable && c.outcome == CellOutcome::Corrupted)
+            .collect();
         assert!(
             bad.is_empty(),
             "omission adversaries must never corrupt silently: {bad:?}"
@@ -149,208 +137,84 @@ impl AdversaryReport {
     }
 }
 
-/// The deterministic schedule slate: one omission adversary of each
+/// The deterministic adversary slate: one omission adversary of each
 /// kind plus a value-corrupting one, all on node 1 with fixed seeds,
-/// extended by `CONFORM_ADVERSARY_CASES` seeded soak schedules cycling
-/// the strategies over varying nodes, seeds, and crash windows.
-pub fn adversary_schedules() -> Vec<(String, AdversarySchedule)> {
-    let mut slate = vec![
-        (
-            "silent".to_string(),
-            AdversarySchedule::new(101).with(1, AdversaryStrategy::Silent),
-        ),
-        (
-            "crash_recover".to_string(),
-            AdversarySchedule::new(102).with(
-                1,
-                AdversaryStrategy::CrashRecover {
-                    from_round: 0,
-                    until_round: 6,
-                },
-            ),
-        ),
-        (
-            "corrupt".to_string(),
-            AdversarySchedule::new(103).with(1, AdversaryStrategy::Corrupt),
-        ),
+/// extended by `CONFORM_ADVERSARY_CASES` seeded soak plans cycling the
+/// per-node rules over varying nodes, seeds, and crash windows.
+pub fn adversary_plans() -> Vec<(String, FaultPlan)> {
+    let crash = |node, from_round, until_round| FaultRule::CrashRecover {
+        node,
+        from_round,
+        until_round,
+    };
+    let base = [
+        ("silent", 101, FaultRule::Silent(1)),
+        ("crash_recover", 102, crash(1, 0, 6)),
+        ("corrupt", 103, FaultRule::Corrupt(1)),
     ];
+    let mut slate: Vec<(String, FaultPlan)> = (base.into_iter())
+        .map(|(name, seed, rule)| (name.to_string(), FaultPlan::new(seed).with(rule)))
+        .collect();
     for k in 0..adversary_case_budget() {
         // Node ids stay below the smallest corpus instance size.
         let node = 1 + k % 3;
-        let seed = 200 + k as u64;
-        let (name, strategy) = match k % 3 {
-            0 => ("silent", AdversaryStrategy::Silent),
-            1 => (
-                "crash_recover",
-                AdversaryStrategy::CrashRecover {
-                    from_round: (k as u64 / 3) % 4,
-                    until_round: (k as u64 / 3) % 4 + 4 + (k as u64 % 5),
-                },
-            ),
-            _ => ("corrupt", AdversaryStrategy::Corrupt),
+        let (name, rule) = match k % 3 {
+            0 => ("silent", FaultRule::Silent(node)),
+            1 => {
+                let from = (k as u64 / 3) % 4;
+                ("crash_recover", crash(node, from, from + 4 + k as u64 % 5))
+            }
+            _ => ("corrupt", FaultRule::Corrupt(node)),
         };
         slate.push((
             format!("soak{k}_{name}_n{node}"),
-            AdversarySchedule::new(seed).with(node, strategy),
+            FaultPlan::new(200 + k as u64).with(rule),
         ));
     }
     slate
 }
 
-/// Runs one pipeline's checker on its first corpus instance under the
-/// schedule, over a substrate from `make`, and classifies the outcome.
-fn run_cell<C: Communicator>(
-    target: FaultTarget,
-    name: &str,
-    schedule: &AdversarySchedule,
-    make: &impl Fn(usize) -> C,
-) -> AdversaryCell {
-    let tol = Tolerances::default();
-    type Checker<'a, C> =
-        Box<dyn FnOnce(&mut AdversaryComm<C>) -> Result<u64, Box<dyn Error>> + 'a>;
-    let undirected = |i: usize| -> UndirectedCase { corpus::undirected_corpus(0).swap_remove(i) };
-    let flow = || -> FlowCase { corpus::flow_corpus(0).swap_remove(0) };
-    let (n, run): (usize, Checker<'_, C>) = match target {
-        FaultTarget::Solver => {
-            let case = undirected(0);
-            (
-                case.graph.n(),
-                Box::new(move |comm| {
-                    check_solver(comm, &case, 1e-6, &tol).map_err(|e| Box::new(e) as _)
-                }),
-            )
-        }
-        FaultTarget::Resistance => {
-            let case = undirected(0);
-            (
-                case.graph.n(),
-                Box::new(move |comm| {
-                    check_resistance(comm, &case, &tol).map_err(|e| Box::new(e) as _)
-                }),
-            )
-        }
-        FaultTarget::Sparsifier => {
-            let case = undirected(2);
-            (
-                case.graph.n(),
-                Box::new(move |comm| {
-                    check_sparsifier(comm, &case, &tol).map_err(|e| Box::new(e) as _)
-                }),
-            )
-        }
-        FaultTarget::Orientation => {
-            let case = corpus::eulerian_corpus(0).swap_remove(0);
-            (
-                case.graph.n(),
-                Box::new(move |comm| check_orientation(comm, &case).map_err(|e| Box::new(e) as _)),
-            )
-        }
-        FaultTarget::Rounding => {
-            let case = flow();
-            (
-                case.graph.n(),
-                Box::new(move |comm| check_rounding(comm, &case).map_err(|e| Box::new(e) as _)),
-            )
-        }
-        FaultTarget::MaxFlow => {
-            let case = flow();
-            (
-                case.graph.n(),
-                Box::new(move |comm| check_maxflow_ipm(comm, &case).map_err(|e| Box::new(e) as _)),
-            )
-        }
-        FaultTarget::FordFulkerson => {
-            let case = flow();
-            (
-                case.graph.n(),
-                Box::new(move |comm| check_maxflow_ff(comm, &case).map_err(|e| Box::new(e) as _)),
-            )
-        }
-        FaultTarget::TrivialFlow => {
-            let case = flow();
-            (
-                case.graph.n(),
-                Box::new(move |comm| {
-                    check_maxflow_trivial(comm, &case).map_err(|e| Box::new(e) as _)
-                }),
-            )
-        }
-        FaultTarget::Mcf => {
-            let case: DemandCase = corpus::demand_corpus(0).swap_remove(0);
-            (
-                case.graph.n() + 2,
-                Box::new(move |comm| check_mcf(comm, &case).map_err(|e| Box::new(e) as _)),
-            )
-        }
-        FaultTarget::Sssp => {
-            let case: ArcCase = corpus::arc_corpus(0).swap_remove(0);
-            (
-                case.n,
-                Box::new(move |comm| check_sssp(comm, &case).map_err(|e| Box::new(e) as _)),
-            )
-        }
-    };
-
-    let mut comm = AdversaryComm::new(make(n), schedule.clone());
-    let result = catch_unwind(AssertUnwindSafe(|| run(&mut comm)));
-    let events = comm.faults_observed();
-    let detectable = schedule
-        .scheduled()
-        .all(|(_, s)| *s != AdversaryStrategy::Corrupt);
-    let (outcome, rooted, detail) = match result {
-        Ok(Ok(rounds)) => (
-            CellOutcome::Tolerated,
-            false,
-            format!("oracle-correct in {rounds} rounds"),
-        ),
-        Ok(Err(e)) => (
-            CellOutcome::Detected,
-            comm_rooted(e.as_ref()),
-            e.to_string(),
-        ),
-        Err(_) => (
-            CellOutcome::Corrupted,
-            false,
-            "checker panicked (wrong answer or crash)".to_string(),
-        ),
-    };
-    AdversaryCell {
-        pipeline: target,
-        strategy: name.to_string(),
-        detectable,
-        outcome,
-        comm_rooted: rooted,
-        events,
-        detail,
-    }
-}
-
-/// The ten fault-suite pipelines, in [`crate::fault_plans`] order.
-fn pipelines() -> [FaultTarget; 10] {
-    [
-        FaultTarget::Solver,
-        FaultTarget::Resistance,
-        FaultTarget::Sparsifier,
-        FaultTarget::Orientation,
-        FaultTarget::Rounding,
-        FaultTarget::MaxFlow,
-        FaultTarget::FordFulkerson,
-        FaultTarget::TrivialFlow,
-        FaultTarget::Mcf,
-        FaultTarget::Sssp,
-    ]
-}
-
-/// Runs the full chaos matrix — every pipeline under every slate
-/// schedule — over substrates from `make` (one fresh substrate per
-/// cell). The report is deterministic and bitwise identical across
-/// substrates for any deterministic `make`.
+/// Runs the full chaos matrix — every pipeline (in
+/// [`crate::fault_plans`] order) under every slate plan — over
+/// substrates from `make` (one fresh substrate per cell). The report is
+/// deterministic and bitwise identical across substrates for any
+/// deterministic `make`.
 pub fn run_adversary_suite_on<C: Communicator>(make: impl Fn(usize) -> C) -> AdversaryReport {
-    let slate = adversary_schedules();
-    let mut cells = Vec::with_capacity(pipelines().len() * slate.len());
-    for target in pipelines() {
-        for (name, schedule) in &slate {
-            cells.push(run_cell(target, name, schedule, &make));
+    let slate = adversary_plans();
+    let mut cells = Vec::new();
+    for (target, _) in fault_plans() {
+        for (name, plan) in &slate {
+            let corrupts = plan
+                .rules
+                .iter()
+                .any(|r| matches!(r, FaultRule::Corrupt(_)));
+            let (result, comm) = run_target(target, plan.clone(), &make);
+            let (outcome, comm_rooted, detail) = match result {
+                Ok(Ok(rounds)) => (
+                    CellOutcome::Tolerated,
+                    false,
+                    format!("oracle-correct in {rounds} rounds"),
+                ),
+                Ok(Err(e)) => (
+                    CellOutcome::Detected,
+                    comm_rooted(e.as_ref()),
+                    e.to_string(),
+                ),
+                Err(_) => (
+                    CellOutcome::Corrupted,
+                    false,
+                    "checker panicked (wrong answer or crash)".to_string(),
+                ),
+            };
+            cells.push(AdversaryCell {
+                pipeline: target,
+                strategy: name.clone(),
+                detectable: !corrupts,
+                outcome,
+                comm_rooted,
+                events: comm.faults_observed(),
+                detail,
+            });
         }
     }
     AdversaryReport { cells }

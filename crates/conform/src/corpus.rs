@@ -22,7 +22,7 @@ pub fn case_budget() -> usize {
 }
 
 /// Reads the `CONFORM_ADVERSARY_CASES` environment variable: the number
-/// of extra seeded adversary schedules the chaos suite
+/// of extra seeded adversary plans the chaos suite
 /// ([`crate::run_adversary_suite`]) appends to its base slate, per
 /// pipeline (0 outside soak runs, or on an unparsable value). Mirrors
 /// [`case_budget`]/`CONFORM_CASES`.

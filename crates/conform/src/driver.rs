@@ -10,6 +10,9 @@
 //! harness); under a fault-injecting substrate it propagates the
 //! pipeline's typed error, which [`comm_rooted`] classifies.
 
+use std::error::Error;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use cc_apsp::{approx_apsp, apsp_from_arcs, sssp_bellman_ford, ApspError, RoundModel, SsspOutcome};
 use cc_core::{CoreError, ElectricalNetwork, LaplacianSolver, SolverOptions};
 use cc_euler::{eulerian_orientation, round_flow, EulerError, FlowRoundingOptions};
@@ -19,10 +22,10 @@ use cc_maxflow::{
 };
 use cc_mcf::{min_cost_flow_ipm, McfError, McfOptions};
 use cc_model::util::fnv1a_bytes;
-use cc_model::{Communicator, FaultPlan, ModelError};
+use cc_model::{Communicator, FaultComm, FaultPlan, FaultRule, ModelError};
 use cc_sparsify::{build_sparsifier, SparsifyError, SparsifyParams};
 
-use crate::corpus::{ArcCase, DemandCase, FlowCase, UndirectedCase};
+use crate::corpus::{self, ArcCase, DemandCase, FlowCase, UndirectedCase};
 use crate::oracle;
 
 /// Typed comparison tolerances of the differential checks.
@@ -402,15 +405,99 @@ pub enum FaultTarget {
     Sssp,
 }
 
+/// A checker's outcome with its error erased: the rounds of a run that
+/// passed the oracle, or the pipeline's typed error.
+pub type CheckerResult = Result<u64, Box<dyn Error>>;
+
+/// The one target dispatcher of the fault suite and the chaos matrix:
+/// runs `target`'s checker on its corpus instance under a [`FaultComm`]
+/// armed with `plan`, over a substrate from `make(n)`. Returns the
+/// checker's outcome and the decorator (for its event log and fault
+/// counts). A checker panic — the oracle assert caught a wrong answer,
+/// or the pipeline crashed — is caught and returned as the outer `Err`.
+///
+/// # Panics
+///
+/// If `plan` is invalid for the instance (see [`FaultComm::new`]).
+pub fn run_target<C: Communicator>(
+    target: FaultTarget,
+    plan: FaultPlan,
+    make: impl FnOnce(usize) -> C,
+) -> (std::thread::Result<CheckerResult>, FaultComm<C>) {
+    fn arm<C: Communicator, E: Error + 'static>(
+        n: usize,
+        plan: FaultPlan,
+        make: impl FnOnce(usize) -> C,
+        check: impl FnOnce(&mut FaultComm<C>) -> Result<u64, E>,
+    ) -> (std::thread::Result<CheckerResult>, FaultComm<C>) {
+        let mut comm = FaultComm::new(make(n), plan);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            check(&mut comm).map_err(|e| Box::new(e) as _)
+        }));
+        (result, comm)
+    }
+    let tol = Tolerances::default();
+    let undirected = |i: usize| corpus::undirected_corpus(0).swap_remove(i);
+    let flow = || corpus::flow_corpus(0).swap_remove(0);
+    match target {
+        FaultTarget::Solver => {
+            let case = undirected(0);
+            arm(case.graph.n(), plan, make, |c| {
+                check_solver(c, &case, 1e-6, &tol)
+            })
+        }
+        FaultTarget::Resistance => {
+            let case = undirected(0);
+            arm(case.graph.n(), plan, make, |c| {
+                check_resistance(c, &case, &tol)
+            })
+        }
+        FaultTarget::Sparsifier => {
+            let case = undirected(2);
+            arm(case.graph.n(), plan, make, |c| {
+                check_sparsifier(c, &case, &tol)
+            })
+        }
+        FaultTarget::Orientation => {
+            let case = corpus::eulerian_corpus(0).swap_remove(0);
+            arm(case.graph.n(), plan, make, |c| check_orientation(c, &case))
+        }
+        FaultTarget::Rounding => {
+            let case = flow();
+            arm(case.graph.n(), plan, make, |c| check_rounding(c, &case))
+        }
+        FaultTarget::MaxFlow => {
+            let case = flow();
+            arm(case.graph.n(), plan, make, |c| check_maxflow_ipm(c, &case))
+        }
+        FaultTarget::FordFulkerson => {
+            let case = flow();
+            arm(case.graph.n(), plan, make, |c| check_maxflow_ff(c, &case))
+        }
+        FaultTarget::TrivialFlow => {
+            let case = flow();
+            arm(case.graph.n(), plan, make, |c| {
+                check_maxflow_trivial(c, &case)
+            })
+        }
+        FaultTarget::Mcf => {
+            let case = corpus::demand_corpus(0).swap_remove(0);
+            arm(case.graph.n() + 2, plan, make, |c| check_mcf(c, &case))
+        }
+        FaultTarget::Sssp => {
+            let case = corpus::arc_corpus(0).swap_remove(0);
+            arm(case.n, plan, make, |c| check_sssp(c, &case))
+        }
+    }
+}
+
 /// One phase-targeted [`FaultPlan`] per [`FaultTarget`]: running the
 /// target's checker under `FaultComm` with its plan must produce the
 /// pipeline's typed error — never a panic, never a silently wrong
 /// result. Deterministic: plan seeds derive from the target index.
 pub fn fault_plans() -> Vec<(FaultTarget, FaultPlan)> {
-    let phase_plan = |seed: u64, fragment: &str| FaultPlan {
-        seed,
-        fail_phases: vec![fragment.to_string()],
-        ..FaultPlan::default()
+    let phase_plan = |seed: u64, fragment: &str| {
+        FaultPlan::new(seed).with(FaultRule::FailInPhase(fragment.into()))
     };
     vec![
         (FaultTarget::Solver, phase_plan(1, "laplacian_solve")),

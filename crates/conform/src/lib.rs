@@ -22,13 +22,13 @@
 //!   and return the round count so callers can assert theorem shapes via
 //!   [`shapes`]. [`driver::fault_plans`] enumerates per-pipeline
 //!   [`FaultPlan`]s whose injected faults must surface as typed errors —
-//!   never panics, never silently wrong results.
+//!   never panics, never silently wrong results. [`run_target`] is the
+//!   one dispatcher that runs a target's checker under a [`FaultComm`].
 //! * [`adversary`] — the chaos matrix: [`run_adversary_suite`] replays
-//!   every checker under seeded node-level adversary schedules
-//!   (silent, crash–recover, value-corrupting `cc_model::AdversaryComm`
-//!   nodes), classifying each (pipeline × strategy) cell as detected /
-//!   tolerated / corrupted and enforcing that omission adversaries can
-//!   never corrupt silently. `CONFORM_ADVERSARY_CASES=N` extends the
+//!   every checker under seeded plans of per-node rules (silent,
+//!   crash–recover, value-corrupting nodes), classifying each
+//!   (pipeline × strategy) cell as detected / tolerated / corrupted and
+//!   enforcing that omission adversaries can never corrupt silently. `CONFORM_ADVERSARY_CASES=N` extends the
 //!   slate for chaos soak runs.
 //! * [`service`] — a seeded soak driver for the `cc-service` engine:
 //!   [`run_service_soak`] replays a randomized typed request stream
@@ -51,13 +51,13 @@ pub mod service;
 pub mod shapes;
 
 pub use adversary::{
-    adversary_schedules, run_adversary_suite, run_adversary_suite_on, AdversaryCell,
-    AdversaryReport, CellOutcome,
+    adversary_plans, run_adversary_suite, run_adversary_suite_on, AdversaryCell, AdversaryReport,
+    CellOutcome,
 };
-pub use cc_model::{AdversaryComm, AdversarySchedule, AdversaryStrategy, FaultComm, FaultPlan};
+pub use cc_model::{FaultComm, FaultPlan, FaultRule};
 pub use corpus::{
     adversary_case_budget, arc_corpus, broadcast_case_budget, case_budget, demand_corpus,
     eulerian_corpus, flow_corpus, undirected_corpus, ArcCase, DemandCase, FlowCase, UndirectedCase,
 };
-pub use driver::{fault_plans, FaultTarget, Tolerances};
+pub use driver::{fault_plans, run_target, CheckerResult, FaultTarget, Tolerances};
 pub use service::{run_service_soak, run_service_soak_on, SoakConfig, SoakReport};

@@ -19,10 +19,10 @@ fn chaos_matrix_holds_the_detectability_invariant() {
     quiet_panics();
     let report = run_adversary_suite();
     // 10 pipelines × (3 base strategies + soak budget).
-    let slate = cc_conform::adversary_schedules().len();
+    let slate = cc_conform::adversary_plans().len();
     assert_eq!(report.cells.len(), 10 * slate);
 
-    // The E12 invariant: no omission schedule ever corrupts silently.
+    // The E12 invariant: no omission plan ever corrupts silently.
     report.assert_detectable_strategies_never_corrupt();
 
     for cell in &report.cells {
@@ -53,7 +53,7 @@ fn chaos_matrix_holds_the_detectability_invariant() {
             CellOutcome::Corrupted => {
                 assert!(
                     !cell.detectable,
-                    "corrupted cell under an omission schedule: {cell:?}"
+                    "corrupted cell under an omission plan: {cell:?}"
                 );
             }
         }
@@ -88,7 +88,7 @@ fn chaos_matrix_holds_the_detectability_invariant() {
 fn chaos_matrix_holds_over_broadcast_comm() {
     quiet_panics();
     let report = run_adversary_suite_on(|n| BroadcastComm::measured(Clique::new(n)));
-    let slate = cc_conform::adversary_schedules().len();
+    let slate = cc_conform::adversary_plans().len();
     assert_eq!(report.cells.len(), 10 * slate);
     report.assert_detectable_strategies_never_corrupt();
     for cell in report.cells.iter().filter(|c| c.strategy == "silent") {

@@ -12,10 +12,7 @@
 //! * [`GroundedCholesky`] — exact solves with singular Laplacians by
 //!   grounding one vertex per connected component;
 //! * [`chebyshev_solve`] — preconditioned Chebyshev iteration
-//!   (Theorem 2.2 of the paper), the engine of the Laplacian solver;
-//! * [`conjugate_gradient`] — a deterministic CG reference solver;
-//! * [`power_method`] — deterministic power iteration for extreme
-//!   eigenvalue estimation on larger instances.
+//!   (Theorem 2.2 of the paper), the engine of the Laplacian solver.
 //!
 //! Everything here is deterministic: fixed start vectors, no randomized
 //! pivoting, no hash-ordered iteration.
@@ -36,20 +33,16 @@
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)] // dense kernels read clearer with explicit indices
 
-mod cg;
 mod cheby;
 mod csr;
 mod dense;
 mod eigen;
 mod error;
 mod factor;
-mod jacobi;
 mod laplacian;
 pub mod par;
-mod power;
 pub mod vec_ops;
 
-pub use cg::{conjugate_gradient, conjugate_gradient_into, CgOutcome, CgStats, CgWorkspace};
 pub use cheby::{
     chebyshev_iteration_bound, chebyshev_solve, chebyshev_solve_fixed, chebyshev_solve_fixed_into,
     chebyshev_solve_multi_into, relative_a_error, BatchWorkspace, ChebyshevOutcome,
@@ -60,8 +53,6 @@ pub use dense::{DenseMatrix, MATMUL_J_BLOCK, MATMUL_K_PANEL, MATMUL_ROW_BLOCK, P
 pub use eigen::{symmetric_eigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use factor::{GroundedCholesky, SolveScratch};
-pub use jacobi::jacobi_eigenvalues;
 pub use laplacian::{
     laplacian_from_edges, laplacian_quadratic_form, normalized_laplacian_dense, LaplacianNorm,
 };
-pub use power::{power_method, power_method_with, PowerOutcome};

@@ -6,7 +6,7 @@
 //! implementation (the deterministic simulator) and [`crate::ThreadedComm`]
 //! runs the same kernel over a worker pool. Wrapping transports implement
 //! [`Decorator`], the one forwarding seam: [`crate::TracingComm`],
-//! [`crate::FaultComm`], [`crate::AdversaryComm`] and
+//! [`crate::FaultComm`] (every injected fault, per call or per node) and
 //! [`crate::BroadcastComm`] (the Broadcast Congested Clique of the
 //! companion paper arXiv:2205.12059) each override only the methods they
 //! change.
@@ -68,9 +68,8 @@ pub fn scoped_phase<C: Communicator, R>(
 /// * [`crate::TracingComm`] — wraps any communicator with a structured
 ///   event trace and per-phase congestion statistics;
 /// * [`crate::FaultComm`] — wraps any communicator with deterministic,
-///   seeded fault injection for bandwidth-bound testing;
-/// * [`crate::AdversaryComm`] — wraps any communicator with seeded
-///   node-level adversaries (silent, crash–recover, corrupting);
+///   seeded fault injection: per-call faults for bandwidth-bound testing
+///   and node-level adversaries (silent, crash–recover, corrupting);
 /// * [`crate::BroadcastComm`] — the Broadcast Congested Clique over any
 ///   communicator, rejecting (strict) or re-pricing (measured) unicast.
 ///
@@ -148,10 +147,10 @@ pub trait Communicator {
     /// Number of transport-layer faults this substrate has injected or
     /// detected so far. Honest substrates report 0 (the default);
     /// wrapping transports add their own count to the wrapped
-    /// substrate's ([`crate::FaultComm`] counts injected faults,
-    /// [`crate::AdversaryComm`] counts adversary events), so engine
-    /// layers can surface fault totals through their error types
-    /// without naming a concrete transport stack.
+    /// substrate's ([`crate::FaultComm`] counts the events of its log:
+    /// injected faults, omissions and corruptions), so engine layers
+    /// can surface fault totals through their error types without
+    /// naming a concrete transport stack.
     fn faults_observed(&self) -> u64 {
         0
     }

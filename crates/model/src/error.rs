@@ -44,9 +44,10 @@ pub enum ModelError {
         /// `"route_strict"`, `"gather_to"`, or `"sort"`).
         primitive: &'static str,
     },
-    /// A node-level adversary withheld a scheduled message: `node` had
-    /// outbound payload in a primitive while silent or crashed (see
-    /// [`crate::AdversaryComm`]). In a synchronous model a missing
+    /// A node-level adversary withheld a message: `node` had outbound
+    /// payload in a primitive while silent or crashed (see the per-node
+    /// rules [`crate::FaultRule::Silent`] and
+    /// [`crate::FaultRule::CrashRecover`] of [`crate::FaultComm`]). In a synchronous model a missing
     /// message is observable the round it fails to arrive, so omission
     /// faults surface as this typed error rather than as silent data
     /// loss.

@@ -56,9 +56,6 @@ mod threaded;
 mod trace;
 pub mod util;
 
-pub use adversary::{
-    AdversaryAction, AdversaryComm, AdversaryEvent, AdversarySchedule, AdversaryStrategy,
-};
 pub use broadcast::{BroadcastComm, BroadcastMode};
 pub use clique::{Clique, CliqueConfig, Envelope};
 pub use comm::{scoped_phase, CommunicationMode, Communicator, Decorator};
@@ -66,7 +63,7 @@ pub use encode::{
     decode_f64, decode_f64_fixed, decode_i64, encode_f64, encode_f64_fixed, encode_i64,
 };
 pub use error::ModelError;
-pub use fault::{FaultComm, FaultPlan};
+pub use fault::{FaultAction, FaultComm, FaultEvent, FaultPlan, FaultRule};
 pub use ledger::{CostKind, PhaseCost, RoundLedger};
 pub use program::{run_node_programs, NodeCtx, NodeProgram};
 pub use threaded::ThreadedComm;

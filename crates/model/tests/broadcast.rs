@@ -8,15 +8,15 @@
 //! * **strict mode** rejects every unicast-shaped primitive with the
 //!   typed [`ModelError::UnicastInBroadcastModel`] while the
 //!   broadcast-expressible surface stays identical to measured mode;
-//! * the wrapping transports ([`TracingComm`], [`FaultComm`],
-//!   [`AdversaryComm`]) stack over `BroadcastComm` without changing its
+//! * the wrapping transports ([`TracingComm`], [`FaultComm`]) stack
+//!   over `BroadcastComm` without changing its
 //!   accounting, and the decorator seam forwards the broadcast mode,
 //!   phase transitions, and fault counts through every layer.
 
 use cc_model::util::Fnv1a;
 use cc_model::{
-    AdversaryComm, AdversarySchedule, AdversaryStrategy, BroadcastComm, Clique, Communicator,
-    FaultComm, FaultPlan, ModelError, ThreadedComm, TracingComm,
+    BroadcastComm, Clique, Communicator, FaultComm, FaultPlan, FaultRule, ModelError, ThreadedComm,
+    TracingComm,
 };
 use proptest::prelude::*;
 
@@ -236,8 +236,8 @@ proptest! {
         }
     }
 
-    /// The decorator seam forwards `mode()` through every layer: a benign
-    /// `FaultComm` and an honest `AdversaryComm` between the tracer and a
+    /// The decorator seam forwards `mode()` through every layer: two
+    /// benign `FaultComm`s between the tracer and a
     /// `ThreadedComm`-backed broadcast clique leave the trace exactly as
     /// over a bare `BroadcastComm<Clique>`. A layer that dropped `mode()`
     /// would switch the tracer to unicast congestion attribution.
@@ -251,9 +251,9 @@ proptest! {
         let want = run_script(&mut bare, n, seed, steps);
         for workers in [1usize, 2, 8] {
             let mut deep = TracingComm::new(FaultComm::new(
-                AdversaryComm::new(
+                FaultComm::new(
                     BroadcastComm::measured(ThreadedComm::with_workers(n, workers)),
-                    AdversarySchedule::new(seed),
+                    FaultPlan::new(seed),
                 ),
                 FaultPlan::default(),
             ));
@@ -273,14 +273,14 @@ proptest! {
         n in 3usize..9,
         seed in 0u64..10_000,
     ) {
-        let schedule = AdversarySchedule::new(seed).with(1, AdversaryStrategy::Silent);
-        let mut seq = AdversaryComm::new(
+        let plan = FaultPlan::new(seed).with(FaultRule::Silent(1));
+        let mut seq = FaultComm::new(
             BroadcastComm::measured(Clique::new(n)),
-            schedule.clone(),
+            plan.clone(),
         );
-        let mut par = AdversaryComm::new(
+        let mut par = FaultComm::new(
             BroadcastComm::measured(ThreadedComm::with_workers(n, 2)),
-            schedule,
+            plan,
         );
         let want = run_broadcast_script(&mut seq, n, seed, 12);
         let got = run_broadcast_script(&mut par, n, seed, 12);
@@ -387,17 +387,20 @@ fn decorators_forward_phases_and_sum_fault_counts() {
         .collect();
     assert_eq!(kinds, ["phase_enter", "charge_oracle", "phase_exit"]);
 
-    let plan = FaultPlan {
-        fail_phases: vec!["doomed".into()],
-        ..FaultPlan::default()
-    };
-    let schedule = AdversarySchedule::new(3).with(1, AdversaryStrategy::Silent);
-    let mut comm = FaultComm::new(AdversaryComm::new(Clique::new(4), schedule), plan);
-    // The silent node is detected below; the armed phase fails above.
+    // Per-call and per-node rules of one plan land in one event log.
+    let plan = FaultPlan::new(3)
+        .with(FaultRule::FailInPhase("doomed".into()))
+        .with(FaultRule::Silent(1));
+    let mut comm = FaultComm::new(TracingComm::new(Clique::new(4)), plan);
+    // The silent node is detected by node screening; the armed phase
+    // fails the call before screening.
     comm.broadcast_all(&[1, 2, 3, 4]).unwrap_err();
     comm.phase("doomed", |c| c.broadcast_all(&[1, 2, 3, 4]))
         .unwrap_err();
-    assert_eq!(comm.injected_faults(), 1);
-    assert_eq!(cc_model::Decorator::inner(&comm).omissions(), 1);
+    assert_eq!((comm.injected_faults(), comm.omissions()), (1, 1));
     assert_eq!(comm.faults_observed(), 2);
+    // A fault-injecting layer below sums in too.
+    let mut stacked = FaultComm::new(comm, FaultPlan::default());
+    stacked.broadcast_all(&[1, 2, 3, 4]).unwrap_err();
+    assert_eq!(stacked.faults_observed(), 3);
 }

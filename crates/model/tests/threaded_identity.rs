@@ -8,7 +8,7 @@
 //! the human-readable ledger report string.
 
 use cc_model::util::Fnv1a;
-use cc_model::{Clique, Communicator, FaultComm, FaultPlan, ThreadedComm, TracingComm};
+use cc_model::{Clique, Communicator, FaultComm, FaultPlan, FaultRule, ThreadedComm, TracingComm};
 use proptest::prelude::*;
 
 /// Deterministic xorshift stream so both transports replay the exact
@@ -185,7 +185,7 @@ proptest! {
         n in 2usize..9,
         seed in 0u64..10_000,
     ) {
-        let plan = FaultPlan { seed, failure_rate: 0.4, ..FaultPlan::default() };
+        let plan = FaultPlan::new(seed).with(FaultRule::FailureRate(0.4));
         let mut seq = FaultComm::new(Clique::new(n), plan.clone());
         let mut par = FaultComm::new(ThreadedComm::with_workers(n, 2), plan);
         let a: Vec<bool> = (0..24)

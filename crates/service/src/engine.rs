@@ -21,7 +21,7 @@ use crate::request::{GraphSpec, Request, Response};
 /// `backoff_rounds · 2^(k-1)` implemented rounds to the dedicated
 /// `service_retry` ledger phase — deterministic "waiting time" that,
 /// against a crash–recover adversary
-/// ([`cc_model::AdversaryStrategy::CrashRecover`]), pushes the ledger
+/// ([`cc_model::FaultRule::CrashRecover`]), pushes the ledger
 /// past the crash window so the retried attempt runs fault-free. Each
 /// retry also degrades gracefully: the target graph's cached artifacts
 /// (solver factorization, sparsifier templates, APSP matrix) are

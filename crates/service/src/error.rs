@@ -59,9 +59,9 @@ pub struct ServiceError {
     /// The wrapped failure.
     pub kind: ServiceErrorKind,
     /// Transport-layer faults the engine's communicator observed while
-    /// this request (including its retries) executed — injected
-    /// [`cc_model::FaultComm`] faults plus adversary events of
-    /// [`cc_model::AdversaryComm`]; 0 over honest transports.
+    /// this request (including its retries) executed — the events of
+    /// a [`cc_model::FaultComm`]'s log (injected faults, omissions and
+    /// corruptions); 0 over honest transports.
     pub faults_observed: u64,
     /// Attempts the engine made before giving up (1 = no retry; > 1 only
     /// under a retrying [`crate::RetryPolicy`]).

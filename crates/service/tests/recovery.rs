@@ -11,8 +11,7 @@
 
 use cc_graph::generators;
 use cc_model::{
-    AdversaryComm, AdversarySchedule, AdversaryStrategy, BroadcastComm, Clique, Communicator,
-    ThreadedComm,
+    BroadcastComm, Clique, Communicator, FaultComm, FaultPlan, FaultRule, ThreadedComm,
 };
 use cc_service::{
     EngineConfig, FlowEngine, GraphSpec, Request, Response, RetryPolicy, ServiceErrorKind,
@@ -47,14 +46,12 @@ fn retrying_config() -> EngineConfig {
     }
 }
 
-fn crash_schedule() -> AdversarySchedule {
-    AdversarySchedule::new(17).with(
-        1,
-        AdversaryStrategy::CrashRecover {
-            from_round: 0,
-            until_round: CRASH_UNTIL,
-        },
-    )
+fn crash_plan() -> FaultPlan {
+    FaultPlan::new(17).with(FaultRule::CrashRecover {
+        node: 1,
+        from_round: 0,
+        until_round: CRASH_UNTIL,
+    })
 }
 
 /// One request per fallible pipeline (APSP is excluded by design: it is
@@ -142,10 +139,8 @@ fn assert_bits_eq(a: &Response, b: &Response, ctx: &str) {
 /// Runs `request` on a fresh retrying engine over an adversarial
 /// transport built on `substrate`.
 fn run_adversarial<C: Communicator>(substrate: C, request: Request) -> ServiceOutcome {
-    let mut engine = FlowEngine::with_config(
-        AdversaryComm::new(substrate, crash_schedule()),
-        retrying_config(),
-    );
+    let mut engine =
+        FlowEngine::with_config(FaultComm::new(substrate, crash_plan()), retrying_config());
     register_graphs(&mut engine);
     engine.submit(request).expect("retry must recover")
 }
@@ -236,7 +231,7 @@ fn broadcast_retry_recovers_to_the_fault_free_result_bitwise() {
 #[test]
 fn retry_rounds_land_in_the_dedicated_ledger_phase() {
     let mut engine = FlowEngine::with_config(
-        AdversaryComm::new(Clique::new(N), crash_schedule()),
+        FaultComm::new(Clique::new(N), crash_plan()),
         retrying_config(),
     );
     register_graphs(&mut engine);
@@ -252,9 +247,9 @@ fn retry_rounds_land_in_the_dedicated_ledger_phase() {
 
 #[test]
 fn permanent_silence_exhausts_attempts_with_fault_accounting() {
-    let schedule = AdversarySchedule::new(3).with(1, AdversaryStrategy::Silent);
+    let plan = FaultPlan::new(3).with(FaultRule::Silent(1));
     let mut engine = FlowEngine::with_config(
-        AdversaryComm::new(Clique::new(N), schedule),
+        FaultComm::new(Clique::new(N), plan),
         EngineConfig {
             retry: RetryPolicy::retries(3, 4),
             ..EngineConfig::default()
@@ -330,15 +325,13 @@ proptest! {
         register_graphs(&mut baseline);
         let want = baseline.submit(request.clone()).unwrap();
 
-        let schedule = AdversarySchedule::new(seed).with(
-            1,
-            AdversaryStrategy::CrashRecover {
-                from_round: 0,
-                until_round: until,
-            },
-        );
+        let plan = FaultPlan::new(seed).with(FaultRule::CrashRecover {
+            node: 1,
+            from_round: 0,
+            until_round: until,
+        });
         let mut engine = FlowEngine::with_config(
-            AdversaryComm::new(Clique::new(N), schedule),
+            FaultComm::new(Clique::new(N), plan),
             EngineConfig {
                 retry: RetryPolicy::retries(4, backoff),
                 ..EngineConfig::default()

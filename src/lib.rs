@@ -70,7 +70,8 @@ pub mod prelude {
     };
     pub use cc_mcf::{min_cost_flow_ipm, ssp_min_cost_flow, McfError, McfOptions, McfOutcome};
     pub use cc_model::{
-        Clique, CliqueConfig, Communicator, FaultComm, FaultPlan, ModelError, RoundLedger,
+        Clique, CliqueConfig, Communicator, FaultComm, FaultPlan, FaultRule, ModelError,
+        RoundLedger,
     };
     pub use cc_service::{FlowEngine, GraphSpec, Request, Response, ServiceError};
     pub use cc_sparsify::{build_sparsifier, verify_sparsifier, SparsifyError, SparsifyParams};
