@@ -5,11 +5,13 @@
 //! resistances `r_e` and a demand vector `χ`, find vertex potentials
 //! `φ = L† χ` for the Laplacian of conductances `1/r_e`, and route
 //! `f_e = (φ_u − φ_v)/r_e` on every edge. This module packages that
-//! reduction over [`crate::LaplacianSolver`].
+//! reduction over [`crate::LaplacianSolver`]. The IPMs keep one network
+//! per edge support and [`ElectricalNetwork::reweight`] it in place every
+//! step instead of building a new one.
 
 use cc_graph::Graph;
 use cc_model::Communicator;
-use cc_sparsify::{build_sparsifier_with_template, SparsifierTemplate};
+use cc_sparsify::{build_sparsifier_with_template, InstantiateScratch, SparsifierTemplate};
 
 use crate::{CoreError, LaplacianSolver, SolveWorkspace, SolverOptions};
 
@@ -19,7 +21,11 @@ use crate::{CoreError, LaplacianSolver, SolveWorkspace, SolverOptions};
 pub struct ElectricalNetwork {
     edges: Vec<(usize, usize, f64)>,
     resistances: Vec<f64>,
+    /// Conductances `1/r_e` — the weights of the solved graph.
+    conductances: Vec<f64>,
     solver: LaplacianSolver,
+    /// Template-instantiation buffers of [`ElectricalNetwork::reweight`].
+    scratch: InstantiateScratch,
 }
 
 /// Result of an electrical flow computation.
@@ -60,11 +66,7 @@ impl ElectricalNetwork {
     ) -> Result<Self, CoreError> {
         let g = conductance_graph(n, edges);
         let solver = LaplacianSolver::build(clique, &g, options)?;
-        Ok(Self {
-            edges: edges.iter().map(|&(u, v, _)| (u, v, 0.0)).collect(),
-            resistances: edges.iter().map(|&(_, _, r)| r).collect(),
-            solver,
-        })
+        Ok(Self::from_parts(edges, &g, solver))
     }
 
     /// Like [`ElectricalNetwork::build`], additionally returning a
@@ -89,19 +91,14 @@ impl ElectricalNetwork {
         let g = conductance_graph(n, edges);
         let (sparsifier, template) = build_sparsifier_with_template(clique, &g, &options.sparsify)?;
         let solver = LaplacianSolver::with_sparsifier(&g, sparsifier, options)?;
-        Ok((
-            Self {
-                edges: edges.iter().map(|&(u, v, _)| (u, v, 0.0)).collect(),
-                resistances: edges.iter().map(|&(_, _, r)| r).collect(),
-                solver,
-            },
-            template,
-        ))
+        Ok((Self::from_parts(edges, &g, solver), template))
     }
 
     /// Builds the network by instantiating a previously captured
     /// [`SparsifierTemplate`] for the new resistances — no expander
     /// re-decomposition, per-cluster certificates recomputed exactly.
+    /// This sizes a network; later steps on the same support refill it
+    /// with [`ElectricalNetwork::reweight`].
     ///
     /// # Errors
     ///
@@ -120,11 +117,58 @@ impl ElectricalNetwork {
         let g = conductance_graph(n, edges);
         let sparsifier = template.instantiate(clique, &g)?;
         let solver = LaplacianSolver::with_sparsifier(&g, sparsifier, options)?;
-        Ok(Self {
+        Ok(Self::from_parts(edges, &g, solver))
+    }
+
+    fn from_parts(edges: &[(usize, usize, f64)], g: &Graph, solver: LaplacianSolver) -> Self {
+        Self {
             edges: edges.iter().map(|&(u, v, _)| (u, v, 0.0)).collect(),
             resistances: edges.iter().map(|&(_, _, r)| r).collect(),
+            conductances: g.edges().iter().map(|e| e.weight).collect(),
             solver,
-        })
+            scratch: InstantiateScratch::default(),
+        }
+    }
+
+    /// Reweights the network in place for new resistances on the same
+    /// edge support (same endpoints in the same order), instantiating
+    /// `template` — the sparsifier template of that support. The
+    /// conductances `1/r` are written straight into the solved graph's
+    /// weights, the Laplacian and the preconditioner are refilled and
+    /// refactored over their fixed patterns, and no graph, sparsifier or
+    /// factor is rebuilt. The network is bitwise equal to
+    /// [`ElectricalNetwork::build_from_template`] on the same input and
+    /// charges the same rounds; once the network has been reweighted
+    /// once, a call allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ElectricalNetwork::build_from_template`]. The
+    /// network is then unusable until a later reweight succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge count differs from the network's, or a
+    /// resistance is not strictly positive and finite.
+    pub fn reweight<C: Communicator>(
+        &mut self,
+        clique: &mut C,
+        edges: &[(usize, usize, f64)],
+        template: &SparsifierTemplate,
+    ) -> Result<(), CoreError> {
+        assert_eq!(edges.len(), self.edges.len(), "edge support changed");
+        for ((&(u, v, r), slot), (res, cond)) in edges
+            .iter()
+            .zip(&self.edges)
+            .zip(self.resistances.iter_mut().zip(&mut self.conductances))
+        {
+            debug_assert_eq!((u, v), (slot.0, slot.1), "edge support changed");
+            check_resistance(r);
+            *res = r;
+            *cond = 1.0 / r;
+        }
+        self.solver
+            .reweight(clique, &self.conductances, template, &mut self.scratch)
     }
 
     /// Number of vertices.
@@ -140,6 +184,17 @@ impl ElectricalNetwork {
     /// The per-edge resistances.
     pub fn resistances(&self) -> &[f64] {
         &self.resistances
+    }
+
+    /// Certified approximation factor `α` of the preconditioning
+    /// sparsifier.
+    pub fn alpha(&self) -> f64 {
+        self.solver.sparsifier().alpha()
+    }
+
+    /// The Chebyshev condition bound `κ = α²` the solves use.
+    pub fn kappa(&self) -> f64 {
+        self.solver.kappa()
     }
 
     /// Computes the electrical flow for demand `chi` to solver accuracy
@@ -233,11 +288,15 @@ impl ElectricalNetwork {
 fn conductance_graph(n: usize, edges: &[(usize, usize, f64)]) -> Graph {
     let mut g = Graph::new(n);
     for &(u, v, r) in edges {
-        assert!(r > 0.0, "resistances must be positive, got {r}");
-        assert!(r.is_finite(), "resistances must be finite");
+        check_resistance(r);
         g.add_edge(u, v, 1.0 / r);
     }
     g
+}
+
+fn check_resistance(r: f64) {
+    assert!(r > 0.0, "resistances must be positive, got {r}");
+    assert!(r.is_finite(), "resistances must be finite");
 }
 
 #[cfg(test)]

@@ -1,9 +1,14 @@
 //! The Theorem 1.1 solver.
 
 use cc_graph::Graph;
-use cc_linalg::{chebyshev_iteration_bound, laplacian_from_edges, CsrMatrix, LaplacianNorm};
+use cc_linalg::{
+    chebyshev_iteration_bound, laplacian_from_edges, CsrMatrix, LaplacianNorm, LaplacianPattern,
+};
 use cc_model::{decode_f64, encode_f64, Communicator, ModelError};
-use cc_sparsify::{build_sparsifier, SparsifierSolver, SparsifyParams, SpectralSparsifier};
+use cc_sparsify::{
+    build_sparsifier, InstantiateScratch, SparsifierSolver, SparsifierTemplate, SparsifyParams,
+    SpectralSparsifier,
+};
 
 use crate::CoreError;
 
@@ -111,6 +116,8 @@ pub struct LaplacianSolver {
     exact: std::cell::OnceCell<cc_linalg::GroundedCholesky>,
     skip_reference: bool,
     kappa: f64,
+    /// Assembly layout of `laplacian`, recorded on the first reweight.
+    pattern: Option<LaplacianPattern>,
 }
 
 impl LaplacianSolver {
@@ -151,6 +158,7 @@ impl LaplacianSolver {
             sparsifier,
             inner,
             exact: std::cell::OnceCell::new(),
+            pattern: None,
         })
     }
 
@@ -191,7 +199,59 @@ impl LaplacianSolver {
             sparsifier,
             inner,
             exact: std::cell::OnceCell::new(),
+            pattern: None,
         })
+    }
+
+    /// Reweights the solver in place for new weights on the same graph
+    /// support (`weights[e]` for edge `e` of the graph it was built
+    /// from), instantiating `template` — the sparsifier template of that
+    /// support — into the solver's sparsifier. Everything keyed to the
+    /// support is kept: the Laplacian's pattern and components, the
+    /// sparsifier's edge layout and the preconditioner's symbolic
+    /// factorization. Only values are rewritten, in the operation order
+    /// of a fresh [`SparsifierTemplate::instantiate`] plus
+    /// [`LaplacianSolver::with_sparsifier`], so the solver is bitwise
+    /// equal to such a rebuild. Rounds charged: the instantiation's.
+    /// After the first call has recorded the assembly layouts, the call
+    /// allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Sparsify`] if the instantiation fails,
+    /// [`CoreError::Factorization`] if the preconditioner does not
+    /// factor. The solver is then unusable until a later reweight
+    /// succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` differs from the edge count, a weight is
+    /// zero, or the template's support differs from the graph's.
+    pub(crate) fn reweight<C: Communicator>(
+        &mut self,
+        clique: &mut C,
+        weights: &[f64],
+        template: &SparsifierTemplate,
+        scratch: &mut InstantiateScratch,
+    ) -> Result<(), CoreError> {
+        assert_eq!(weights.len(), self.edges.len(), "one weight per edge");
+        template.instantiate_into(clique, weights, &mut self.sparsifier, scratch)?;
+        self.inner.refactor(&self.sparsifier)?;
+        for (edge, &w) in self.edges.iter_mut().zip(weights) {
+            edge.2 = w;
+        }
+        let pattern = self
+            .pattern
+            .get_or_insert_with(|| LaplacianPattern::new(self.n, &self.edges));
+        // Graph weights are positive (conductances of finite resistances),
+        // so the assembled pattern cannot change.
+        assert!(
+            pattern.refill(|e| weights[e], &mut self.laplacian),
+            "graph weights must be positive"
+        );
+        self.kappa = self.sparsifier.kappa();
+        self.exact = std::cell::OnceCell::new();
+        Ok(())
     }
 
     /// Number of vertices of the solved graph.

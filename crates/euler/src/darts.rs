@@ -209,8 +209,8 @@ impl CycleSummary {
 
     /// Packs the summary into message words (5 words: the "constant number
     /// of designated messages" per token of the paper's contraction).
-    pub fn to_words(&self) -> Vec<u64> {
-        vec![
+    pub fn to_words(&self) -> [u64; 5] {
+        [
             self.max_edge as u64,
             self.has_canonical_of_max as u64,
             cc_model::encode_i64(self.cost),

@@ -29,7 +29,11 @@
 //! maximal matching, keeping the higher-ID endpoint of every matched link
 //! (≤ half survive, ≤ 3 consecutive non-survivors), and splicing
 //! successor pointers with 4+4 routed token steps; a reverse sweep then
-//! broadcasts every cycle leader's verdict back to all darts.
+//! broadcasts every cycle leader's verdict back to all darts. The contraction
+//! keeps its per-dart state in dense arrays sized once per orientation
+//! and walks only the shrinking list of darts still in a contracted
+//! cycle, so its own bookkeeping costs little next to the routed
+//! messages.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

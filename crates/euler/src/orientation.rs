@@ -140,7 +140,17 @@ pub fn orient_trails<C: Communicator>(
     orient_trails_with_strategy(clique, g, criterion, MarkingStrategy::Deterministic)
 }
 
+/// Marks "no token here" in [`Contraction`]'s token-position arrays.
+const NO_TOKEN: usize = usize::MAX;
+
 /// Per-dart contraction state plus the routed message pattern.
+///
+/// Every per-dart array is dense, sized once and kept across
+/// iterations; per-iteration work walks `live`, the ascending list of
+/// darts still in a contracted cycle of length ≥ 2, which shrinks as
+/// darts are absorbed or settle. A dart's per-iteration scratch
+/// (marks, colors, matching flags, token slots) is only ever read at
+/// live darts, so it is reset there and nowhere else.
 struct Contraction<'a, C: Communicator> {
     clique: &'a mut C,
     darts: &'a DartStructure,
@@ -152,8 +162,34 @@ struct Contraction<'a, C: Communicator> {
     pred: Vec<DartId>,
     summary: Vec<CycleSummary>,
     verdict: Vec<Option<bool>>,
-    /// `records[i]` = (absorbed dart, collector) pairs of iteration `i`.
-    records: Vec<Vec<(DartId, DartId)>>,
+    /// Active darts with `succ[d] != d`, ascending.
+    live: Vec<DartId>,
+    marked: Vec<bool>,
+    /// Cole–Vishkin colors, and the next round's (or a snapshot).
+    color: Vec<u64>,
+    color_next: Vec<u64>,
+    matched: Vec<bool>,
+    matched_link: Vec<bool>,
+    /// Token index at each dart position this hop / next hop.
+    token_at: Vec<usize>,
+    token_next: Vec<usize>,
+    /// Per token: the marked dart that launched it and the summary of
+    /// the darts it absorbed so far.
+    token_origin: Vec<DartId>,
+    token_acc: Vec<Option<CycleSummary>>,
+    /// `(arrival dart, token)` in arrival order.
+    arrived: Vec<(DartId, usize)>,
+    /// `(arrival dart, origin)` acknowledgements of the iteration.
+    acks: Vec<(DartId, DartId)>,
+    /// `(absorbed dart, collector)` pairs of every iteration, flat;
+    /// iteration `i` is `records[record_ends[i - 1]..record_ends[i]]`.
+    records: Vec<(DartId, DartId)>,
+    record_ends: Vec<usize>,
+    /// One-word and token-hop (origin + summary) message staging.
+    msgs: Vec<(DartId, DartId, [u64; 1])>,
+    hop_msgs: Vec<(DartId, DartId, [u64; 6])>,
+    /// Messages per host, for exact outbox capacities.
+    host_counts: Vec<usize>,
     strategy: MarkingStrategy,
     iteration: u64,
 }
@@ -182,50 +218,80 @@ impl<'a, C: Communicator> Contraction<'a, C> {
             pred: (0..nd).map(|d| darts.pred(d)).collect(),
             summary,
             verdict: vec![None; nd],
+            live: Vec::with_capacity(nd),
+            marked: vec![false; nd],
+            color: vec![0; nd],
+            color_next: vec![0; nd],
+            matched: vec![false; nd],
+            matched_link: vec![false; nd],
+            token_at: vec![NO_TOKEN; nd],
+            token_next: vec![NO_TOKEN; nd],
+            token_origin: Vec::new(),
+            token_acc: Vec::new(),
+            arrived: Vec::new(),
+            acks: Vec::new(),
             records: Vec::new(),
+            record_ends: Vec::new(),
+            msgs: Vec::new(),
+            hop_msgs: Vec::new(),
+            host_counts: Vec::new(),
             strategy,
             iteration: 0,
         }
     }
 
-    fn host(&self, d: DartId) -> NodeId {
-        self.darts.head(d)
-    }
-
-    /// Routes one word-vector per (src dart → dst dart) message and charges
-    /// the corresponding rounds.
-    fn route(&mut self, msgs: Vec<(DartId, DartId, Words)>) -> Result<(), EulerError> {
+    /// Routes the staged `(src dart, dst dart, payload)` messages and
+    /// charges the corresponding rounds: one outbox row per host, one
+    /// message per entry whose first word addresses the target dart
+    /// within its host. No call is made when nothing is staged.
+    fn route<const W: usize>(
+        clique: &mut C,
+        darts: &DartStructure,
+        host_counts: &mut Vec<usize>,
+        msgs: &[(DartId, DartId, [u64; W])],
+    ) -> Result<(), EulerError> {
         if msgs.is_empty() {
             return Ok(());
         }
-        let mut outboxes: Vec<Vec<(NodeId, Words)>> = vec![Vec::new(); self.clique.n()];
-        for (src, dst, mut payload) in msgs {
-            // First word addresses the target dart within its host.
-            let mut words = vec![dst as u64];
-            words.append(&mut payload);
-            outboxes[self.host(src)].push((self.host(dst), words));
+        host_counts.clear();
+        host_counts.resize(clique.n(), 0);
+        for &(src, _, _) in msgs {
+            host_counts[darts.head(src)] += 1;
         }
-        self.clique.route(outboxes)?;
+        let mut outboxes: Vec<Vec<(NodeId, Words)>> =
+            host_counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for &(src, dst, payload) in msgs {
+            let mut words = Vec::with_capacity(1 + W);
+            words.push(dst as u64);
+            words.extend_from_slice(&payload);
+            outboxes[darts.head(src)].push((darts.head(dst), words));
+        }
+        clique.route(outboxes)?;
         Ok(())
     }
 
-    fn live_darts(&self) -> Vec<DartId> {
-        (0..self.darts.dart_count())
-            .filter(|&d| self.active[d] && self.succ[d] != d)
-            .collect()
+    /// Routes the staged one-word messages.
+    fn route_msgs(&mut self) -> Result<(), EulerError> {
+        Self::route(self.clique, self.darts, &mut self.host_counts, &self.msgs)
     }
 
-    /// Settles self-loop darts: they are cycle leaders and decide.
+    /// Settles the live darts that closed into self-loops (they are cycle
+    /// leaders and decide), then drops every retired dart from `live`.
     fn settle_leaders(&mut self) {
-        for d in 0..self.darts.dart_count() {
+        for &d in &self.live {
             if self.active[d] && self.succ[d] == d && self.verdict[d].is_none() {
                 self.verdict[d] = Some(self.criterion.wins(&self.summary[d]));
                 self.active[d] = false;
             }
         }
+        let active = &self.active;
+        self.live.retain(|&d| active[d]);
     }
 
     fn run(&mut self) -> Result<(), EulerError> {
+        // Every dart starts active; the first settle retires the ones
+        // that already close into a self-loop.
+        self.live.extend(0..self.darts.dart_count());
         self.settle_leaders();
         let mut guard = 0usize;
         // Deterministic marking halves every cycle per iteration; the
@@ -234,32 +300,30 @@ impl<'a, C: Communicator> Contraction<'a, C> {
             MarkingStrategy::Deterministic => 2 * usize::BITS as usize,
             MarkingStrategy::Randomized { .. } => 64 * usize::BITS as usize,
         };
-        loop {
-            let live = self.live_darts();
-            if live.is_empty() {
-                break;
-            }
+        while !self.live.is_empty() {
             guard += 1;
             assert!(guard <= max_iters, "contraction failed to converge");
-            self.contract_once(&live)?;
+            self.contract_once()?;
             self.settle_leaders();
         }
         self.reverse_sweep()
     }
 
-    /// One iteration: color, match, mark, splice.
-    fn contract_once(&mut self, live: &[DartId]) -> Result<(), EulerError> {
+    /// One iteration over the live darts: color, match, mark, splice.
+    fn contract_once(&mut self) -> Result<(), EulerError> {
         self.iteration += 1;
-        let mut marked: Vec<bool> = vec![false; self.darts.dart_count()];
+        for &d in &self.live {
+            self.marked[d] = false;
+        }
         match self.strategy {
             MarkingStrategy::Deterministic => {
-                let colors = self.three_color(live)?;
-                let matched_link = self.maximal_matching(live, &colors)?;
+                self.three_color()?;
+                self.maximal_matching()?;
                 // Mark the higher-id endpoint of every matched link;
                 // unmatched darts stay unmarked (paper step 2a).
-                for &d in live {
-                    if matched_link[d] {
-                        marked[d.max(self.succ[d])] = true;
+                for &d in &self.live {
+                    if self.matched_link[d] {
+                        self.marked[d.max(self.succ[d])] = true;
                     }
                 }
             }
@@ -278,124 +342,136 @@ impl<'a, C: Communicator> Contraction<'a, C> {
                     h ^= h >> 29;
                     h
                 };
-                let msgs: Vec<(DartId, DartId, Words)> = live
-                    .iter()
-                    .map(|&d| (d, self.succ[d], vec![coin(d)]))
-                    .collect();
-                self.route(msgs)?;
-                for &d in live {
+                self.msgs.clear();
+                self.msgs
+                    .extend(self.live.iter().map(|&d| (d, self.succ[d], [coin(d)])));
+                self.route_msgs()?;
+                for &d in &self.live {
                     let (c, cp, cs) = (coin(d), coin(self.pred[d]), coin(self.succ[d]));
                     // Strict local maximum (ties broken by dart id).
                     if (c, d) > (cp, self.pred[d]) && (c, d) > (cs, self.succ[d]) {
-                        marked[d] = true;
+                        self.marked[d] = true;
                     }
                 }
             }
         }
-        // Token forward pass: each marked dart launches a token that walks
-        // forward over unmarked darts (≤ 3 of them) to the next marked
-        // dart, collecting absorbed ids and summaries (4 routed steps).
-        #[derive(Clone)]
-        struct Token {
-            origin: DartId,
-            absorbed: Vec<DartId>,
-            acc: Option<CycleSummary>,
+        let token_hops = self.walk_tokens()?;
+        // Arrivals: splice pointers, merge summaries, record absorption.
+        self.acks.clear();
+        for &(m, t) in &self.arrived {
+            // m absorbs the darts between its new predecessor and itself:
+            // the token's walk from its origin along the (not yet
+            // spliced) successor chain.
+            let (origin, acc) = (self.token_origin[t], self.token_acc[t]);
+            let mut s = acc.unwrap_or(self.summary[m]);
+            if acc.is_some() {
+                s.merge(&self.summary[m]);
+            }
+            self.summary[m] = s;
+            let mut u = self.succ[origin];
+            while u != m {
+                self.active[u] = false;
+                self.records.push((u, m));
+                u = self.succ[u];
+            }
+            self.pred[m] = origin;
+            // Ack back to the origin so it learns its new successor.
+            self.acks.push((m, origin));
         }
-        let mut at: std::collections::BTreeMap<DartId, Token> = live
-            .iter()
-            .filter(|&&d| marked[d])
-            .map(|&d| {
-                (
-                    self.succ[d],
-                    Token {
-                        origin: d,
-                        absorbed: Vec::new(),
-                        acc: None,
-                    },
-                )
-            })
-            .collect();
-        // Charge the launch hop.
-        let launch: Vec<(DartId, DartId, Words)> = live
-            .iter()
-            .filter(|&&d| marked[d])
-            .map(|&d| (d, self.succ[d], vec![d as u64]))
-            .collect();
-        self.route(launch)?;
-        let mut arrived: Vec<(DartId, Token)> = Vec::new();
+        self.record_ends.push(self.records.len());
+        // The ack retraces the forward walk (hops along the old chain,
+        // charged as one message per hop).
+        self.msgs.clear();
+        self.msgs
+            .extend(self.acks.iter().map(|&(m, origin)| (m, origin, [m as u64])));
+        for _ in 0..token_hops.max(1) {
+            self.route_msgs()?;
+        }
+        // Rebuild succ from pred among still-active darts.
+        for &d in &self.live {
+            if self.active[d] {
+                let p = self.pred[d];
+                self.succ[p] = d;
+            }
+        }
+        Ok(())
+    }
+
+    /// Token forward pass: each marked dart launches a token that walks
+    /// forward over unmarked darts (≤ 3 of them under deterministic
+    /// marking) to the next marked dart, collecting summaries (one routed
+    /// step per hop). Fills `arrived` and returns the hop count.
+    fn walk_tokens(&mut self) -> Result<usize, EulerError> {
+        self.token_origin.clear();
+        self.token_acc.clear();
+        self.arrived.clear();
+        self.msgs.clear();
+        for &d in &self.live {
+            if self.marked[d] {
+                self.token_at[self.succ[d]] = self.token_origin.len();
+                self.token_origin.push(d);
+                self.token_acc.push(None);
+                // Charge the launch hop.
+                self.msgs.push((d, self.succ[d], [d as u64]));
+            }
+        }
+        self.route_msgs()?;
         // Deterministic marking guarantees gaps ≤ 3 (4 hops); randomized
         // marking walks until every token has arrived.
         let max_hops = match self.strategy {
             MarkingStrategy::Deterministic => 4,
             MarkingStrategy::Randomized { .. } => 4 * self.darts.dart_count() + 4,
         };
+        let mut in_flight = self.token_origin.len();
         let mut hops = 0usize;
-        while !at.is_empty() {
+        while in_flight > 0 {
             hops += 1;
             assert!(hops <= max_hops, "a token failed to reach a marked dart");
-            let mut next: std::collections::BTreeMap<DartId, Token> =
-                std::collections::BTreeMap::new();
-            let mut msgs: Vec<(DartId, DartId, Words)> = Vec::new();
-            for (pos, mut tok) in std::mem::take(&mut at) {
-                if marked[pos] {
-                    arrived.push((pos, tok));
+            self.hop_msgs.clear();
+            // Tokens move in ascending order of their current position.
+            for &pos in &self.live {
+                let t = std::mem::replace(&mut self.token_at[pos], NO_TOKEN);
+                if t == NO_TOKEN {
+                    continue;
+                }
+                if self.marked[pos] {
+                    self.arrived.push((pos, t));
+                    in_flight -= 1;
                     continue;
                 }
                 // Unmarked dart absorbs into the token and forwards it.
-                tok.absorbed.push(pos);
-                match &mut tok.acc {
-                    Some(acc) => acc.merge(&self.summary[pos]),
-                    None => tok.acc = Some(self.summary[pos]),
-                }
-                let mut payload = vec![tok.origin as u64];
-                payload.extend(tok.acc.as_ref().expect("just set").to_words());
-                msgs.push((pos, self.succ[pos], payload));
-                next.insert(self.succ[pos], tok);
+                let acc = match &mut self.token_acc[t] {
+                    Some(acc) => {
+                        acc.merge(&self.summary[pos]);
+                        *acc
+                    }
+                    slot => *slot.insert(self.summary[pos]),
+                };
+                let mut payload = [0u64; 6];
+                payload[0] = self.token_origin[t] as u64;
+                payload[1..].copy_from_slice(&acc.to_words());
+                let next = self.succ[pos];
+                self.hop_msgs.push((pos, next, payload));
+                self.token_next[next] = t;
             }
-            self.route(msgs)?;
-            at = next;
+            Self::route(
+                self.clique,
+                self.darts,
+                &mut self.host_counts,
+                &self.hop_msgs,
+            )?;
+            std::mem::swap(&mut self.token_at, &mut self.token_next);
         }
-        let token_hops = hops;
-        // Arrivals: splice pointers, merge summaries, record absorption.
-        let mut record = Vec::new();
-        let mut acks: Vec<(DartId, DartId, Words)> = Vec::new();
-        for (m, tok) in arrived {
-            // m absorbs the darts between its new predecessor and itself.
-            let mut s = tok.acc.unwrap_or(self.summary[m]);
-            if tok.acc.is_some() {
-                s.merge(&self.summary[m]);
-            }
-            self.summary[m] = s;
-            for &u in &tok.absorbed {
-                self.active[u] = false;
-                record.push((u, m));
-            }
-            self.pred[m] = tok.origin;
-            // Ack back to the origin so it learns its new successor
-            // (4 routed hops along the old chain; charged as one message —
-            // the hops retrace the forward path).
-            acks.push((m, tok.origin, vec![m as u64]));
-        }
-        // The ack retraces the forward walk; charge the same hop count.
-        for _ in 0..token_hops.max(1) {
-            self.route(acks.clone())?;
-        }
-        // Rebuild succ from pred among still-active darts.
-        let nd = self.darts.dart_count();
-        for d in 0..nd {
-            if self.active[d] {
-                let p = self.pred[d];
-                self.succ[p] = d;
-            }
-        }
-        self.records.push(record);
-        Ok(())
+        Ok(hops)
     }
 
-    /// Cole–Vishkin 3-coloring of the live (directed) cycles.
-    fn three_color(&mut self, live: &[DartId]) -> Result<Vec<u64>, EulerError> {
+    /// Cole–Vishkin 3-coloring of the live (directed) cycles, into
+    /// `color`.
+    fn three_color(&mut self) -> Result<(), EulerError> {
         let nd = self.darts.dart_count();
-        let mut color: Vec<u64> = (0..nd as u64).collect();
+        for &d in &self.live {
+            self.color[d] = d as u64;
+        }
         let mut max_color = (nd as u64).max(2);
         // Deterministic iteration count: apply the CV reduction until the
         // color space is ≤ 6 (computable from nd alone, so every node
@@ -403,110 +479,111 @@ impl<'a, C: Communicator> Contraction<'a, C> {
         while max_color > 6 {
             // Each dart sends its color to its successor (the successor
             // reduces against its predecessor's color).
-            let msgs: Vec<(DartId, DartId, Words)> = live
-                .iter()
-                .map(|&d| (d, self.succ[d], vec![color[d]]))
-                .collect();
-            self.route(msgs)?;
-            let mut next = color.clone();
-            for &d in live {
-                let mine = color[d];
-                let pred_color = color[self.pred[d]];
+            self.msgs.clear();
+            self.msgs.extend(
+                self.live
+                    .iter()
+                    .map(|&d| (d, self.succ[d], [self.color[d]])),
+            );
+            self.route_msgs()?;
+            for &d in &self.live {
+                let mine = self.color[d];
+                let pred_color = self.color[self.pred[d]];
                 // Lowest bit index where the colors differ (they do differ:
                 // the coloring stays proper under CV).
                 let diff = mine ^ pred_color;
                 let i = diff.trailing_zeros() as u64;
-                next[d] = 2 * i + ((mine >> i) & 1);
+                self.color_next[d] = 2 * i + ((mine >> i) & 1);
             }
-            color = next;
+            std::mem::swap(&mut self.color, &mut self.color_next);
             let bits = 64 - (max_color - 1).leading_zeros() as u64;
             max_color = 2 * bits; // new colors are < 2·(bit count)
         }
         // Reduce {0..5} to {0..2}: three shift-down rounds.
         for c in (3..6).rev() {
             // Every dart ships its color to both neighbors.
-            let msgs: Vec<(DartId, DartId, Words)> = live
-                .iter()
-                .flat_map(|&d| {
-                    vec![
-                        (d, self.succ[d], vec![color[d]]),
-                        (d, self.pred[d], vec![color[d]]),
-                    ]
-                })
-                .collect();
-            self.route(msgs)?;
-            let snapshot = color.clone();
-            for &d in live {
+            self.msgs.clear();
+            for &d in &self.live {
+                self.msgs.push((d, self.succ[d], [self.color[d]]));
+                self.msgs.push((d, self.pred[d], [self.color[d]]));
+            }
+            self.route_msgs()?;
+            // Recolor against a snapshot of this round's colors.
+            for &d in &self.live {
+                self.color_next[d] = self.color[d];
+            }
+            let snapshot = &self.color_next;
+            for &d in &self.live {
                 if snapshot[d] == c {
                     let a = snapshot[self.pred[d]];
                     let b = snapshot[self.succ[d]];
-                    color[d] = (0..3)
+                    self.color[d] = (0..3)
                         .find(|x| *x != a && *x != b)
                         .expect("3 colors suffice");
                 }
             }
         }
-        debug_assert!(live.iter().all(|&d| color[d] < 3));
-        debug_assert!(live
+        debug_assert!(self.live.iter().all(|&d| self.color[d] < 3));
+        debug_assert!(self
+            .live
             .iter()
-            .all(|&d| color[d] != color[self.succ[d]] || self.succ[d] == d));
-        Ok(color)
+            .all(|&d| self.color[d] != self.color[self.succ[d]] || self.succ[d] == d));
+        Ok(())
     }
 
-    /// Maximal matching on the links of the live cycles from a 3-coloring:
-    /// three propose/accept subphases (2 routed rounds each).
-    fn maximal_matching(
-        &mut self,
-        live: &[DartId],
-        colors: &[u64],
-    ) -> Result<Vec<bool>, EulerError> {
-        let nd = self.darts.dart_count();
-        let mut matched_link = vec![false; nd];
-        let mut matched = vec![false; nd];
+    /// Maximal matching on the links of the live cycles from the
+    /// 3-coloring in `color`, into `matched_link`: three propose/accept
+    /// subphases (2 routed rounds each).
+    fn maximal_matching(&mut self) -> Result<(), EulerError> {
+        for &d in &self.live {
+            self.matched_link[d] = false;
+            self.matched[d] = false;
+        }
         for c in 0..3u64 {
             // Propose.
-            let proposals: Vec<DartId> = live
-                .iter()
-                .copied()
-                .filter(|&d| colors[d] == c && !matched[d] && !matched[self.succ[d]])
-                .collect();
-            let msgs: Vec<(DartId, DartId, Words)> = proposals
-                .iter()
-                .map(|&d| (d, self.succ[d], vec![d as u64]))
-                .collect();
-            self.route(msgs)?;
-            // Accept (a dart has a unique predecessor, so no conflicts) and
-            // reply.
-            let mut replies = Vec::new();
-            for &d in &proposals {
-                let s = self.succ[d];
-                if !matched[s] && s != d {
-                    matched_link[d] = true;
-                    matched[d] = true;
-                    matched[s] = true;
-                    replies.push((s, d, vec![1u64]));
+            self.msgs.clear();
+            for &d in &self.live {
+                if self.color[d] == c && !self.matched[d] && !self.matched[self.succ[d]] {
+                    self.msgs.push((d, self.succ[d], [d as u64]));
                 }
             }
-            self.route(replies)?;
+            self.route_msgs()?;
+            // Accept (a dart has a unique predecessor, so no conflicts) and
+            // reply. The replies overwrite the proposals in place: each
+            // proposal yields at most one reply, written at or before its
+            // own slot.
+            let mut replies = 0;
+            for i in 0..self.msgs.len() {
+                let d = self.msgs[i].0;
+                let s = self.succ[d];
+                if !self.matched[s] && s != d {
+                    self.matched_link[d] = true;
+                    self.matched[d] = true;
+                    self.matched[s] = true;
+                    self.msgs[replies] = (s, d, [1]);
+                    replies += 1;
+                }
+            }
+            self.msgs.truncate(replies);
+            self.route_msgs()?;
         }
-        Ok(matched_link)
+        Ok(())
     }
 
     /// Reverse sweep: verdicts flow from leaders back through the recorded
     /// absorptions (one routed step per contraction iteration).
     fn reverse_sweep(&mut self) -> Result<(), EulerError> {
-        let records = std::mem::take(&mut self.records);
-        for record in records.into_iter().rev() {
-            let msgs: Vec<(DartId, DartId, Words)> = record
-                .iter()
-                .map(|&(u, collector)| {
-                    let v = self.verdict[collector]
-                        .expect("collector verdict must be settled before its absorbed darts");
-                    (collector, u, vec![v as u64])
-                })
-                .collect();
-            self.route(msgs)?;
-            for (u, collector) in record {
+        for it in (0..self.record_ends.len()).rev() {
+            let start = if it == 0 { 0 } else { self.record_ends[it - 1] };
+            let record = &self.records[start..self.record_ends[it]];
+            self.msgs.clear();
+            for &(u, collector) in record {
+                let v = self.verdict[collector]
+                    .expect("collector verdict must be settled before its absorbed darts");
+                self.msgs.push((collector, u, [v as u64]));
+            }
+            self.route_msgs()?;
+            for &(u, collector) in &self.records[start..self.record_ends[it]] {
                 self.verdict[u] = self.verdict[collector];
             }
         }

@@ -80,26 +80,6 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
     Graph::from_edges(rows * cols, &edges)
 }
 
-/// Hypercube graph on `2^dim` vertices, unit weights.
-///
-/// # Panics
-///
-/// Panics if `dim == 0` or `dim > 20`.
-pub fn hypercube(dim: usize) -> Graph {
-    assert!((1..=20).contains(&dim));
-    let n = 1usize << dim;
-    let mut edges = Vec::new();
-    for v in 0..n {
-        for b in 0..dim {
-            let u = v ^ (1 << b);
-            if v < u {
-                edges.push((v, u, 1.0));
-            }
-        }
-    }
-    Graph::from_edges(n, &edges)
-}
-
 /// Circulant graph: vertex `i` connected to `i ± o` for each offset `o`.
 /// With offsets `{1, 2, 4, …}` this is a standard deterministic expander
 /// family used as a well-conditioned workload.
@@ -157,27 +137,6 @@ pub fn barbell(k: usize) -> Graph {
     }
     edges.push((k - 1, k, 1.0));
     Graph::from_edges(2 * k, &edges)
-}
-
-/// Uniform random graph with `m` distinct edges (no parallels), unit
-/// weights. Connectivity is *not* guaranteed.
-///
-/// # Panics
-///
-/// Panics if `m` exceeds the number of vertex pairs.
-pub fn random_gnm(n: usize, m: usize, seed: u64) -> Graph {
-    assert!(m <= n * (n - 1) / 2, "too many edges requested");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut chosen = std::collections::BTreeSet::new();
-    while chosen.len() < m {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        if u != v {
-            chosen.insert((u.min(v), u.max(v)));
-        }
-    }
-    let edges: Vec<_> = chosen.into_iter().map(|(u, v)| (u, v, 1.0)).collect();
-    Graph::from_edges(n, &edges)
 }
 
 /// Connected random graph: a random recursive spanning tree plus
@@ -375,9 +334,6 @@ mod tests {
         assert_eq!(g.n(), 12);
         assert_eq!(g.m(), 3 * 3 + 2 * 4);
         assert!(g.is_connected());
-        let h = hypercube(4);
-        assert_eq!(h.n(), 16);
-        assert!((0..16).all(|v| h.degree(v) == 4));
     }
 
     #[test]
@@ -428,12 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn random_gnm_has_exact_edge_count() {
-        let g = random_gnm(10, 17, 7);
-        assert_eq!(g.m(), 17);
-    }
-
-    #[test]
     fn random_eulerian_has_even_degrees() {
         for seed in 0..5 {
             let g = random_eulerian(12, 4, seed);
@@ -475,19 +425,6 @@ mod tests {
     fn expander_has_positive_exhaustive_conductance() {
         let g = expander(12);
         assert!(g.conductance_exact() > 0.2, "expander family must expand");
-    }
-
-    #[test]
-    fn hypercube_is_bipartite_balanced() {
-        let g = hypercube(3);
-        // 2-color by parity of popcount: no edge within a class.
-        for e in g.edges() {
-            assert_ne!(
-                (e.u.count_ones() % 2),
-                (e.v.count_ones() % 2),
-                "hypercube edges flip exactly one bit"
-            );
-        }
     }
 
     #[test]

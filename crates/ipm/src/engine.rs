@@ -8,6 +8,16 @@ use cc_sparsify::{SparsifierTemplate, TemplateCache, TemplateKey};
 
 use crate::{EngineStats, IpmError};
 
+/// How a build obtained its sparsifier (for the per-stage counters).
+enum Reuse {
+    /// A full construction (reuse disabled, or the capturing first build).
+    None,
+    /// The engine's own template.
+    Template,
+    /// A template from the shared cross-instance cache.
+    CacheHit,
+}
+
 /// Fixed chunk size of the engine's per-edge fan-outs. Decomposition
 /// depends only on the edge count, never the thread count, so results
 /// are bitwise identical at any parallelism level.
@@ -50,15 +60,21 @@ impl Default for EngineOptions {
 ///
 /// The adapter supplies the barrier gradient as a fill closure to
 /// [`BarrierEngine::resistances_into`], then builds and solves through
-/// the engine. In steady state (after the first iteration has sized
-/// every buffer) the resistance fan-out, [`BarrierEngine::flow_into`]
-/// and [`BarrierEngine::norm_roundtrip`] perform no heap allocation.
+/// the engine. The engine keeps one [`ElectricalNetwork`]: the first
+/// build sizes it, and every later build on the template path reweights
+/// it in place ([`ElectricalNetwork::reweight`]). In steady state (after
+/// the first iterations have sized every buffer) the resistance fan-out,
+/// [`BarrierEngine::build_network`], [`BarrierEngine::flow_into`] and
+/// [`BarrierEngine::norm_roundtrip`] perform no heap allocation.
 #[derive(Debug, Clone)]
 pub struct BarrierEngine<C: Communicator> {
     n: usize,
     options: EngineOptions,
     template: Option<SparsifierTemplate>,
     cache: Option<TemplateCache>,
+    /// The network of the last successful build (dropped on a failed
+    /// one, so the next build starts afresh).
+    net: Option<ElectricalNetwork>,
     ws: SolveWorkspace,
     resist: Vec<(usize, usize, f64)>,
     zeros: Vec<u64>,
@@ -75,6 +91,7 @@ impl<C: Communicator> BarrierEngine<C> {
             options,
             template: None,
             cache: None,
+            net: None,
             ws: SolveWorkspace::new(),
             resist: Vec::new(),
             zeros: Vec::new(),
@@ -161,23 +178,53 @@ impl<C: Communicator> BarrierEngine<C> {
         &self.resist
     }
 
-    /// Builds an electrical network from the current resistance buffer,
-    /// capturing a sparsifier template on the first build and
+    /// Builds the engine's electrical network from the current resistance
+    /// buffer, capturing a sparsifier template on the first build and
     /// instantiating it on later ones (when
-    /// [`EngineOptions::reuse_sparsifier`] is set). Rounds and build
-    /// counts are attributed to `stage`.
+    /// [`EngineOptions::reuse_sparsifier`] is set): the first such build
+    /// sizes the network, every later one reweights it in place. Rounds
+    /// and build counts are attributed to `stage`. Read the result with
+    /// [`BarrierEngine::network`]; [`BarrierEngine::flow_into`] solves on
+    /// it.
     ///
     /// # Errors
     ///
     /// [`IpmError::InvalidResistance`] / [`IpmError::EndpointOutOfRange`]
     /// if the barrier gradient produced a malformed edge (reported
     /// instead of panicking in the library path), and [`IpmError::Core`]
-    /// if solver construction fails.
-    pub fn build_network(
-        &mut self,
-        clique: &mut C,
-        stage: &'static str,
-    ) -> Result<ElectricalNetwork, IpmError> {
+    /// if solver construction fails. On any error the engine holds no
+    /// network until the next successful build.
+    pub fn build_network(&mut self, clique: &mut C, stage: &'static str) -> Result<(), IpmError> {
+        let checked = self.check_resistances();
+        let before = clique.ledger().total_rounds();
+        let built = checked.and_then(|()| self.build(clique));
+        let reused = match built {
+            Ok(reused) => reused,
+            Err(e) => {
+                self.net = None;
+                return Err(e);
+            }
+        };
+        let net = self
+            .net
+            .as_ref()
+            .expect("a successful build leaves a network");
+        self.stats.record_build(net.alpha(), net.kappa());
+        let stage = self.stats.stage_mut(stage);
+        match reused {
+            Reuse::None => stage.builds += 1,
+            Reuse::Template => stage.template_reuses += 1,
+            Reuse::CacheHit => {
+                stage.template_reuses += 1;
+                stage.template_cache_hits += 1;
+            }
+        }
+        stage.rounds += clique.ledger().total_rounds() - before;
+        Ok(())
+    }
+
+    /// Rejects a malformed resistance buffer before any build work.
+    fn check_resistances(&self) -> Result<(), IpmError> {
         for (index, &(a, b, r)) in self.resist.iter().enumerate() {
             if !(r.is_finite() && r > 0.0) {
                 return Err(IpmError::InvalidResistance { index, value: r });
@@ -191,70 +238,69 @@ impl<C: Communicator> BarrierEngine<C> {
                 });
             }
         }
-        let before = clique.ledger().total_rounds();
-        let (net, reused, cache_hit) = if !self.options.reuse_sparsifier {
-            let net = ElectricalNetwork::build(clique, self.n, &self.resist, &self.options.solver)?;
-            (net, false, false)
-        } else if let Some(template) = &self.template {
-            let net = ElectricalNetwork::build_from_template(
-                clique,
-                self.n,
-                &self.resist,
-                template,
-                &self.options.solver,
-            )?;
-            (net, true, false)
-        } else if let Some(template) = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.get(&TemplateKey::for_support(self.n, &self.resist)))
-        {
+        Ok(())
+    }
+
+    /// Leaves the network for the current resistances in `self.net`,
+    /// reporting how the sparsifier was obtained.
+    fn build(&mut self, clique: &mut C) -> Result<Reuse, IpmError> {
+        let (n, options) = (self.n, &self.options.solver);
+        if !self.options.reuse_sparsifier {
+            self.net = Some(ElectricalNetwork::build(clique, n, &self.resist, options)?);
+            return Ok(Reuse::None);
+        }
+        if let Some(template) = &self.template {
+            match &mut self.net {
+                Some(net) => net.reweight(clique, &self.resist, template)?,
+                None => {
+                    self.net = Some(ElectricalNetwork::build_from_template(
+                        clique,
+                        n,
+                        &self.resist,
+                        template,
+                        options,
+                    )?);
+                }
+            }
+            return Ok(Reuse::Template);
+        }
+        let key = TemplateKey::for_support(n, &self.resist);
+        if let Some(template) = self.cache.as_ref().and_then(|c| c.get(&key)) {
             // Cross-instance hit: another run on the same support already
             // paid for the decomposition. Instantiation recertifies the
             // per-cluster bounds for the current weights, so correctness
             // never depends on what the cache holds.
             let net = ElectricalNetwork::build_from_template(
                 clique,
-                self.n,
+                n,
                 &self.resist,
                 &template,
-                &self.options.solver,
+                options,
             )?;
             self.template = Some(template);
-            (net, true, true)
-        } else {
-            let (net, template) = ElectricalNetwork::build_capturing(
-                clique,
-                self.n,
-                &self.resist,
-                &self.options.solver,
-            )?;
-            if let Some(cache) = &self.cache {
-                cache.insert(
-                    TemplateKey::for_support(self.n, &self.resist),
-                    template.clone(),
-                );
-            }
-            self.template = Some(template);
-            (net, false, false)
-        };
-        let stage = self.stats.stage_mut(stage);
-        if reused {
-            stage.template_reuses += 1;
-        } else {
-            stage.builds += 1;
+            self.net = Some(net);
+            return Ok(Reuse::CacheHit);
         }
-        if cache_hit {
-            stage.template_cache_hits += 1;
+        let (net, template) = ElectricalNetwork::build_capturing(clique, n, &self.resist, options)?;
+        if let Some(cache) = &self.cache {
+            cache.insert(key, template.clone());
         }
-        stage.rounds += clique.ledger().total_rounds() - before;
-        Ok(net)
+        self.template = Some(template);
+        self.net = Some(net);
+        Ok(Reuse::None)
     }
 
-    /// Computes the electrical flow for demand `chi` into the reused
-    /// buffer `out`, through the engine's [`SolveWorkspace`] — the
-    /// allocation-free twin of [`ElectricalNetwork::flow`], with rounds,
-    /// solve count and Chebyshev iterations attributed to `stage`.
+    /// The network of the last successful [`BarrierEngine::build_network`]
+    /// (`None` before the first build and after a failed one).
+    pub fn network(&self) -> Option<&ElectricalNetwork> {
+        self.net.as_ref()
+    }
+
+    /// Computes the electrical flow for demand `chi` on the engine's
+    /// network into the reused buffer `out`, through the engine's
+    /// [`SolveWorkspace`] — the allocation-free twin of
+    /// [`ElectricalNetwork::flow`], with rounds, solve count and Chebyshev
+    /// iterations attributed to `stage`.
     ///
     /// # Errors
     ///
@@ -264,18 +310,25 @@ impl<C: Communicator> BarrierEngine<C> {
     ///
     /// # Panics
     ///
-    /// Panics if `chi.len() != net.n()` or the engine's `solver_eps` is
-    /// not positive (same contract as [`ElectricalNetwork::flow`]).
+    /// Panics if no network is built, `chi.len() != n` or the engine's
+    /// `solver_eps` is not positive (same contract as
+    /// [`ElectricalNetwork::flow`]).
     pub fn flow_into(
         &mut self,
         clique: &mut C,
         stage: &'static str,
-        net: &ElectricalNetwork,
         chi: &[f64],
         out: &mut ElectricalFlow,
     ) -> Result<(), IpmError> {
+        let net = self
+            .net
+            .as_ref()
+            .expect("flow_into needs a successful build_network first");
         let before = clique.ledger().total_rounds();
         let result = net.flow_into(clique, chi, self.options.solver_eps, out, &mut self.ws);
+        if result.is_ok() {
+            self.stats.record_flow(out);
+        }
         let stage = self.stats.stage_mut(stage);
         stage.solves += 1;
         stage.chebyshev_iterations += out.iterations;
@@ -329,14 +382,104 @@ mod tests {
         let mut engine: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
         engine.resistances_into(6, ring_fill, |_| f64::INFINITY);
         assert!(!engine.has_template());
-        let first = engine.build_network(&mut clique, "test").unwrap();
+        engine.build_network(&mut clique, "test").unwrap();
         assert!(engine.has_template());
-        let second = engine.build_network(&mut clique, "test").unwrap();
-        assert_eq!(first.resistances(), second.resistances());
+        let first = engine.network().unwrap().resistances().to_vec();
+        engine.build_network(&mut clique, "test").unwrap();
+        assert_eq!(first, engine.network().unwrap().resistances());
         let stage = engine.stats().stage("test");
         assert_eq!(stage.builds, 1);
         assert_eq!(stage.template_reuses, 1);
         assert!(stage.rounds > 0);
+    }
+
+    /// Every in-place reweight equals a fresh template build on the same
+    /// resistances: `α`, `κ`, rounds, and the solve's iterations and bits.
+    #[test]
+    fn in_place_reweights_equal_fresh_template_builds() {
+        let support: Vec<(usize, usize)> = cc_graph::generators::expander(16)
+            .edges()
+            .iter()
+            .map(|e| (e.u, e.v))
+            .collect();
+        let m = support.len();
+        let mut clique = Clique::new(16);
+        let mut fresh_clique = Clique::new(16);
+        let mut engine: BarrierEngine<Clique> = BarrierEngine::new(16, EngineOptions::default());
+        let options = engine.options().solver;
+        let mut template = None;
+        let mut chi = vec![0.0; 16];
+        chi[0] = 1.0;
+        chi[9] = -1.0;
+        let (mut got, mut gadgets) = (ElectricalFlow::default(), 0);
+        for step in 0..6usize {
+            engine.resistances_into(
+                m,
+                |base, slots| {
+                    for (j, slot) in slots.iter_mut().enumerate() {
+                        let i = base + j;
+                        let r = 1.0 + ((i * 7 + step * 3) % 11) as f64 * 0.37;
+                        *slot = (support[i].0, support[i].1, r);
+                    }
+                },
+                |_| f64::INFINITY,
+            );
+            let before = clique.ledger().total_rounds();
+            engine.build_network(&mut clique, "step").unwrap();
+            let spent = clique.ledger().total_rounds() - before;
+
+            let resist = engine.resistances().to_vec();
+            let fresh_before = fresh_clique.ledger().total_rounds();
+            let fresh = match &template {
+                None => {
+                    let (net, t) = ElectricalNetwork::build_capturing(
+                        &mut fresh_clique,
+                        16,
+                        &resist,
+                        &options,
+                    )
+                    .unwrap();
+                    template = Some(t);
+                    net
+                }
+                Some(t) => ElectricalNetwork::build_from_template(
+                    &mut fresh_clique,
+                    16,
+                    &resist,
+                    t,
+                    &options,
+                )
+                .unwrap(),
+            };
+            assert_eq!(spent, fresh_clique.ledger().total_rounds() - fresh_before);
+            let net = engine.network().unwrap();
+            assert_eq!(
+                net.alpha().to_bits(),
+                fresh.alpha().to_bits(),
+                "step {step}"
+            );
+            assert_eq!(
+                net.kappa().to_bits(),
+                fresh.kappa().to_bits(),
+                "step {step}"
+            );
+            gadgets += usize::from(net.alpha() > 1.0);
+
+            engine
+                .flow_into(&mut clique, "step", &chi, &mut got)
+                .unwrap();
+            let want = fresh
+                .flow(&mut fresh_clique, &chi, engine.options().solver_eps)
+                .unwrap();
+            assert_eq!(got.iterations, want.iterations, "step {step}");
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.potentials), bits(&want.potentials), "step {step}");
+            assert_eq!(bits(&got.flows), bits(&want.flows), "step {step}");
+            assert_eq!(got.energy.to_bits(), want.energy.to_bits(), "step {step}");
+        }
+        assert!(gadgets > 0, "no step certified a star gadget");
+        let stage = engine.stats().stage("step");
+        assert_eq!((stage.builds, stage.template_reuses), (1, 5));
     }
 
     #[test]
@@ -347,7 +490,7 @@ mod tests {
         let mut first: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
         first.set_template_cache(cache.clone());
         first.resistances_into(6, ring_fill, |_| f64::INFINITY);
-        let net_a = first.build_network(&mut clique, "test").unwrap();
+        first.build_network(&mut clique, "test").unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.misses(), 1);
         let s = first.stats().stage("test");
@@ -370,7 +513,7 @@ mod tests {
             },
             |_| f64::INFINITY,
         );
-        let net_b = second.build_network(&mut clique, "test").unwrap();
+        second.build_network(&mut clique, "test").unwrap();
         assert!(second.has_template());
         assert_eq!(cache.hits(), 1);
         let s = second.stats().stage("test");
@@ -378,7 +521,7 @@ mod tests {
             (s.builds, s.template_reuses, s.template_cache_hits),
             (0, 1, 1)
         );
-        assert_eq!(net_a.n(), net_b.n());
+        assert_eq!(first.network().unwrap().n(), second.network().unwrap().n());
 
         // Subsequent builds reuse the now-local template: no more lookups.
         second.build_network(&mut clique, "test").unwrap();
@@ -422,6 +565,8 @@ mod tests {
             Err(IpmError::InvalidResistance { index: 2, .. }) => {}
             other => panic!("expected InvalidResistance, got {other:?}"),
         }
+        // A failed build leaves no network behind.
+        assert!(engine.network().is_none());
         engine.resistances_into(
             6,
             |base, slots| {
@@ -465,17 +610,19 @@ mod tests {
         let mut clique = Clique::new(6);
         let mut engine: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
         engine.resistances_into(6, ring_fill, |_| f64::INFINITY);
-        let net = engine.build_network(&mut clique, "build").unwrap();
+        engine.build_network(&mut clique, "build").unwrap();
         let mut chi = vec![0.0; 6];
         chi[0] = 1.0;
         chi[3] = -1.0;
         let mut out = ElectricalFlow::default();
         let before = clique.ledger().total_rounds();
         engine
-            .flow_into(&mut clique, "solve", &net, &chi, &mut out)
+            .flow_into(&mut clique, "solve", &chi, &mut out)
             .unwrap();
         let expected = clique.ledger().total_rounds() - before;
-        let reference = net
+        let reference = engine
+            .network()
+            .unwrap()
             .flow(&mut clique, &chi, engine.options().solver_eps)
             .unwrap();
         assert_eq!(out.flows, reference.flows);

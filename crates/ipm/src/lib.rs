@@ -7,14 +7,19 @@
 //! extracts that pattern into a [`BarrierEngine`] the problem adapters
 //! (`cc-maxflow`, `cc-mcf`) plug into:
 //!
-//! * **Electrical builds with template reuse** — the first
+//! * **Electrical builds that refill** — the first
 //!   [`BarrierEngine::build_network`] captures a
-//!   [`cc_sparsify::SparsifierTemplate`]; later builds on the same edge
-//!   support skip the expander re-decomposition and only recompute the
-//!   per-cluster certificates (exactly, deterministically).
-//! * **Allocation-free solve paths** — the engine owns one
+//!   [`cc_sparsify::SparsifierTemplate`] and sizes one
+//!   [`cc_core::ElectricalNetwork`] the engine keeps; later builds on the
+//!   same edge support reweight that network in place — no expander
+//!   re-decomposition, no rebuilt graph, sparsifier or factor: the
+//!   Laplacian's values are refilled, the per-cluster certificates
+//!   recomputed (exactly, deterministically) and the preconditioner
+//!   refactored numerically over its stored pattern.
+//! * **An allocation-free steady state** — the engine owns one
 //!   [`cc_core::SolveWorkspace`] plus reusable resistance/broadcast
-//!   buffers, so the steady-state iteration (resistance fan-out,
+//!   buffers and its network's refill buffers, so the steady-state
+//!   iteration (resistance fan-out, [`BarrierEngine::build_network`],
 //!   [`BarrierEngine::flow_into`], norm round-trip) performs zero heap
 //!   allocations (`tests/alloc_free.rs`).
 //! * **Per-stage statistics** — every build and solve is accounted in an

@@ -1,6 +1,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use cc_model::util::Fnv1a;
+
 /// Accounting of one engine stage (e.g. `"augmentation"`, `"fixing"`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageStats {
@@ -35,6 +37,7 @@ pub struct StageStats {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     stages: BTreeMap<String, StageStats>,
+    digest: Fnv1a,
 }
 
 impl EngineStats {
@@ -73,9 +76,34 @@ impl EngineStats {
         self.stages.values().map(|s| s.template_cache_hits).sum()
     }
 
+    /// Word-wise FNV-1a over the bits of every build's `α` and `κ` and of
+    /// every solve's output (potentials, flows, energy, iteration count),
+    /// in call order. Two runs with equal digests computed bitwise-equal
+    /// electrical flows. Not part of [`EngineStats::to_json`].
+    pub fn digest(&self) -> u64 {
+        self.digest.finish()
+    }
+
+    /// Folds one build's certified `α` and `κ` into the digest.
+    pub(crate) fn record_build(&mut self, alpha: f64, kappa: f64) {
+        self.digest.word(alpha.to_bits());
+        self.digest.word(kappa.to_bits());
+    }
+
+    /// Folds one solve's output into the digest.
+    pub(crate) fn record_flow(&mut self, flow: &cc_core::ElectricalFlow) {
+        for &x in flow.potentials.iter().chain(&flow.flows) {
+            self.digest.word(x.to_bits());
+        }
+        self.digest.word(flow.energy.to_bits());
+        self.digest.word(flow.iterations as u64);
+    }
+
     /// Folds another run's counters into this record (used to combine the
-    /// IPM core's engine with the cleanup phase's).
+    /// IPM core's engine with the cleanup phase's). The other run's digest
+    /// is folded in as one word.
     pub fn merge(&mut self, other: &EngineStats) {
+        self.digest.word(other.digest());
         for (name, theirs) in &other.stages {
             if !self.stages.contains_key(name.as_str()) {
                 self.stages.insert(name.clone(), StageStats::default());

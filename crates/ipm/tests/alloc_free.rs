@@ -1,15 +1,18 @@
-//! Proves the barrier engine's solve hot path is allocation-free in
-//! steady state.
+//! Proves a steady-state interior point step of the barrier engine is
+//! allocation-free, its electrical build included.
 //!
-//! A counting global allocator wraps `System`; after one warm-up
-//! iteration (which sizes the resistance buffer, the solve workspace
-//! and the stats stages), the armed region re-runs the per-iteration
-//! path an IPM drives — [`BarrierEngine::resistances_into`],
+//! A counting global allocator wraps `System`; after two warm-up
+//! iterations (the first captures the sparsifier template and sizes the
+//! network, the second reweights it once and records the assembly
+//! layouts, and together they size the resistance buffer, the solve
+//! workspace and the stats stages), the armed region re-runs the
+//! per-iteration path an IPM drives —
+//! [`BarrierEngine::resistances_into`], [`BarrierEngine::build_network`]
+//! (an in-place reweight of the engine's network: template
+//! instantiation, Laplacian refill, numeric refactor),
 //! [`BarrierEngine::flow_into`], [`BarrierEngine::norm_roundtrip`] and
 //! [`BarrierEngine::record_residual`] — and asserts the allocation
-//! counter did not move. `build_network` is excluded by design: each
-//! build factorizes a fresh preconditioner, so it allocates per call
-//! and is audited by round counts instead.
+//! counter did not move.
 //!
 //! Threads are pinned to 1: the fixed-chunk fan-out machinery itself
 //! allocates when it spawns (and results are bitwise identical either
@@ -93,23 +96,30 @@ fn steady_state_iteration_performs_zero_heap_allocations() {
         chi[N - 1] = -1.0;
         let mut out = ElectricalFlow::default();
 
-        // Warm-up: size the resistance buffer, capture the sparsifier
-        // template, size the solve workspace and the stats stages.
-        engine.resistances_into(M, fill(1.0), |i| 1.0 + i as f64);
-        let net = engine.build_network(&mut clique, "steady").unwrap();
-        engine
-            .flow_into(&mut clique, "steady", &net, &chi, &mut out)
-            .unwrap();
-        engine.norm_roundtrip(&mut clique).unwrap();
-        engine.record_residual("steady", 0.5);
+        // Warm-up: capture the sparsifier template and size the network,
+        // then reweight it once; size the resistance buffer, the solve
+        // workspace and the stats stages.
+        for scale in [1.0, 1.25] {
+            engine.resistances_into(M, fill(scale), |i| 1.0 + i as f64);
+            engine.build_network(&mut clique, "steady").unwrap();
+            engine
+                .flow_into(&mut clique, "steady", &chi, &mut out)
+                .unwrap();
+            engine.norm_roundtrip(&mut clique).unwrap();
+            engine.record_residual("steady", 0.5);
+        }
 
         let (min_gap, count) = armed(|| engine.resistances_into(M, fill(1.5), |i| 1.0 + i as f64));
         assert_eq!(min_gap, 1.0);
         assert_eq!(count, 0, "resistances_into allocated in steady state");
 
+        let (built, count) = armed(|| engine.build_network(&mut clique, "steady"));
+        built.unwrap();
+        assert_eq!(count, 0, "build_network allocated in steady state");
+
         let ((), count) = armed(|| {
             engine
-                .flow_into(&mut clique, "steady", &net, &chi, &mut out)
+                .flow_into(&mut clique, "steady", &chi, &mut out)
                 .unwrap();
         });
         assert!(out.flows.iter().all(|f| f.is_finite()));
@@ -124,7 +134,8 @@ fn steady_state_iteration_performs_zero_heap_allocations() {
 
         // Sanity: the armed calls were accounted like any others.
         let stage = engine.stats().stage("steady");
-        assert_eq!(stage.solves, 2);
+        assert_eq!(stage.solves, 3);
+        assert_eq!((stage.builds, stage.template_reuses), (1, 2));
         assert!(clique.ledger().total_rounds() > 0);
     });
 }

@@ -333,15 +333,62 @@ impl CsrMatrix {
         true
     }
 
-    /// Transpose.
+    /// Transpose (stored exact zeros are dropped, as
+    /// [`CsrMatrix::from_triplets`] drops zero triplets).
     pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                triplets.push((c, r, v));
+        let mut out = CsrMatrix::from_sorted_rows(0, vec![0], Vec::new(), Vec::new());
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`CsrMatrix::transpose`] into `out`'s storage: a counting sort by
+    /// column that keeps row order within every output row, allocation-free
+    /// once `out` has held as many entries.
+    pub(crate) fn transpose_into(&self, out: &mut CsrMatrix) {
+        out.rows = self.cols;
+        out.cols = self.rows;
+        let ptr = &mut out.indptr;
+        ptr.clear();
+        ptr.resize(self.cols + 1, 0);
+        for (&c, &v) in self.indices.iter().zip(&self.values) {
+            if v != 0.0 {
+                ptr[c + 1] += 1;
             }
         }
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
+        for c in 0..self.cols {
+            ptr[c + 1] += ptr[c];
+        }
+        let total = ptr[self.cols];
+        out.indices.clear();
+        out.indices.resize(total, 0);
+        out.values.clear();
+        out.values.resize(total, 0.0);
+        // `ptr[c]` walks row c's slots; afterwards it holds row c's end,
+        // i.e. row c + 1's start, and one shift restores the row starts.
+        for r in 0..self.rows {
+            for (c, v) in self.row(r) {
+                if v != 0.0 {
+                    out.indices[ptr[c]] = r;
+                    out.values[ptr[c]] = v;
+                    ptr[c] += 1;
+                }
+            }
+        }
+        for c in (1..=self.cols).rev() {
+            ptr[c] = ptr[c - 1];
+        }
+        ptr[0] = 0;
+    }
+
+    /// Row pointers, column indices and (mutable) values — for kernels
+    /// that rewrite the values of a fixed pattern in place.
+    pub(crate) fn parts_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
+        (&self.indptr, &self.indices, &mut self.values)
+    }
+
+    /// The stored values, mutably (the pattern stays fixed).
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
     }
 }
 

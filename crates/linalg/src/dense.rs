@@ -135,6 +135,21 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// Underlying row-major data, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Reshapes to a `rows × cols` zero matrix in place, keeping the
+    /// allocation: no heap allocation once the storage has held
+    /// `rows · cols` entries.
+    pub(crate) fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Matrix-vector product `A·x`.
     ///
     /// # Panics

@@ -85,12 +85,19 @@ pub fn symmetric_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
             eigenvectors: DenseMatrix::zeros(0, 0),
         });
     }
-    // Work on a mutable copy; z accumulates the orthogonal transform.
-    let mut z: Vec<Vec<f64>> = (0..n).map(|r| a.row(r).to_vec()).collect();
+    // Work on a mutable row-major copy; z accumulates the orthogonal
+    // transform. An odd row stride keeps the column walks of the
+    // accumulation and the QL rotations off power-of-two strides, which
+    // would map a column's entries onto a few cache sets.
+    let ld = n | 1;
+    let mut z = vec![0.0; n * ld];
+    for (row, src) in z.chunks_mut(ld).zip(a.as_slice().chunks(n)) {
+        row[..n].copy_from_slice(src);
+    }
     let mut d = vec![0.0; n]; // diagonal
     let mut e = vec![0.0; n]; // off-diagonal
-    tred2(&mut z, &mut d, &mut e);
-    tql2(&mut z, &mut d, &mut e)?;
+    tred2(&mut z, ld, &mut d, &mut e, true);
+    tql2(Some((&mut z, ld)), &mut d, &mut e)?;
 
     // A NaN eigenvalue means the QL iteration produced garbage (possible
     // only for non-finite input); report it as a typed error instead of
@@ -105,7 +112,7 @@ pub fn symmetric_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
     let mut eigenvectors = DenseMatrix::zeros(n, n);
     for (newc, &oldc) in order.iter().enumerate() {
         for r in 0..n {
-            eigenvectors.set(r, newc, z[r][oldc]);
+            eigenvectors.set(r, newc, z[r * ld + oldc]);
         }
     }
     Ok(SymmetricEigen {
@@ -114,13 +121,71 @@ pub fn symmetric_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
     })
 }
 
+/// The eigenvalues of a symmetric matrix, ascending, without the
+/// eigenvectors: [`symmetric_eigen`]'s reduction with the transform
+/// accumulation and the eigenvector rotations left out. The values are
+/// bitwise equal to `symmetric_eigen(a)?.eigenvalues()` — neither skipped
+/// pass feeds back into the diagonal or off-diagonal the QL iteration
+/// reads.
+///
+/// `a` is overwritten (it holds the Householder reduction on return);
+/// `out` receives the `n` eigenvalues. Both buffers are reused: once
+/// `out` has held `2n` values, a call on an `n × n` matrix with
+/// `n ≤ 64` (one row chunk of the reduction) runs serially and performs
+/// no heap allocation. Larger matrices fan the reduction out across
+/// cores exactly as [`symmetric_eigen`] does.
+///
+/// # Errors
+///
+/// Same conditions as [`symmetric_eigen`].
+///
+/// ```
+/// use cc_linalg::{symmetric_eigenvalues, DenseMatrix};
+/// let mut a = DenseMatrix::from_row_major(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
+/// let mut values = Vec::new();
+/// symmetric_eigenvalues(&mut a, &mut values)?;
+/// assert!((values[0] - 1.0).abs() < 1e-12 && (values[1] - 3.0).abs() < 1e-12);
+/// # Ok::<(), cc_linalg::LinalgError>(())
+/// ```
+pub fn symmetric_eigenvalues(a: &mut DenseMatrix, out: &mut Vec<f64>) -> Result<(), LinalgError> {
+    if a.rows() != a.cols() {
+        return Err(LinalgError::DimensionMismatch {
+            op: "symmetric_eigenvalues",
+            got: a.cols(),
+            expected: a.rows(),
+        });
+    }
+    let n = a.rows();
+    out.clear();
+    if n == 0 {
+        return Ok(());
+    }
+    // `out` holds the diagonal in its first half and the off-diagonal in
+    // its second until the QL iteration is done.
+    out.resize(2 * n, 0.0);
+    let (d, e) = out.split_at_mut(n);
+    tred2(a.as_mut_slice(), n, d, e, false);
+    tql2(None, d, e)?;
+    out.truncate(n);
+    if let Some(index) = out.iter().position(|v| v.is_nan()) {
+        return Err(LinalgError::EigenNoConvergence { index });
+    }
+    // Values equal under `total_cmp` have equal bits, so an unstable
+    // (allocation-free) sort yields exactly the stable sort's sequence.
+    out.sort_unstable_by(f64::total_cmp);
+    Ok(())
+}
+
 /// Rows per parallel chunk in the two Householder update loops of
 /// [`tred2`]. Fixed so the decomposition is independent of parallelism;
 /// matrices smaller than one chunk run serially inside `par_*`.
 const TRED2_ROW_CHUNK: usize = 64;
 
-/// Householder reduction of a real symmetric matrix to tridiagonal form,
-/// accumulating the transformation (classical tred2).
+/// Householder reduction of the `n × n` symmetric matrix `z` (row-major,
+/// row stride `ld ≥ n`, `n = d.len()`) to tridiagonal form (classical
+/// tred2), with diagonal `d` and off-diagonal `e`. With `vectors`, the orthogonal transform is accumulated into `z`;
+/// without, `z` is left holding the reduction and only `d` and `e` are
+/// meaningful. The two passes never feed back into `d` or `e`.
 ///
 /// The two `O(l²)` inner loops are restructured into a *pure-read* phase
 /// fanned out over row chunks followed by a short serial phase, so the
@@ -128,44 +193,41 @@ const TRED2_ROW_CHUNK: usize = 64;
 /// serial formulation — parallel runs are bitwise identical to serial
 /// ones (the column-`i` writes these loops perform are never read back
 /// within the same `i` step, which is what makes the split legal).
-fn tred2(z: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) {
-    let n = z.len();
+fn tred2(z: &mut [f64], ld: usize, d: &mut [f64], e: &mut [f64], vectors: bool) {
+    let n = d.len();
     for i in (1..n).rev() {
         let l = i - 1;
         let mut h = 0.0;
         if l > 0 {
-            let scale: f64 = (0..=l).map(|k| z[i][k].abs()).sum();
+            let scale: f64 = (0..=l).map(|k| z[i * ld + k].abs()).sum();
             if scale == 0.0 {
-                e[i] = z[i][l];
+                e[i] = z[i * ld + l];
             } else {
                 for k in 0..=l {
-                    z[i][k] /= scale;
-                    h += z[i][k] * z[i][k];
+                    z[i * ld + k] /= scale;
+                    h += z[i * ld + k] * z[i * ld + k];
                 }
-                let f = z[i][l];
+                let f = z[i * ld + l];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
-                z[i][l] = f - g;
+                z[i * ld + l] = f - g;
                 // Phase A (parallel, pure reads of columns ≤ l):
                 // e[j] = (A·u)_j / h for the Householder vector u = z[i][..=l].
-                let (head, tail) = z.split_at_mut(i);
-                let zi: &[f64] = &tail[0];
-                let rows: &[Vec<f64>] = head;
-                let e_chunks = crate::par::par_map_chunks(l + 1, TRED2_ROW_CHUNK, |range| {
-                    let j0 = range.start;
+                let (head, tail) = z.split_at_mut(i * ld);
+                let zi: &[f64] = &tail[..n];
+                let rows: &[f64] = head;
+                crate::par::par_chunks_mut(&mut e[..=l], TRED2_ROW_CHUNK, |ci, acc| {
+                    let j0 = ci * TRED2_ROW_CHUNK;
                     // Row part: Σ_{k≤j} rows[j][k]·zi[k], a contiguous
                     // row read per j.
-                    let mut acc: Vec<f64> = range
-                        .clone()
-                        .map(|j| {
-                            let mut g_acc = 0.0;
-                            for k in 0..=j {
-                                g_acc += rows[j][k] * zi[k];
-                            }
-                            g_acc
-                        })
-                        .collect();
+                    for (a, j) in acc.iter_mut().zip(j0..) {
+                        let mut g_acc = 0.0;
+                        for k in 0..=j {
+                            g_acc += rows[j * ld + k] * zi[k];
+                        }
+                        *a = g_acc;
+                    }
                     // Column part, transposed: the naive per-j walk down
                     // column j (`rows[k][j]`, stride-n reads) becomes a
                     // k-outer loop over the chunk-wide row segments
@@ -173,30 +235,27 @@ fn tred2(z: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) {
                     // arrive in ascending k, appended after the row part
                     // — the accumulation order is exactly the naive
                     // loop's, so the result is bitwise identical.
+                    let j1 = j0 + acc.len();
                     for k in (j0 + 1)..=l {
-                        let rk = &rows[k][j0..range.end.min(k)];
+                        let rk = &rows[k * ld + j0..k * ld + j1.min(k)];
                         let zk = zi[k];
                         for (a, &rv) in acc[..rk.len()].iter_mut().zip(rk) {
                             *a += rv * zk;
                         }
                     }
-                    for a in &mut acc {
+                    for a in acc.iter_mut() {
                         *a /= h;
                     }
-                    acc
                 });
-                // Phase B (serial, O(l)): store e, write column i, reduce f_acc
+                // Phase B (serial, O(l)): write column i and reduce f_acc
                 // in ascending j order — the exact summation order of the
                 // classical loop.
                 let mut f_acc = 0.0;
-                let mut j = 0;
-                for chunk in e_chunks {
-                    for ej in chunk {
-                        head[j][i] = zi[j] / h;
-                        e[j] = ej;
-                        f_acc += ej * zi[j];
-                        j += 1;
+                for j in 0..=l {
+                    if vectors {
+                        head[j * ld + i] = zi[j] / h;
                     }
+                    f_acc += e[j] * zi[j];
                 }
                 let hh = f_acc / (h + h);
                 // Phase A′ (serial, O(l)): finish the e update first so the
@@ -207,51 +266,63 @@ fn tred2(z: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) {
                 // Phase B′ (parallel, disjoint row writes): rank-two update
                 // of the lower triangle, row by row in classical k order.
                 let e_ro: &[f64] = e;
-                crate::par::par_chunks_mut(&mut head[..=l], TRED2_ROW_CHUNK, |chunk_idx, rows| {
-                    let base = chunk_idx * TRED2_ROW_CHUNK;
-                    for (local, row) in rows.iter_mut().enumerate() {
-                        let j = base + local;
-                        let f = zi[j];
-                        let g = e_ro[j];
-                        for k in 0..=j {
-                            row[k] -= f * e_ro[k] + g * zi[k];
+                crate::par::par_chunks_mut(
+                    &mut head[..(l + 1) * ld],
+                    TRED2_ROW_CHUNK * ld,
+                    |chunk_idx, rows| {
+                        let base = chunk_idx * TRED2_ROW_CHUNK;
+                        for (local, row) in rows.chunks_mut(ld).enumerate() {
+                            let j = base + local;
+                            let f = zi[j];
+                            let g = e_ro[j];
+                            for k in 0..=j {
+                                row[k] -= f * e_ro[k] + g * zi[k];
+                            }
                         }
-                    }
-                });
+                    },
+                );
             }
         } else {
-            e[i] = z[i][l];
+            e[i] = z[i * ld + l];
         }
         d[i] = h;
     }
     d[0] = 0.0;
     e[0] = 0.0;
     for i in 0..n {
-        if d[i] != 0.0 {
+        if vectors && d[i] != 0.0 {
             for j in 0..i {
                 let mut g = 0.0;
                 for k in 0..i {
-                    g += z[i][k] * z[k][j];
+                    g += z[i * ld + k] * z[k * ld + j];
                 }
                 for k in 0..i {
-                    z[k][j] -= g * z[k][i];
+                    z[k * ld + j] -= g * z[k * ld + i];
                 }
             }
         }
-        d[i] = z[i][i];
-        z[i][i] = 1.0;
-        for j in 0..i {
-            z[j][i] = 0.0;
-            z[i][j] = 0.0;
+        d[i] = z[i * ld + i];
+        if vectors {
+            z[i * ld + i] = 1.0;
+            for j in 0..i {
+                z[j * ld + i] = 0.0;
+                z[i * ld + j] = 0.0;
+            }
         }
     }
 }
 
-/// QL iteration with implicit shifts on a symmetric tridiagonal matrix,
-/// updating the eigenvector accumulation in `z` (classical tql2).
-fn tql2(z: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
-    let n = z.len();
-    if n == 1 {
+/// QL iteration with implicit shifts on a symmetric tridiagonal matrix
+/// (classical tql2), rotating the row-major eigenvector accumulation `z`
+/// (row stride `ld`) along when one is given. The rotations never feed
+/// back into `d` or `e`.
+fn tql2(
+    mut z: Option<(&mut [f64], usize)>,
+    d: &mut [f64],
+    e: &mut [f64],
+) -> Result<(), LinalgError> {
+    let n = d.len();
+    if n <= 1 {
         return Ok(());
     }
     for i in 1..n {
@@ -287,7 +358,7 @@ fn tql2(z: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgEr
             let mut underflow_break = false;
             while i > l {
                 i -= 1;
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = f.hypot(g);
                 e[i + 1] = r;
@@ -304,10 +375,12 @@ fn tql2(z: &mut [Vec<f64>], d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgEr
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                for zk in z.iter_mut() {
-                    f = zk[i + 1];
-                    zk[i + 1] = s * zk[i] + c * f;
-                    zk[i] = c * zk[i] - s * f;
+                if let Some((z, ld)) = z.as_mut() {
+                    for zk in z.chunks_mut(*ld) {
+                        let f = zk[i + 1];
+                        zk[i + 1] = s * zk[i] + c * f;
+                        zk[i] = c * zk[i] - s * f;
+                    }
                 }
             }
             if underflow_break {

@@ -39,6 +39,15 @@ pub struct GroundedCholesky {
     comp_size: Vec<usize>,
     /// Map reduced index → vertex.
     reduced_vertices: Vec<usize>,
+    /// Map vertex → reduced index ([`NONE`] for grounded vertices).
+    reduced_index: Vec<usize>,
+    /// Stored entries of the factored Laplacian (its pattern is what a
+    /// [`GroundedCholesky::refactor`] must be handed again).
+    lap_nnz: usize,
+    /// Numeric-factorization scratch: the reduced diagonal, then the
+    /// row being eliminated (zero between rows).
+    a_diag: Vec<f64>,
+    work: Vec<f64>,
     /// Diagonal of the Cholesky factor `L` of the reduced matrix.
     diag: Vec<f64>,
     /// Strictly lower part of `L` (rows sorted, columns `< i` in row `i`).
@@ -85,25 +94,126 @@ impl GroundedCholesky {
                 grounded[v] = true;
             }
         }
-        let mut reduced_index = vec![None; n];
+        let mut reduced_index = vec![NONE; n];
         let mut reduced_vertices = Vec::new();
         for v in 0..n {
             if !grounded[v] {
-                reduced_index[v] = Some(reduced_vertices.len());
+                reduced_index[v] = reduced_vertices.len();
                 reduced_vertices.push(v);
             }
         }
-        let (diag, lower) = factor_rows(lap, &reduced_vertices, &reduced_index)?;
-        let upper = lower.transpose();
-        Ok(Self {
+        let (ptr, idx) = factor_pattern(lap, &reduced_vertices, &reduced_index);
+        let nnz = idx.len();
+        let mut chol = Self {
             n,
             component,
             comp_size,
             reduced_vertices,
-            diag,
-            lower,
-            upper,
-        })
+            reduced_index,
+            lap_nnz: lap.nnz(),
+            a_diag: Vec::new(),
+            work: Vec::new(),
+            diag: Vec::new(),
+            lower: CsrMatrix::from_sorted_rows(ptr.len() - 1, ptr, idx, vec![0.0; nnz]),
+            upper: CsrMatrix::from_sorted_rows(0, vec![0], Vec::new(), Vec::new()),
+        };
+        chol.factor_values(lap)?;
+        Ok(chol)
+    }
+
+    /// Refactors for `lap`, a Laplacian with the sparsity pattern of the
+    /// one this factor was built from (same stored entries; only the
+    /// values moved — the reweighting step of the interior point
+    /// methods). The components, grounding, elimination tree and factor
+    /// pattern are kept; the numeric factorization is rerun over the
+    /// stored pattern, with the pivot tolerance recomputed from the new
+    /// diagonal. The result is bitwise equal to [`GroundedCholesky::new`]
+    /// on `lap`, provided `lap`'s off-diagonal entries are nonzero
+    /// wherever the original's were (true for Laplacians of positive
+    /// weights on one support), and the call allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotPositiveDefinite`] as for
+    /// [`GroundedCholesky::new`]. The factor is then unusable until a
+    /// later refactor succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lap`'s order or stored-entry count differs from the
+    /// factored Laplacian's.
+    pub fn refactor(&mut self, lap: &CsrMatrix) -> Result<(), LinalgError> {
+        assert!(
+            lap.rows() == self.n && lap.nnz() == self.lap_nnz,
+            "refactor needs the factored Laplacian's sparsity pattern"
+        );
+        self.factor_values(lap)
+    }
+
+    /// The numeric factorization over the stored pattern, then `upper`.
+    ///
+    /// Entry `(i, j)` of `L` is `(a_ij − Σ_k l_ik·l_jk) / l_jj` with `k`
+    /// ascending over row `j`'s pattern, and the pivot is
+    /// `a_ii − Σ_k l_ik²` with `k` ascending: the dense left-looking
+    /// recurrence minus its exactly-zero products. Only the lower
+    /// triangle of the reduction is read.
+    fn factor_values(&mut self, lap: &CsrMatrix) -> Result<(), LinalgError> {
+        let k = self.reduced_vertices.len();
+        let (rv, ri) = (&self.reduced_vertices, &self.reduced_index);
+        let a_diag = &mut self.a_diag;
+        a_diag.clear();
+        a_diag.resize(k, 0.0);
+        for (i, &v) in rv.iter().enumerate() {
+            for (c, val) in lap.row(v) {
+                if ri[c] == i {
+                    a_diag[i] += val;
+                }
+            }
+        }
+        // Relative pivot tolerance against the largest diagonal entry.
+        let max_diag = a_diag.iter().map(|d| d.abs()).fold(0.0f64, f64::max);
+        let tol = 1e-12 * max_diag.max(1e-300);
+        // Row `i` of `A`, then of `L` as its entries are computed; zero
+        // outside row `i`'s pattern between rows.
+        let work = &mut self.work;
+        work.clear();
+        work.resize(k, 0.0);
+        self.diag.clear();
+        let (ptr, idx, val) = self.lower.parts_mut();
+        for i in 0..k {
+            for (c, v) in lap.row(rv[i]) {
+                if ri[c] < i {
+                    work[ri[c]] += v;
+                }
+            }
+            let pattern = &idx[ptr[i]..ptr[i + 1]];
+            let (done, row) = val.split_at_mut(ptr[i]);
+            let first = pattern.first().copied().unwrap_or(i);
+            let mut d = a_diag[i];
+            for &j in pattern {
+                let (cols, vals) = (&idx[ptr[j]..ptr[j + 1]], &done[ptr[j]..ptr[j + 1]]);
+                // Columns before `first` meet zeros of row `i`: skip them.
+                let from = cols.partition_point(|&c| c < first);
+                let mut s = work[j];
+                for (&c, &ljc) in cols[from..].iter().zip(&vals[from..]) {
+                    s -= work[c] * ljc;
+                }
+                let lij = s / self.diag[j];
+                work[j] = lij;
+                d -= lij * lij;
+            }
+            // A NaN pivot (from a NaN weight) fails too, as a typed error.
+            if d.is_nan() || d <= tol {
+                return Err(LinalgError::NotPositiveDefinite { index: i, pivot: d });
+            }
+            self.diag.push(d.sqrt());
+            for (slot, &j) in row.iter_mut().zip(pattern) {
+                *slot = work[j];
+                work[j] = 0.0;
+            }
+        }
+        self.lower.transpose_into(&mut self.upper);
+        Ok(())
     }
 
     /// Matrix order `n`.
@@ -285,90 +395,49 @@ fn connected_components(lap: &CsrMatrix) -> Vec<usize> {
     comp
 }
 
-/// Up-looking sparse Cholesky `A = L Lᵀ` of the grounded reduction of
-/// `lap` (rows and columns `reduced_vertices`), built row by row straight
-/// from the CSR rows: returns the diagonal of `L` and its strictly lower
-/// rows. Only the lower triangle of `A` is read.
+/// Marks a grounded vertex in the vertex → reduced-index map.
+const NONE: usize = usize::MAX;
+
+/// Symbolic phase of the up-looking sparse Cholesky `A = L Lᵀ` of the
+/// grounded reduction of `lap` (rows and columns `reduced_vertices`):
+/// the row pointers and sorted column indices of `L`'s strictly lower
+/// rows. Reads only `lap`'s stored pattern, never its values.
 ///
 /// The pattern of row `i` is the union of the elimination-tree paths from
-/// the columns of `A`'s row `i`, found with the tree built so far. Entry
-/// `(i, j)` is `(a_ij − Σ_k l_ik·l_jk) / l_jj` with `k` ascending over row
-/// `j`'s pattern, and the pivot is `a_ii − Σ_k l_ik²` with `k` ascending:
-/// the dense left-looking recurrence minus its exactly-zero products.
-/// Time and memory scale with the factor's nonzeros plus `O(k)` work
-/// arrays; no `k×k` matrix is formed.
-fn factor_rows(
+/// the columns of `A`'s row `i`, found with the tree built so far. Time
+/// and memory scale with the factor's nonzeros plus `O(k)` work arrays;
+/// no `k×k` matrix is formed.
+fn factor_pattern(
     lap: &CsrMatrix,
     reduced_vertices: &[usize],
-    reduced_index: &[Option<usize>],
-) -> Result<(Vec<f64>, CsrMatrix), LinalgError> {
-    const NONE: usize = usize::MAX;
+    reduced_index: &[usize],
+) -> (Vec<usize>, Vec<usize>) {
     let k = reduced_vertices.len();
-    let mut a_diag = vec![0.0; k];
-    for (i, &v) in reduced_vertices.iter().enumerate() {
-        for (c, val) in lap.row(v) {
-            if reduced_index[c] == Some(i) {
-                a_diag[i] += val;
-            }
-        }
-    }
-    // Relative pivot tolerance against the largest diagonal entry.
-    let max_diag = a_diag.iter().map(|d| d.abs()).fold(0.0f64, f64::max);
-    let tol = 1e-12 * max_diag.max(1e-300);
-    let mut diag = Vec::with_capacity(k);
-    let (mut ptr, mut idx, mut val) = (vec![0], Vec::new(), Vec::new());
+    let (mut ptr, mut idx) = (vec![0], Vec::new());
     let mut parent = vec![NONE; k];
     let mut mark = vec![NONE; k];
-    // Row `i` of `A`, then of `L` as its entries are computed; zero
-    // outside row `i`'s pattern between rows.
-    let mut work = vec![0.0; k];
-    let mut pattern = Vec::new();
     for i in 0..k {
         mark[i] = i;
-        pattern.clear();
-        for (c, val) in lap.row(reduced_vertices[i]) {
-            let Some(j) = reduced_index[c].filter(|&j| j < i) else {
+        let start = idx.len();
+        for (c, _) in lap.row(reduced_vertices[i]) {
+            let j = reduced_index[c];
+            if j >= i {
                 continue;
-            };
-            work[j] += val;
+            }
             let mut t = j;
             while mark[t] != i {
                 mark[t] = i;
-                pattern.push(t);
+                idx.push(t);
                 if parent[t] == NONE {
                     parent[t] = i;
                 }
                 t = parent[t];
             }
         }
-        pattern.sort_unstable();
-        let first = pattern.first().copied().unwrap_or(i);
-        let mut d = a_diag[i];
-        for &j in &pattern {
-            let (cols, vals) = (&idx[ptr[j]..ptr[j + 1]], &val[ptr[j]..ptr[j + 1]]);
-            // Columns before `first` meet zeros of row `i`: skip them.
-            let from = cols.partition_point(|&c| c < first);
-            let mut s = work[j];
-            for (&c, &ljc) in cols[from..].iter().zip(&vals[from..]) {
-                s -= work[c] * ljc;
-            }
-            let lij = s / diag[j];
-            work[j] = lij;
-            d -= lij * lij;
-        }
-        // A NaN pivot (from a NaN weight) fails too, as a typed error.
-        if d.is_nan() || d <= tol {
-            return Err(LinalgError::NotPositiveDefinite { index: i, pivot: d });
-        }
-        diag.push(d.sqrt());
-        for &j in &pattern {
-            idx.push(j);
-            val.push(work[j]);
-            work[j] = 0.0;
-        }
+        idx[start..].sort_unstable();
         ptr.push(idx.len());
     }
-    Ok((diag, CsrMatrix::from_sorted_rows(k, ptr, idx, val)))
+    (ptr, idx)
 }
 
 impl GroundedCholesky {
@@ -442,7 +511,7 @@ impl GroundedCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::laplacian::laplacian_from_edges;
+    use crate::laplacian::{laplacian_from_edges, LaplacianPattern};
     use crate::{vec_ops, DenseMatrix, RHS_LANES};
     use proptest::prelude::*;
 
@@ -759,6 +828,86 @@ mod tests {
                 .collect();
             assert_matches_dense(&laplacian_from_edges(n, &edges));
         }
+    }
+
+    /// Every stored entry of `m` as `(row, column, value bits)`.
+    fn entries(m: &CsrMatrix) -> Vec<(usize, usize, u64)> {
+        (0..m.rows())
+            .flat_map(|r| m.row(r).map(move |(c, v)| (r, c, v.to_bits())))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// A Laplacian reweighted through its [`LaplacianPattern`] and
+        /// refactored in place equals a fresh assembly and a fresh
+        /// factor bit for bit: assembled values, every factor entry,
+        /// `solve_into` and `solve_multi_into`.
+        #[test]
+        fn refactor_is_bitwise_equal_to_a_fresh_factor(
+            n in 2usize..24,
+            connected in proptest::bool::ANY,
+            extra in proptest::collection::vec(
+                (0usize..24, 0usize..24, 0.01f64..100.0, 0.01f64..100.0),
+                0..40,
+            ),
+        ) {
+            let mut support: Vec<(usize, usize, f64, f64)> = if connected {
+                (1..n).map(|i| (i - 1, i, 1.0, 1.0 + i as f64 / 3.0)).collect()
+            } else {
+                Vec::new()
+            };
+            support.extend(extra.into_iter().filter(|&(u, v, ..)| u != v && u < n && v < n));
+            let first: Vec<_> = support.iter().map(|&(u, v, w, _)| (u, v, w)).collect();
+            let second: Vec<_> = support.iter().map(|&(u, v, _, w)| (u, v, w)).collect();
+
+            let mut lap = laplacian_from_edges(n, &first);
+            let mut chol = GroundedCholesky::new(&lap).unwrap();
+            let pattern = LaplacianPattern::new(n, &first);
+            prop_assert!(pattern.refill(|e| second[e].2, &mut lap));
+            let fresh_lap = laplacian_from_edges(n, &second);
+            prop_assert_eq!(entries(&lap), entries(&fresh_lap));
+            chol.refactor(&lap).unwrap();
+            let fresh = GroundedCholesky::new(&fresh_lap).unwrap();
+
+            prop_assert_eq!(bits(&chol.diag), bits(&fresh.diag));
+            prop_assert_eq!(entries(&chol.lower), entries(&fresh.lower));
+            prop_assert_eq!(entries(&chol.upper), entries(&fresh.upper));
+            for lanes in [1, RHS_LANES + 1] {
+                let bs: Vec<f64> = (0..n * lanes)
+                    .map(|e| (1.3 * e as f64 + 0.7).sin() * 3.0)
+                    .collect();
+                let (mut got, mut want) = (vec![0.0; n * lanes], vec![0.0; n * lanes]);
+                chol.solve_multi_into(&bs, lanes, &mut got, &mut SolveScratch::default());
+                fresh.solve_multi_into(&bs, lanes, &mut want, &mut SolveScratch::default());
+                prop_assert_eq!(bits(&got), bits(&want));
+                if lanes == 1 {
+                    chol.solve_into(&bs, &mut got, &mut SolveScratch::default());
+                    fresh.solve_into(&bs, &mut want, &mut SolveScratch::default());
+                    prop_assert_eq!(bits(&got), bits(&want));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_refactor_is_the_fresh_factors_typed_error() {
+        // Path 0-1-2; the refactor sees a NaN weight on edge {1, 2}.
+        let edges = [(0, 1, 1.0), (1, 2, 1.0)];
+        let mut lap = laplacian_from_edges(3, &edges);
+        let mut chol = GroundedCholesky::new(&lap).unwrap();
+        let poisoned = [(0, 1, 1.0), (1, 2, f64::NAN)];
+        assert!(LaplacianPattern::new(3, &edges).refill(|e| poisoned[e].2, &mut lap));
+        let fresh = GroundedCholesky::new(&laplacian_from_edges(3, &poisoned)).unwrap_err();
+        assert_eq!(
+            format!("{:?}", chol.refactor(&lap).unwrap_err()),
+            format!("{fresh:?}")
+        );
+        // The stored pattern survives: a later refactor recovers.
+        assert!(LaplacianPattern::new(3, &edges).refill(|e| edges[e].2, &mut lap));
+        chol.refactor(&lap).unwrap();
+        let again = GroundedCholesky::new(&laplacian_from_edges(3, &edges)).unwrap();
+        assert_eq!(bits(&chol.diag), bits(&again.diag));
     }
 
     #[test]

@@ -94,7 +94,29 @@ impl LaplacianNorm {
 ///
 /// Panics if an endpoint is out of range or a weight is negative.
 pub fn normalized_laplacian_dense(n: usize, edges: &[(usize, usize, f64)]) -> DenseMatrix {
-    let mut deg = vec![0.0; n];
+    let mut m = DenseMatrix::zeros(n, n);
+    normalized_laplacian_dense_into(n, edges, &mut m, &mut Vec::new());
+    m
+}
+
+/// [`normalized_laplacian_dense`] into reused buffers: `out` is reshaped
+/// to `n × n`, and `degrees[..n]` holds the weighted degrees on return
+/// (summed in edge order; the rest of `degrees` is scratch). Bitwise
+/// equal to `normalized_laplacian_dense`, and allocation-free once the
+/// buffers have held an `n`-vertex instance.
+///
+/// # Panics
+///
+/// Same conditions as [`normalized_laplacian_dense`].
+pub fn normalized_laplacian_dense_into(
+    n: usize,
+    edges: &[(usize, usize, f64)],
+    out: &mut DenseMatrix,
+    degrees: &mut Vec<f64>,
+) {
+    degrees.clear();
+    degrees.resize(2 * n, 0.0);
+    let (deg, inv_sqrt) = degrees.split_at_mut(n);
     for &(u, v, w) in edges {
         assert!(u < n && v < n, "edge out of range");
         assert!(w >= 0.0, "negative weight");
@@ -104,14 +126,13 @@ pub fn normalized_laplacian_dense(n: usize, edges: &[(usize, usize, f64)]) -> De
         deg[u] += w;
         deg[v] += w;
     }
-    let inv_sqrt: Vec<f64> = deg
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let mut m = DenseMatrix::zeros(n, n);
+    for (s, &d) in inv_sqrt.iter_mut().zip(deg.iter()) {
+        *s = if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
+    }
+    out.reset_zeros(n, n);
     for (i, &d) in deg.iter().enumerate() {
         if d > 0.0 {
-            m.set(i, i, 1.0);
+            out.set(i, i, 1.0);
         }
     }
     for &(u, v, w) in edges {
@@ -119,10 +140,94 @@ pub fn normalized_laplacian_dense(n: usize, edges: &[(usize, usize, f64)]) -> De
             continue;
         }
         let x = w * inv_sqrt[u] * inv_sqrt[v];
-        m.add_to(u, v, -x);
-        m.add_to(v, u, -x);
+        out.add_to(u, v, -x);
+        out.add_to(v, u, -x);
     }
-    m
+}
+
+/// The stored-entry layout [`laplacian_from_edges`] produces for one edge
+/// support, together with the order in which every stored entry sums its
+/// edges' contributions.
+///
+/// [`LaplacianPattern::refill`] rewrites the values of such a Laplacian
+/// for new weights on the same support in `O(nnz)`, bitwise equal to a
+/// fresh `laplacian_from_edges` — the reweighting path of the interior
+/// point methods, whose electrical networks keep one support while every
+/// weight moves.
+#[derive(Debug, Clone)]
+pub struct LaplacianPattern {
+    /// Stored entry `s` sums `terms[starts[s]..starts[s + 1]]`, in order.
+    starts: Vec<usize>,
+    /// One term per contribution: `2·edge` for `+w`, `2·edge + 1` for `−w`.
+    terms: Vec<usize>,
+}
+
+impl LaplacianPattern {
+    /// Records the layout for the endpoints of `edges` (weights are
+    /// ignored and assumed nonzero; self-loops contribute nothing).
+    pub fn new(n: usize, edges: &[(usize, usize, f64)]) -> Self {
+        // The triplets `laplacian_from_edges` emits, in its order; a
+        // stable sort by (row, column) reproduces `from_triplets`'
+        // per-row staging plus stable column sort, so equal coordinates
+        // keep their summation order.
+        let mut triplets: Vec<(usize, usize, usize)> = Vec::with_capacity(4 * edges.len());
+        for (e, &(u, v, _)) in edges.iter().enumerate() {
+            assert!(u < n && v < n, "edge ({u},{v}) out of range for n={n}");
+            if u == v {
+                continue;
+            }
+            triplets.push((u, u, 2 * e));
+            triplets.push((v, v, 2 * e));
+            triplets.push((u, v, 2 * e + 1));
+            triplets.push((v, u, 2 * e + 1));
+        }
+        triplets.sort_by_key(|&(r, c, _)| (r, c));
+        let mut starts = Vec::with_capacity(triplets.len() + 1);
+        let mut terms = Vec::with_capacity(triplets.len());
+        for (i, &(r, c, t)) in triplets.iter().enumerate() {
+            if i == 0 || (triplets[i - 1].0, triplets[i - 1].1) != (r, c) {
+                starts.push(terms.len());
+            }
+            terms.push(t);
+        }
+        starts.push(terms.len());
+        Self { starts, terms }
+    }
+
+    /// Number of stored entries of the Laplacian.
+    pub fn nnz(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Rewrites `lap`'s values for edge weights `weight(e)`, summing each
+    /// entry's contributions in `laplacian_from_edges`' order. Returns
+    /// `false` (leaving `lap` partly rewritten) if some weight is exactly
+    /// zero: a fresh assembly drops such an edge, so the layout no longer
+    /// applies and the caller must assemble afresh.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lap` does not have this pattern's entry count.
+    pub fn refill(&self, weight: impl Fn(usize) -> f64, lap: &mut CsrMatrix) -> bool {
+        let values = lap.values_mut();
+        assert_eq!(
+            values.len(),
+            self.nnz(),
+            "Laplacian has a different pattern"
+        );
+        for (s, value) in values.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for &t in &self.terms[self.starts[s]..self.starts[s + 1]] {
+                let w = weight(t / 2);
+                if w == 0.0 {
+                    return false;
+                }
+                acc += if t % 2 == 1 { -w } else { w };
+            }
+            *value = acc;
+        }
+        true
+    }
 }
 
 #[cfg(test)]

@@ -50,9 +50,10 @@ pub use cheby::{
 };
 pub use csr::{CsrMatrix, MATVEC_ROW_CHUNK, PAR_MIN_NNZ, RHS_LANES};
 pub use dense::{DenseMatrix, MATMUL_J_BLOCK, MATMUL_K_PANEL, MATMUL_ROW_BLOCK, PAR_MIN_WORK};
-pub use eigen::{symmetric_eigen, SymmetricEigen};
+pub use eigen::{symmetric_eigen, symmetric_eigenvalues, SymmetricEigen};
 pub use error::LinalgError;
 pub use factor::{GroundedCholesky, SolveScratch};
 pub use laplacian::{
-    laplacian_from_edges, laplacian_quadratic_form, normalized_laplacian_dense, LaplacianNorm,
+    laplacian_from_edges, laplacian_quadratic_form, normalized_laplacian_dense,
+    normalized_laplacian_dense_into, LaplacianNorm, LaplacianPattern,
 };

@@ -15,11 +15,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm `‖a‖₂`.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// `y ← y + α·x`.
 ///
 /// # Panics
@@ -62,19 +57,6 @@ pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
-/// Component-wise difference `out ← a − b` into a caller-provided buffer.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn sub_into(a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    assert_eq!(a.len(), out.len(), "sub: output length mismatch");
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x - y;
-    }
-}
-
 /// Component-wise sum `a + b` as a new vector.
 ///
 /// # Panics
@@ -83,46 +65,6 @@ pub fn sub_into(a: &[f64], b: &[f64], out: &mut [f64]) {
 pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "add: length mismatch");
     a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
-/// Component-wise sum `out ← a + b` into a caller-provided buffer.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn add_into(a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), b.len(), "add: length mismatch");
-    assert_eq!(a.len(), out.len(), "add: output length mismatch");
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x + y;
-    }
-}
-
-/// Maximum absolute entry `‖a‖_∞` (0 for the empty vector).
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0, |m, x| m.max(x.abs()))
-}
-
-/// ℓp norm for `p ≥ 1` (the paper uses `‖ρ‖₃` in the max-flow IPM).
-pub fn norm_p(a: &[f64], p: f64) -> f64 {
-    assert!(p >= 1.0, "norm_p requires p >= 1");
-    a.iter().map(|x| x.abs().powf(p)).sum::<f64>().powf(1.0 / p)
-}
-
-/// Weighted ℓp norm `(Σ w_i |a_i|^p)^{1/p}` (the `‖ρ‖_{ν,p}` of the
-/// min-cost flow IPM).
-///
-/// # Panics
-///
-/// Panics if the lengths differ or `p < 1`.
-pub fn weighted_norm_p(a: &[f64], w: &[f64], p: f64) -> f64 {
-    assert_eq!(a.len(), w.len(), "weighted_norm_p: length mismatch");
-    assert!(p >= 1.0, "weighted_norm_p requires p >= 1");
-    a.iter()
-        .zip(w)
-        .map(|(x, wi)| wi * x.abs().powf(p))
-        .sum::<f64>()
-        .powf(1.0 / p)
 }
 
 /// Mean of the entries (0 for the empty vector).
@@ -148,6 +90,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Euclidean norm through [`dot`].
+    fn norm2(a: &[f64]) -> f64 {
+        dot(a, a).sqrt()
+    }
+
     #[test]
     fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
@@ -165,10 +112,12 @@ mod tests {
     fn in_place_variants_match_allocating_ones() {
         let a = vec![1.0, -2.5, 3.0];
         let b = vec![0.5, 4.0, -1.0];
-        let mut out = vec![0.0; 3];
-        sub_into(&a, &b, &mut out);
+        // axpy with α = ±1 is the in-place add / sub.
+        let mut out = a.clone();
+        axpy(&mut out, -1.0, &b);
         assert_eq!(out, sub(&a, &b));
-        add_into(&a, &b, &mut out);
+        let mut out = a.clone();
+        axpy(&mut out, 1.0, &b);
         assert_eq!(out, add(&a, &b));
         // xpay: y ← x + β·y, the fused `p = z + β p` update.
         let mut y = b.clone();
@@ -176,13 +125,6 @@ mod tests {
         for ((got, x), orig) in y.iter().zip(&a).zip(&b) {
             assert_eq!(got.to_bits(), (x + 0.25 * orig).to_bits());
         }
-    }
-
-    #[test]
-    fn p_norms() {
-        assert!((norm_p(&[1.0, -1.0], 1.0) - 2.0).abs() < 1e-15);
-        assert!((norm_p(&[3.0, 4.0], 2.0) - 5.0).abs() < 1e-12);
-        assert!((weighted_norm_p(&[2.0], &[3.0], 3.0) - (24.0f64).powf(1.0 / 3.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -195,8 +137,7 @@ mod tests {
     #[test]
     fn empty_vectors_are_harmless() {
         assert_eq!(dot(&[], &[]), 0.0);
-        assert_eq!(norm2(&[]), 0.0);
-        assert_eq!(norm_inf(&[]), 0.0);
+        assert_eq!(sub(&[], &[]), Vec::<f64>::new());
         assert_eq!(mean(&[]), 0.0);
         let mut e: Vec<f64> = vec![];
         remove_mean(&mut e);
@@ -224,16 +165,6 @@ mod tests {
             let k = a.len().min(b.len());
             let (a, b) = (&a[..k], &b[..k]);
             prop_assert!(norm2(&add(a, b)) <= norm2(a) + norm2(b) + 1e-6);
-        }
-
-        #[test]
-        fn norm_p_monotone_in_p(a in proptest::collection::vec(-10f64..10.0, 1..12)) {
-            // ‖a‖_q ≤ ‖a‖_p for p ≤ q.
-            let n1 = norm_p(&a, 1.0);
-            let n2 = norm_p(&a, 2.0);
-            let n3 = norm_p(&a, 3.0);
-            prop_assert!(n3 <= n2 + 1e-9);
-            prop_assert!(n2 <= n1 + 1e-9);
         }
     }
 }

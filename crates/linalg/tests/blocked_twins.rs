@@ -14,12 +14,14 @@
 //!   vs `k` independent single matvecs;
 //! * `GroundedCholesky::solve_multi_into` vs `k` single solves;
 //! * `chebyshev_solve_multi_into` vs `k` single preconditioned solves;
-//! * `symmetric_eigen` across thread budgets (the tred2 blocking).
+//! * `symmetric_eigen` across thread budgets (the tred2 blocking);
+//! * `symmetric_eigenvalues` vs `symmetric_eigen(..).eigenvalues()`, on
+//!   both sides of tred2's row chunk.
 
 use cc_linalg::{
     chebyshev_solve_fixed_into, chebyshev_solve_multi_into, laplacian_from_edges, par,
-    symmetric_eigen, BatchWorkspace, ChebyshevWorkspace, CsrMatrix, DenseMatrix, GroundedCholesky,
-    SolveScratch, MATMUL_J_BLOCK, MATMUL_K_PANEL, PAR_MIN_NNZ,
+    symmetric_eigen, symmetric_eigenvalues, BatchWorkspace, ChebyshevWorkspace, CsrMatrix,
+    DenseMatrix, GroundedCholesky, SolveScratch, MATMUL_J_BLOCK, MATMUL_K_PANEL, PAR_MIN_NNZ,
 };
 use proptest::prelude::*;
 
@@ -300,6 +302,32 @@ proptest! {
                 want.eigenvectors().as_slice(),
                 "eigenvectors",
             );
+        }
+    }
+
+    #[test]
+    fn symmetric_eigenvalues_match_full_decomposition_bitwise(
+        pool in proptest::collection::vec(-3f64..3.0, 31),
+    ) {
+        // Sizes on both sides of tred2's 64-row chunk: the serial
+        // allocation-free path and the fanned-out one.
+        for n in [1usize, 2, 9, 24, 63, 64, 65, 97] {
+            let mut a = DenseMatrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..=i {
+                    let v = pool[(7 * i + 3 * j) % pool.len()];
+                    a.set(i, j, v);
+                    a.set(j, i, v);
+                }
+            }
+            let want = par::with_threads(1, || symmetric_eigen(&a).unwrap());
+            let mut values = Vec::new();
+            for threads in [1usize, 2, 8] {
+                let mut work = a.clone();
+                par::with_threads(threads, || symmetric_eigenvalues(&mut work, &mut values))
+                    .unwrap();
+                assert_bits_eq(&values, want.eigenvalues(), "eigenvalues only");
+            }
         }
     }
 }

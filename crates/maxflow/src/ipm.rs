@@ -292,18 +292,18 @@ fn ipm_core<C: Communicator>(
             if min_gap < 1e-7 {
                 break; // numerically at the boundary: hand over to repair
             }
-            let net = match engine.build_network(clique, "augmentation") {
-                Ok(net) => net,
+            match engine.build_network(clique, "augmentation") {
+                Ok(()) => {}
                 // Comm-rooted failures (injected faults, congestion
                 // rejections) must surface; numerical degradation hands
                 // over to repair as before.
                 Err(e) if comm_rooted(&e) => return Err(e.into()),
                 Err(_) => break,
-            };
+            }
             chi.fill(0.0);
             chi[s] = remaining;
             chi[t] = -remaining;
-            engine.flow_into(clique, "augmentation", &net, &chi, &mut electrical)?;
+            engine.flow_into(clique, "augmentation", &chi, &mut electrical)?;
             let f_tilde = &electrical.flows;
 
             // Congestion vector ρ (Algorithm 2 lines 7/14); one broadcast
@@ -385,15 +385,15 @@ fn ipm_core<C: Communicator>(
                     |base, out| fill_barrier(&t_edges, &x, &damp, 1e-9, base, out),
                     |_| f64::INFINITY, // gap unused on the fixing build
                 );
-                let net2 = match engine.build_network(clique, "fixing") {
-                    Ok(net2) => Some(net2),
+                let built = match engine.build_network(clique, "fixing") {
+                    Ok(()) => true,
                     Err(e) if comm_rooted(&e) => return Err(e.into()),
-                    Err(_) => None,
+                    Err(_) => false,
                 };
-                if let Some(net2) = net2 {
+                if built {
                     minus.clear();
                     minus.extend(residue.iter().map(|r| -r));
-                    engine.flow_into(clique, "fixing", &net2, &minus, &mut correction)?;
+                    engine.flow_into(clique, "fixing", &minus, &mut correction)?;
                     // Guarded application: halve until strictly feasible.
                     let mut scale = 1.0;
                     'guard: for _ in 0..40 {
@@ -521,14 +521,14 @@ fn fractional_cleanup<C: Communicator>(
                 },
                 |_| f64::INFINITY, // the cleanup pass has no gap cutoff
             );
-            let net = match engine.build_network(clique, "cleanup") {
-                Ok(net) => net,
+            match engine.build_network(clique, "cleanup") {
+                Ok(()) => {}
                 Err(e) if comm_rooted(&e) => return Err(e.into()),
                 Err(_) => break,
-            };
+            }
             minus.clear();
             minus.extend(violation.iter().map(|v| -v));
-            engine.flow_into(clique, "cleanup", &net, &minus, &mut corr)?;
+            engine.flow_into(clique, "cleanup", &minus, &mut corr)?;
             // Apply with step halving so f stays within [0, u].
             let mut scale = 1.0;
             for _ in 0..40 {

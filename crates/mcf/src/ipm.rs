@@ -196,15 +196,15 @@ fn ipm_core<C: Communicator>(
             if min_gap < 1e-7 {
                 break;
             }
-            let net = match engine.build_network(clique, "progress") {
-                Ok(net) => net,
+            match engine.build_network(clique, "progress") {
+                Ok(()) => {}
                 // Comm-rooted failures (injected faults, congestion
                 // rejections) must surface; numerical degradation hands
                 // over to repair as before.
                 Err(e) if comm_rooted(&e) => return Err(e.into()),
                 Err(_) => break,
-            };
-            engine.flow_into(clique, "progress", &net, &remaining, &mut electrical)?;
+            }
+            engine.flow_into(clique, "progress", &remaining, &mut electrical)?;
             let f_tilde = &electrical.flows;
 
             // Congestion ρ_e = f̃_e / min(f, 1−f) with ν weights
@@ -279,13 +279,13 @@ fn ipm_core<C: Communicator>(
                     |base, out| fill_barrier(g, &f, &nu, base, out),
                     |_| f64::INFINITY, // gap unused on the correction build
                 );
-                let net2 = match engine.build_network(clique, "correction") {
-                    Ok(net2) => Some(net2),
+                let built = match engine.build_network(clique, "correction") {
+                    Ok(()) => true,
                     Err(e) if comm_rooted(&e) => return Err(e.into()),
-                    Err(_) => None,
+                    Err(_) => false,
                 };
-                if let Some(net2) = net2 {
-                    engine.flow_into(clique, "correction", &net2, &residue, &mut correction)?;
+                if built {
+                    engine.flow_into(clique, "correction", &residue, &mut correction)?;
                     let mut scale = 1.0;
                     for _ in 0..40 {
                         let ok = f.iter().zip(&correction.flows).all(|(&fe, &ce)| {

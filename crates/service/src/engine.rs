@@ -171,6 +171,9 @@ struct GraphEntry {
     /// sessions (max-flow and MCF key by edge support, so one cache
     /// serves both).
     cache: TemplateCache,
+    /// Connected component per vertex (undirected graphs), for rejecting
+    /// resistances across components before any solver work.
+    components: Vec<usize>,
     /// Laplacian solver + workspace (undirected graphs; carries the
     /// sparsifier Cholesky factorization reused across requests).
     solver: Option<SolverSession>,
@@ -240,11 +243,16 @@ impl<C: Communicator> FlowEngine<C> {
             self.clique.n()
         );
         let generation = self.graphs.get(name).map_or(1, |e| e.generation + 1);
+        let components = match &spec {
+            GraphSpec::Undirected(g) => g.components(),
+            _ => Vec::new(),
+        };
         self.graphs.insert(
             name.to_string(),
             GraphEntry {
                 generation,
                 spec,
+                components,
                 cache: TemplateCache::new(),
                 solver: None,
                 maxflow: None,
@@ -449,16 +457,15 @@ impl<C: Communicator> FlowEngine<C> {
             let Request::LaplacianSolve { b, .. } = &requests[i] else {
                 unreachable!("group members are Laplacian solves");
             };
-            if b.len() == n {
-                valid.push(i);
-            } else {
-                slots[i] = Some(Err(ServiceError::new(
-                    base_id + i as u64,
-                    graph,
-                    ServiceErrorKind::BadRequest {
-                        reason: "rhs length must equal the vertex count",
-                    },
-                )));
+            match rhs_problem(b, n) {
+                None => valid.push(i),
+                Some(reason) => {
+                    slots[i] = Some(Err(ServiceError::new(
+                        base_id + i as u64,
+                        graph,
+                        ServiceErrorKind::BadRequest { reason },
+                    )));
+                }
             }
         }
         if valid.is_empty() {
@@ -606,10 +613,8 @@ impl<C: Communicator> FlowEngine<C> {
                         reason: "eps must be positive",
                     });
                 }
-                if b.len() != g.n() {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "rhs length must equal the vertex count",
-                    });
+                if let Some(reason) = rhs_problem(&b, g.n()) {
+                    return err(ServiceErrorKind::BadRequest { reason });
                 }
                 built = ensure_solver(entry, clique, &self.config.solver)
                     .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
@@ -629,6 +634,11 @@ impl<C: Communicator> FlowEngine<C> {
                 if s >= g.n() || t >= g.n() || s == t {
                     return err(ServiceErrorKind::BadRequest {
                         reason: "terminals must be distinct in-range vertices",
+                    });
+                }
+                if entry.components[s] != entry.components[t] {
+                    return err(ServiceErrorKind::BadRequest {
+                        reason: "terminals lie in different components (infinite resistance)",
                     });
                 }
                 if eps.is_nan() || eps <= 0.0 {
@@ -766,6 +776,19 @@ impl<C: Communicator> FlowEngine<C> {
 
 /// Builds the entry's Laplacian solver if absent; returns whether this
 /// call paid the build.
+/// Why a Laplacian right-hand side is malformed for an `n`-vertex graph,
+/// if it is: a wrong length, or an entry that is NaN or infinite (the
+/// solve would return all-NaN potentials).
+fn rhs_problem(b: &[f64], n: usize) -> Option<&'static str> {
+    if b.len() != n {
+        Some("rhs length must equal the vertex count")
+    } else if !b.iter().all(|x| x.is_finite()) {
+        Some("rhs entries must be finite")
+    } else {
+        None
+    }
+}
+
 fn ensure_solver<C: Communicator>(
     entry: &mut GraphEntry,
     clique: &mut C,

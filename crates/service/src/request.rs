@@ -46,13 +46,16 @@ pub enum Request {
     LaplacianSolve {
         /// Registered undirected graph.
         graph: String,
-        /// Right-hand side, one entry per vertex.
+        /// Right-hand side, one finite entry per vertex (a NaN or
+        /// infinite entry is a [`crate::ServiceErrorKind::BadRequest`]).
         b: Vec<f64>,
         /// Relative accuracy in the `L`-norm.
         eps: f64,
     },
     /// Effective resistance between `s` and `t` (one Laplacian solve
-    /// with `b = e_s − e_t`; `R = x_s − x_t`).
+    /// with `b = e_s − e_t`; `R = x_s − x_t`). Terminals in different
+    /// connected components have no finite resistance: such a request is
+    /// a [`crate::ServiceErrorKind::BadRequest`].
     EffectiveResistance {
         /// Registered undirected graph.
         graph: String,

@@ -1,0 +1,89 @@
+//! Malformed requests that used to return a silently wrong `Ok` are
+//! typed `BadRequest`s: a non-finite Laplacian right-hand side (which
+//! solved to all-NaN potentials) and an effective resistance between
+//! components (which reported a finite value instead of ∞).
+
+use cc_graph::{generators, Graph};
+use cc_model::Clique;
+use cc_service::{FlowEngine, GraphSpec, Request, Response, ServiceErrorKind};
+
+fn is_bad_request<T: std::fmt::Debug>(
+    result: &Result<T, cc_service::ServiceError>,
+    why: &str,
+) -> bool {
+    matches!(
+        result,
+        Err(e) if matches!(e.kind, ServiceErrorKind::BadRequest { reason } if reason.contains(why))
+    )
+}
+
+#[test]
+fn non_finite_rhs_is_a_bad_request_solo_and_batched() {
+    let mut engine = FlowEngine::new(Clique::new(12));
+    engine.register(
+        "g",
+        GraphSpec::Undirected(generators::random_connected(12, 30, 4, 7)),
+    );
+    let rhs = |poison: f64| {
+        let mut b = vec![0.0; 12];
+        b[0] = 1.0;
+        b[11] = -1.0;
+        b[5] = poison;
+        b
+    };
+    let solve = |b: Vec<f64>| Request::LaplacianSolve {
+        graph: "g".into(),
+        b,
+        eps: 1e-8,
+    };
+    for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let before = engine.ledger().total_rounds();
+        let solo = engine.submit(solve(rhs(poison)));
+        assert!(is_bad_request(&solo, "finite"), "{poison}: {solo:?}");
+        assert_eq!(
+            engine.ledger().total_rounds(),
+            before,
+            "rejected before any communication"
+        );
+
+        // In a batch, the poisoned member fails alone; its finite
+        // neighbours still solve.
+        let out = engine.submit_batch(vec![solve(rhs(0.0)), solve(rhs(poison)), solve(rhs(0.5))]);
+        assert!(is_bad_request(&out[1], "finite"), "{poison}: {:?}", out[1]);
+        for ok in [&out[0], &out[2]] {
+            let Ok(outcome) = ok else {
+                panic!("finite member failed: {ok:?}")
+            };
+            let Response::Potentials { x, .. } = &outcome.response else {
+                panic!("expected potentials")
+            };
+            assert!(x.iter().all(|v| v.is_finite()));
+        }
+    }
+}
+
+#[test]
+fn resistance_across_components_is_a_bad_request() {
+    // Two disjoint unit edges: 0–1 and 2–3.
+    let mut g = Graph::new(4);
+    g.add_edge(0, 1, 1.0);
+    g.add_edge(2, 3, 1.0);
+    let mut engine = FlowEngine::new(Clique::new(4));
+    engine.register("split", GraphSpec::Undirected(g));
+    let resistance = |s, t| Request::EffectiveResistance {
+        graph: "split".into(),
+        s,
+        t,
+        eps: 1e-10,
+    };
+    let across = engine.submit(resistance(0, 3));
+    assert!(is_bad_request(&across, "components"), "{across:?}");
+    // Within a component the answer is still the resistor's 1 Ω.
+    let Ok(within) = engine.submit(resistance(2, 3)) else {
+        panic!("same-component resistance failed")
+    };
+    let Response::Resistance { value, .. } = within.response else {
+        panic!("expected a resistance")
+    };
+    assert!((value - 1.0).abs() < 1e-8, "got {value}");
+}

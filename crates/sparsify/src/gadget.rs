@@ -49,13 +49,20 @@ impl ClusterGadget {
             weighted_degrees.iter().all(|&d| d > 0.0),
             "gadget requires positive degrees"
         );
-        let c = (mu2 * mu_max).sqrt();
+        let (c, alpha) = Self::certificate(mu2, mu_max);
         let star_weights = weighted_degrees.iter().map(|&d| c * d).collect();
         Self {
             vertices,
-            alpha: (mu_max / mu2).sqrt(),
+            alpha,
             star_weights,
         }
+    }
+
+    /// The balanced star scale `c = √(µ₂·µ_max)` (star edge weights are
+    /// `c·d_v`) and the certified factor `α = √(µ_max/µ₂)` for a cluster
+    /// with normalized-Laplacian spectral bounds `mu2`, `mu_max`.
+    pub(crate) fn certificate(mu2: f64, mu_max: f64) -> (f64, f64) {
+        ((mu2 * mu_max).sqrt(), (mu_max / mu2).sqrt())
     }
 
     /// Number of star edges the gadget contributes.

@@ -58,4 +58,4 @@ pub use session::SparsifierSession;
 pub use sparsifier::{
     build_sparsifier, SparsifierSolveScratch, SparsifierSolver, SparsifyParams, SpectralSparsifier,
 };
-pub use template::{build_sparsifier_with_template, SparsifierTemplate};
+pub use template::{build_sparsifier_with_template, InstantiateScratch, SparsifierTemplate};

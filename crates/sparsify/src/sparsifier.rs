@@ -1,12 +1,15 @@
 //! The level-by-level deterministic spectral sparsifier of Theorem 3.3.
 
-use cc_graph::Graph;
-use cc_linalg::{laplacian_from_edges, GroundedCholesky, LinalgError, SolveScratch};
+use cc_graph::{EdgeId, Graph};
+use cc_linalg::{
+    laplacian_from_edges, CsrMatrix, GroundedCholesky, LaplacianPattern, LinalgError, SolveScratch,
+};
 use cc_model::Communicator;
 
 use crate::decomposition::{default_phi, expander_decompose};
 use crate::error::SparsifyError;
 use crate::gadget::{intra_cluster_degrees, ClusterGadget};
+use crate::template::LevelTemplate;
 
 /// Tuning knobs of [`build_sparsifier`].
 #[derive(Debug, Clone, Copy)]
@@ -49,11 +52,11 @@ impl Default for SparsifyParams {
 /// vertices — see [`SparsifierSolver`].
 #[derive(Debug, Clone)]
 pub struct SpectralSparsifier {
-    n: usize,
-    aux_count: usize,
-    edges: Vec<(usize, usize, f64)>,
-    alpha: f64,
-    levels: usize,
+    pub(crate) n: usize,
+    pub(crate) aux_count: usize,
+    pub(crate) edges: Vec<(usize, usize, f64)>,
+    pub(crate) alpha: f64,
+    pub(crate) levels: usize,
 }
 
 impl SpectralSparsifier {
@@ -126,7 +129,12 @@ impl SpectralSparsifier {
     pub fn solver(&self) -> Result<SparsifierSolver, LinalgError> {
         let lap = laplacian_from_edges(self.total_vertices(), &self.edges);
         let chol = GroundedCholesky::new(&lap)?;
-        Ok(SparsifierSolver { n: self.n, chol })
+        Ok(SparsifierSolver {
+            n: self.n,
+            chol,
+            lap,
+            pattern: None,
+        })
     }
 }
 
@@ -141,9 +149,51 @@ impl SpectralSparsifier {
 pub struct SparsifierSolver {
     n: usize,
     chol: GroundedCholesky,
+    /// The factored gadget Laplacian, kept so a refactor rewrites only
+    /// its values.
+    lap: CsrMatrix,
+    /// Its assembly layout, recorded on the first refactor.
+    pattern: Option<LaplacianPattern>,
 }
 
 impl SparsifierSolver {
+    /// Refactors the preconditioner for `h`, a sparsifier with the same
+    /// gadget edges (endpoints and order) as the one this solver was built
+    /// from and new weights — what [`crate::SparsifierTemplate`]
+    /// instantiation produces for a reweighted support. The gadget
+    /// Laplacian's values are refilled and the factor is refactored
+    /// numerically over its stored pattern; the result is bitwise equal
+    /// to [`SpectralSparsifier::solver`] on `h`. After the first call
+    /// (which records the assembly layout), the call allocates nothing.
+    /// A zero edge weight changes the assembled pattern; the solver is
+    /// then rebuilt from scratch.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::NotPositiveDefinite`] as for
+    /// [`SpectralSparsifier::solver`]; the solver is then unusable until
+    /// a later refactor succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` has a different gadget support.
+    pub fn refactor(&mut self, h: &SpectralSparsifier) -> Result<(), LinalgError> {
+        assert_eq!(
+            h.total_vertices(),
+            self.chol.n(),
+            "different gadget support"
+        );
+        let pattern = self
+            .pattern
+            .get_or_insert_with(|| LaplacianPattern::new(h.total_vertices(), &h.edges));
+        if pattern.refill(|e| h.edges[e].2, &mut self.lap) {
+            self.chol.refactor(&self.lap)
+        } else {
+            *self = h.solver()?;
+            Ok(())
+        }
+    }
+
     /// Applies the (pseudo-)inverse of the Schur complement `S_H` to `b`.
     ///
     /// Allocates per call; the per-iteration preconditioner path inside
@@ -266,6 +316,19 @@ pub fn build_sparsifier<C: Communicator>(
     g: &Graph,
     params: &SparsifyParams,
 ) -> Result<SpectralSparsifier, SparsifyError> {
+    build_levels(clique, g, params, None)
+}
+
+/// The level loop of [`build_sparsifier`]. With `capture`, every level's
+/// cluster structure is recorded as it is built (in original edge ids),
+/// for [`crate::build_sparsifier_with_template`]; the construction and
+/// its rounds are the same either way.
+pub(crate) fn build_levels<C: Communicator>(
+    clique: &mut C,
+    g: &Graph,
+    params: &SparsifyParams,
+    mut capture: Option<&mut Vec<LevelTemplate>>,
+) -> Result<SpectralSparsifier, SparsifyError> {
     assert!(
         clique.n() >= g.n(),
         "clique has {} nodes but the graph needs {}",
@@ -287,11 +350,20 @@ pub fn build_sparsifier<C: Communicator>(
         let mut aux_count = 0usize;
         let mut alpha: f64 = 1.0;
         let mut levels = 0usize;
+        // Original id of every edge of `remaining` (kept only when
+        // capturing).
+        let mut id_map: Vec<EdgeId> = match capture {
+            Some(_) => (0..g.m()).collect(),
+            None => Vec::new(),
+        };
         while remaining.m() > 0 {
             if levels >= max_levels {
                 // Correctness backstop: copy the leftovers verbatim.
                 for e in remaining.edges() {
                     edges.push((e.u, e.v, e.weight));
+                }
+                if let Some(captured) = capture.as_deref_mut() {
+                    captured.push(LevelTemplate::backstop(&remaining, &id_map));
                 }
                 break;
             }
@@ -361,6 +433,17 @@ pub fn build_sparsifier<C: Communicator>(
                         alpha = alpha.max(gadget.alpha);
                     }
                 }
+            }
+            if let Some(captured) = capture.as_deref_mut() {
+                captured.push(LevelTemplate::capture(
+                    &remaining,
+                    &dec.clusters,
+                    &id_map,
+                    params.direct_edge_slack,
+                ));
+                // `edge_subgraph` below keeps the crossing edges in
+                // ascending id order, as `crossing_edges` lists them.
+                id_map = dec.crossing_edges.iter().map(|&e| id_map[e]).collect();
             }
             // Crossing edges fall through to the next level.
             let crossing: std::collections::BTreeSet<usize> =

@@ -18,27 +18,90 @@
 //! the template's.
 
 use cc_graph::{EdgeId, Graph, VertexId};
-use cc_linalg::{normalized_laplacian_dense, symmetric_eigen};
+use cc_linalg::{normalized_laplacian_dense_into, symmetric_eigenvalues, DenseMatrix};
 use cc_model::Communicator;
 
+use crate::decomposition::Cluster;
 use crate::error::SparsifyError;
 use crate::gadget::ClusterGadget;
-use crate::sparsifier::{build_sparsifier, SparsifyParams, SpectralSparsifier};
+use crate::sparsifier::{build_levels, SparsifyParams, SpectralSparsifier};
 
-/// One frozen cluster: its vertices and its intra-cluster edge ids.
+/// One frozen cluster: its vertices and its intra-cluster edges.
 #[derive(Debug, Clone)]
 struct ClusterTemplate {
     vertices: Vec<VertexId>,
-    edges: Vec<EdgeId>,
+    /// Original edge id and local endpoint indices (into `vertices`).
+    edges: Vec<(EdgeId, usize, usize)>,
 }
 
 /// One frozen decomposition level.
 #[derive(Debug, Clone)]
-struct LevelTemplate {
+pub(crate) struct LevelTemplate {
     /// Clusters realized as star gadgets.
     gadget_clusters: Vec<ClusterTemplate>,
-    /// Edges kept verbatim at this level (small clusters / backstop).
-    direct_edges: Vec<EdgeId>,
+    /// Edges kept verbatim at this level (small clusters / backstop):
+    /// original edge id and endpoints.
+    direct_edges: Vec<(EdgeId, VertexId, VertexId)>,
+}
+
+impl LevelTemplate {
+    /// Records one decomposition level of `level_graph`, whose edge `e`
+    /// is original edge `id_map[e]`, with the gadget/direct split of
+    /// [`crate::build_sparsifier`].
+    pub(crate) fn capture(
+        level_graph: &Graph,
+        clusters: &[Cluster],
+        id_map: &[EdgeId],
+        direct_edge_slack: usize,
+    ) -> Self {
+        let mut level = LevelTemplate {
+            gadget_clusters: Vec::new(),
+            direct_edges: Vec::new(),
+        };
+        for cluster in clusters {
+            if cluster.edges.is_empty() {
+                continue;
+            }
+            if cluster.edges.len() <= cluster.len() + direct_edge_slack {
+                level.direct_edges.extend(cluster.edges.iter().map(|&e| {
+                    let edge = level_graph.edge(e);
+                    (id_map[e], edge.u, edge.v)
+                }));
+            } else {
+                let local: std::collections::BTreeMap<VertexId, usize> = cluster
+                    .vertices
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| (v, i))
+                    .collect();
+                level.gadget_clusters.push(ClusterTemplate {
+                    vertices: cluster.vertices.clone(),
+                    edges: cluster
+                        .edges
+                        .iter()
+                        .map(|&e| {
+                            let edge = level_graph.edge(e);
+                            (id_map[e], local[&edge.u], local[&edge.v])
+                        })
+                        .collect(),
+                });
+            }
+        }
+        level
+    }
+
+    /// The level-cap backstop: every remaining edge kept verbatim.
+    pub(crate) fn backstop(level_graph: &Graph, id_map: &[EdgeId]) -> Self {
+        LevelTemplate {
+            gadget_clusters: Vec::new(),
+            direct_edges: level_graph
+                .edges()
+                .iter()
+                .zip(id_map)
+                .map(|(edge, &id)| (id, edge.u, edge.v))
+                .collect(),
+        }
+    }
 }
 
 /// A frozen multi-level cluster structure, instantiable for any weight
@@ -48,6 +111,32 @@ pub struct SparsifierTemplate {
     n: usize,
     m: usize,
     levels: Vec<LevelTemplate>,
+}
+
+/// Reusable buffers of [`SparsifierTemplate::instantiate_into`]: the
+/// per-cluster edge list, degrees, normalized Laplacian and spectrum,
+/// and the broadcast staging rows.
+#[derive(Debug, Clone)]
+pub struct InstantiateScratch {
+    triples: Vec<(usize, usize, f64)>,
+    degrees: Vec<f64>,
+    normalized: DenseMatrix,
+    eigenvalues: Vec<f64>,
+    zeros: Vec<u64>,
+    echo: Vec<u64>,
+}
+
+impl Default for InstantiateScratch {
+    fn default() -> Self {
+        Self {
+            triples: Vec::new(),
+            degrees: Vec::new(),
+            normalized: DenseMatrix::zeros(0, 0),
+            eigenvalues: Vec::new(),
+            zeros: Vec::new(),
+            echo: Vec::new(),
+        }
+    }
 }
 
 impl SparsifierTemplate {
@@ -67,17 +156,12 @@ impl SparsifierTemplate {
     }
 
     /// Instantiates the template for `g` (same vertex count and edge list
-    /// order as the template's source graph; weights may differ).
-    ///
-    /// Rounds charged: 2 broadcast rounds per level (cluster ids +
-    /// weighted degrees) — the decomposition itself is reused, so no
-    /// \[CS20\] oracle charge recurs.
+    /// order as the template's source graph; weights may differ) — a
+    /// one-shot [`SparsifierTemplate::instantiate_into`].
     ///
     /// # Errors
     ///
-    /// [`SparsifyError::Comm`] on substrate failure;
-    /// [`SparsifyError::Factorization`] if a cluster recertification
-    /// eigendecomposition fails.
+    /// Same conditions as [`SparsifierTemplate::instantiate_into`].
     ///
     /// # Panics
     ///
@@ -89,57 +173,107 @@ impl SparsifierTemplate {
         g: &Graph,
     ) -> Result<SpectralSparsifier, SparsifyError> {
         assert_eq!(g.n(), self.n, "template built for a different vertex count");
-        assert_eq!(g.m(), self.m, "template built for a different edge support");
-        assert!(clique.n() >= g.n(), "clique too small");
+        let weights: Vec<f64> = g.edges().iter().map(|e| e.weight).collect();
+        let mut out = SpectralSparsifier::from_parts(self.n, 0, Vec::new(), 1.0, 0);
+        self.instantiate_into(
+            clique,
+            &weights,
+            &mut out,
+            &mut InstantiateScratch::default(),
+        )?;
+        Ok(out)
+    }
+
+    /// Instantiates the template into `out` for the edge weights
+    /// `weights` (indexed like the template's source graph's edges):
+    /// every level's verbatim edges take their new weight, and every
+    /// gadget cluster is recertified exactly — its normalized Laplacian's
+    /// extreme eigenvalues µ₂ and µ_max, from
+    /// [`cc_linalg::symmetric_eigenvalues`] — and re-emitted as a star.
+    ///
+    /// The template fixes the edge count and order, so `out`'s edge list
+    /// is rewritten in place: once `out` and `scratch` have held one
+    /// instantiation of this template, a call allocates nothing.
+    ///
+    /// Rounds charged: 2 broadcast rounds per level (cluster ids +
+    /// weighted degrees) — the decomposition itself is reused, so no
+    /// \[CS20\] oracle charge recurs.
+    ///
+    /// # Errors
+    ///
+    /// [`SparsifyError::Comm`] on substrate failure;
+    /// [`SparsifyError::Factorization`] if a cluster recertification
+    /// eigensolve fails. `out` is then partly rewritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len()` differs from the template's edge count,
+    /// `clique.n()` is below the template's vertex count, or a gadget
+    /// vertex has no positive intra-cluster weight.
+    pub fn instantiate_into<C: Communicator>(
+        &self,
+        clique: &mut C,
+        weights: &[f64],
+        out: &mut SpectralSparsifier,
+        scratch: &mut InstantiateScratch,
+    ) -> Result<(), SparsifyError> {
+        assert_eq!(
+            weights.len(),
+            self.m,
+            "template built for a different edge support"
+        );
+        assert!(clique.n() >= self.n, "clique too small");
         clique.phase("sparsify_from_template", |clique| {
-            let mut edges: Vec<(usize, usize, f64)> = Vec::new();
+            out.edges.clear();
             let mut aux_count = 0usize;
             let mut alpha: f64 = 1.0;
             for level in &self.levels {
-                clique.broadcast_all(&vec![0u64; clique.n()])?;
-                clique.broadcast_all(&vec![0u64; clique.n()])?;
-                for e in &level.direct_edges {
-                    let edge = g.edge(*e);
-                    edges.push((edge.u, edge.v, edge.weight));
+                scratch.zeros.clear();
+                scratch.zeros.resize(clique.n(), 0);
+                clique.broadcast_all_into(&scratch.zeros, &mut scratch.echo)?;
+                clique.broadcast_all_into(&scratch.zeros, &mut scratch.echo)?;
+                for &(e, u, v) in &level.direct_edges {
+                    out.edges.push((u, v, weights[e]));
                 }
                 for cluster in &level.gadget_clusters {
-                    // Weighted intra-cluster degrees under the NEW weights.
-                    let local: std::collections::BTreeMap<VertexId, usize> = cluster
-                        .vertices
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| (v, i))
-                        .collect();
                     let k = cluster.vertices.len();
-                    let mut triples = Vec::with_capacity(cluster.edges.len());
-                    let mut degrees = vec![0.0; k];
-                    for &eid in &cluster.edges {
-                        let e = g.edge(eid);
-                        let (lu, lv) = (local[&e.u], local[&e.v]);
-                        triples.push((lu, lv, e.weight));
-                        degrees[lu] += e.weight;
-                        degrees[lv] += e.weight;
-                    }
-                    // Exact spectral recertification for the new weights.
-                    let nl = normalized_laplacian_dense(k, &triples);
-                    let eig = symmetric_eigen(&nl)?;
-                    let mu2 = eig.eigenvalues()[1].max(1e-12);
-                    let mu_max = eig.eigenvalues().last().copied().unwrap_or(mu2).max(mu2);
-                    let gadget =
-                        ClusterGadget::new(cluster.vertices.clone(), &degrees, mu2, mu_max);
+                    scratch.triples.clear();
+                    scratch.triples.extend(
+                        cluster
+                            .edges
+                            .iter()
+                            .map(|&(e, lu, lv)| (lu, lv, weights[e])),
+                    );
+                    // Exact spectral recertification for the new weights;
+                    // `degrees[..k]` are the weighted intra-cluster degrees.
+                    normalized_laplacian_dense_into(
+                        k,
+                        &scratch.triples,
+                        &mut scratch.normalized,
+                        &mut scratch.degrees,
+                    );
+                    symmetric_eigenvalues(&mut scratch.normalized, &mut scratch.eigenvalues)?;
+                    let mu2 = scratch.eigenvalues[1].max(1e-12);
+                    let mu_max = scratch.eigenvalues.last().copied().unwrap_or(mu2).max(mu2);
+                    let degrees = &scratch.degrees[..k];
+                    assert!(
+                        degrees.iter().all(|&d| d > 0.0),
+                        "gadget requires positive degrees"
+                    );
+                    let (scale, gadget_alpha) = ClusterGadget::certificate(mu2, mu_max);
                     let center = self.n + aux_count;
                     aux_count += 1;
-                    alpha = alpha.max(gadget.alpha);
-                    gadget.emit_edges(center, &mut edges);
+                    alpha = alpha.max(gadget_alpha);
+                    for (&v, &d) in cluster.vertices.iter().zip(degrees) {
+                        out.edges.push((v, center, scale * d));
+                    }
                 }
             }
-            Ok(SpectralSparsifier::from_parts(
-                self.n,
-                aux_count,
-                edges,
-                alpha,
-                self.levels.len(),
-            ))
+            out.n = self.n;
+            out.aux_count = aux_count;
+            out.alpha = alpha;
+            out.levels = self.levels.len();
+            Ok(())
         })
     }
 }
@@ -148,81 +282,25 @@ impl SparsifierTemplate {
 /// template of its cluster structure, for later
 /// [`SparsifierTemplate::instantiate`] calls on reweighted graphs.
 ///
-/// The sparsifier equals `build_sparsifier`'s (same rounds charged); the
-/// template adds no communication.
+/// The sparsifier equals `build_sparsifier`'s (same construction, same
+/// rounds charged): the level loop records each level's clusters as it
+/// builds them, so the template adds no communication and no second
+/// decomposition.
 ///
 /// # Errors
 ///
-/// Same conditions as [`build_sparsifier`].
+/// Same conditions as [`crate::build_sparsifier`].
 ///
 /// # Panics
 ///
-/// Same conditions as [`build_sparsifier`].
+/// Same conditions as [`crate::build_sparsifier`].
 pub fn build_sparsifier_with_template<C: Communicator>(
     clique: &mut C,
     g: &Graph,
     params: &SparsifyParams,
 ) -> Result<(SpectralSparsifier, SparsifierTemplate), SparsifyError> {
-    // Re-run the level loop with structure capture. To avoid duplicating
-    // the construction logic, the capture reruns the decomposition exactly
-    // as `build_sparsifier` does (both are deterministic), recording the
-    // per-level assignments; the sparsifier itself comes from the
-    // canonical builder so the two can never drift apart.
-    let sparsifier = build_sparsifier(clique, g, params)?;
-
-    let phi = params
-        .phi
-        .unwrap_or_else(|| crate::decomposition::default_phi(g));
-    let max_levels = params
-        .max_levels
-        .unwrap_or_else(|| 2 * ((2.0 + g.total_weight()).log2().ceil() as usize) + 8);
-
     let mut levels = Vec::new();
-    let mut remaining = g.clone();
-    // Map each level-graph edge id back to the original edge id.
-    let mut id_map: Vec<EdgeId> = (0..g.m()).collect();
-    let mut level_count = 0usize;
-    while remaining.m() > 0 {
-        if level_count >= max_levels {
-            // Backstop: leftovers become direct edges of a final level.
-            levels.push(LevelTemplate {
-                gadget_clusters: Vec::new(),
-                direct_edges: id_map.clone(),
-            });
-            break;
-        }
-        level_count += 1;
-        let dec = crate::decomposition::expander_decompose(&remaining, phi)?;
-        let mut level = LevelTemplate {
-            gadget_clusters: Vec::new(),
-            direct_edges: Vec::new(),
-        };
-        for cluster in &dec.clusters {
-            if cluster.edges.is_empty() {
-                continue;
-            }
-            let orig_edges: Vec<EdgeId> = cluster.edges.iter().map(|&e| id_map[e]).collect();
-            if cluster.edges.len() <= cluster.len() + params.direct_edge_slack {
-                level.direct_edges.extend(orig_edges);
-            } else {
-                level.gadget_clusters.push(ClusterTemplate {
-                    vertices: cluster.vertices.clone(),
-                    edges: orig_edges,
-                });
-            }
-        }
-        levels.push(level);
-        let crossing: std::collections::BTreeSet<usize> =
-            dec.crossing_edges.iter().copied().collect();
-        let mut next_map = Vec::with_capacity(crossing.len());
-        for &e in &dec.crossing_edges {
-            next_map.push(id_map[e]);
-        }
-        // Keep next_map aligned with edge_subgraph's insertion order
-        // (ascending edge id — crossing_edges is ascending).
-        remaining = remaining.edge_subgraph(|e| crossing.contains(&e));
-        id_map = next_map;
-    }
+    let sparsifier = build_levels(clique, g, params, Some(&mut levels))?;
     let template = SparsifierTemplate {
         n: g.n(),
         m: g.m(),
@@ -300,6 +378,23 @@ mod tests {
             c1.ledger().phase_prefix_total("sparsify_from_template"),
             inst_rounds
         );
+    }
+
+    #[test]
+    fn level_cap_backstop_is_captured_verbatim() {
+        let g = generators::random_connected(16, 40, 2, 3);
+        let mut clique = Clique::new(16);
+        let params = SparsifyParams {
+            max_levels: Some(0),
+            ..Default::default()
+        };
+        let (h, template) = build_sparsifier_with_template(&mut clique, &g, &params).unwrap();
+        let g2 = reweight(&g, |i| 1.0 + (i % 3) as f64);
+        let h2 = template.instantiate(&mut clique, &g2).unwrap();
+        // Every edge kept verbatim, with its new weight, in edge order.
+        assert_eq!(h.edges(), g.edge_triples().as_slice());
+        assert_eq!(h2.edges(), g2.edge_triples().as_slice());
+        assert_eq!((h2.aux_count(), h2.alpha()), (0, 1.0));
     }
 
     #[test]
