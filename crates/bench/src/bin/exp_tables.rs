@@ -12,23 +12,7 @@
 //! deterministic quantities (rounds, iteration counts, certified factors,
 //! verdicts), so the check holds at any thread count.
 
-use cc_bench::*;
-
-type Experiment = (&'static str, fn() -> Table);
-
-const EXPERIMENTS: [Experiment; 11] = [
-    ("e1", e1_laplacian),
-    ("e1b", e1b_solver_ablation),
-    ("e2", e2_sparsifier),
-    ("e2b", e2b_sparsifier_ablation),
-    ("e3", e3_chebyshev),
-    ("e4", e4_euler),
-    ("e4b", e4b_orientation_ablation),
-    ("e5", e5_rounding),
-    ("e6", e6_maxflow),
-    ("e7", e7_mcf),
-    ("e8", e8_comparison),
-];
+use cc_bench::{check_doc, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,36 +41,11 @@ fn check(path: &str) -> i32 {
             return 2;
         }
     };
-    let doc_lines: Vec<&str> = doc.lines().collect();
-    for (key, run) in EXPERIMENTS {
-        let rendered = run().render();
-        let lines: Vec<&str> = rendered.lines().collect();
-        let Some(start) = doc_lines.iter().position(|l| *l == lines[0]) else {
-            eprintln!("{key}: table {:?} not found in {path}", lines[0]);
-            return 1;
-        };
-        for (i, want) in lines.iter().enumerate() {
-            let got = doc_lines.get(start + i).copied().unwrap_or("<end of file>");
-            if got != *want {
-                eprintln!(
-                    "{key}: {path} line {} differs\n  committed: {got}\n  generated: {want}",
-                    start + i + 1
-                );
-                return 1;
-            }
+    match check_doc(&doc, |key, rows| eprintln!("{key}: {rows} rows match")) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            1
         }
-        // The committed block must end where the generated one does.
-        if let Some(extra) = doc_lines
-            .get(start + lines.len())
-            .filter(|l| !l.trim().is_empty())
-        {
-            eprintln!(
-                "{key}: {path} line {} is an extra row: {extra}",
-                start + lines.len() + 1
-            );
-            return 1;
-        }
-        eprintln!("{key}: {} rows match", lines.len() - 3);
     }
-    0
 }

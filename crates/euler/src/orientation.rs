@@ -1,7 +1,7 @@
 //! The cycle-contraction engine of Theorem 1.4.
 
 use cc_graph::Graph;
-use cc_model::{Communicator, NodeId, Words};
+use cc_model::{Communicator, RouteBatch};
 
 use crate::darts::{CycleSummary, DartId, DartStructure};
 use crate::error::EulerError;
@@ -188,8 +188,8 @@ struct Contraction<'a, C: Communicator> {
     /// One-word and token-hop (origin + summary) message staging.
     msgs: Vec<(DartId, DartId, [u64; 1])>,
     hop_msgs: Vec<(DartId, DartId, [u64; 6])>,
-    /// Messages per host, for exact outbox capacities.
-    host_counts: Vec<usize>,
+    /// The routed step the staged messages become, reused by every step.
+    batch: RouteBatch,
     strategy: MarkingStrategy,
     iteration: u64,
 }
@@ -234,45 +234,39 @@ impl<'a, C: Communicator> Contraction<'a, C> {
             record_ends: Vec::new(),
             msgs: Vec::new(),
             hop_msgs: Vec::new(),
-            host_counts: Vec::new(),
+            batch: RouteBatch::new(),
             strategy,
             iteration: 0,
         }
     }
 
     /// Routes the staged `(src dart, dst dart, payload)` messages and
-    /// charges the corresponding rounds: one outbox row per host, one
-    /// message per entry whose first word addresses the target dart
-    /// within its host. No call is made when nothing is staged.
+    /// charges the corresponding rounds: one message per entry, from host
+    /// to host, whose first word addresses the target dart within its
+    /// host. The recipients are simulated here, so the step is a
+    /// [`Communicator::route_batch`]. No call is made when nothing is
+    /// staged.
     fn route<const W: usize>(
         clique: &mut C,
         darts: &DartStructure,
-        host_counts: &mut Vec<usize>,
+        batch: &mut RouteBatch,
         msgs: &[(DartId, DartId, [u64; W])],
     ) -> Result<(), EulerError> {
         if msgs.is_empty() {
             return Ok(());
         }
-        host_counts.clear();
-        host_counts.resize(clique.n(), 0);
-        for &(src, _, _) in msgs {
-            host_counts[darts.head(src)] += 1;
-        }
-        let mut outboxes: Vec<Vec<(NodeId, Words)>> =
-            host_counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        batch.clear();
         for &(src, dst, payload) in msgs {
-            let mut words = Vec::with_capacity(1 + W);
-            words.push(dst as u64);
-            words.extend_from_slice(&payload);
-            outboxes[darts.head(src)].push((darts.head(dst), words));
+            let words = std::iter::once(dst as u64).chain(payload);
+            batch.push(darts.head(src), darts.head(dst), words);
         }
-        clique.route(outboxes)?;
+        clique.route_batch(batch)?;
         Ok(())
     }
 
     /// Routes the staged one-word messages.
     fn route_msgs(&mut self) -> Result<(), EulerError> {
-        Self::route(self.clique, self.darts, &mut self.host_counts, &self.msgs)
+        Self::route(self.clique, self.darts, &mut self.batch, &self.msgs)
     }
 
     /// Settles the live darts that closed into self-loops (they are cycle
@@ -454,12 +448,7 @@ impl<'a, C: Communicator> Contraction<'a, C> {
                 self.hop_msgs.push((pos, next, payload));
                 self.token_next[next] = t;
             }
-            Self::route(
-                self.clique,
-                self.darts,
-                &mut self.host_counts,
-                &self.hop_msgs,
-            )?;
+            Self::route(self.clique, self.darts, &mut self.batch, &self.hop_msgs)?;
             std::mem::swap(&mut self.token_at, &mut self.token_next);
         }
         Ok(hops)

@@ -38,8 +38,10 @@
 
 mod engine;
 mod error;
+mod select;
 mod stats;
 
 pub use engine::{BarrierEngine, EngineOptions, EDGE_CHUNK};
 pub use error::IpmError;
+pub use select::top_k_into;
 pub use stats::{EngineStats, StageStats};

@@ -22,7 +22,7 @@
 use cc_apsp::RoundModel;
 use cc_core::{ElectricalFlow, SolverOptions};
 use cc_graph::DiGraph;
-use cc_ipm::{BarrierEngine, EngineOptions, EngineStats, EDGE_CHUNK};
+use cc_ipm::{top_k_into, BarrierEngine, EngineOptions, EngineStats, EDGE_CHUNK};
 use cc_model::Communicator;
 use cc_sparsify::TemplateCache;
 
@@ -238,6 +238,7 @@ fn ipm_core<C: Communicator>(
     let mut chi = vec![0.0f64; n];
     let mut residue = vec![0.0f64; n];
     let mut minus: Vec<f64> = Vec::with_capacity(n);
+    let mut by_rho: Vec<(usize, f64)> = Vec::with_capacity(mt);
     let mut electrical = ElectricalFlow::default();
     let mut correction = ElectricalFlow::default();
 
@@ -325,22 +326,13 @@ fn ipm_core<C: Communicator>(
                 // simulable sizes the asymptotic threshold constants would
                 // starve progress entirely, so boosting is applied *in
                 // addition to* (not instead of) the progress step.
-                let mut by_rho: Vec<(usize, f64)> = t_edges
-                    .iter()
-                    .zip(&x)
-                    .zip(f_tilde.iter().zip(&damp))
-                    .enumerate()
-                    .map(|(i, ((te, &xe), (&fe, &de)))| {
+                let rho = (t_edges.iter().zip(&x)).zip(f_tilde.iter().zip(&damp)).map(
+                    |((te, &xe), (&fe, &de))| {
                         let gap = (te.cap - xe).min(te.cap + xe);
-                        (i, (fe / (de * gap)).abs())
-                    })
-                    .collect();
-                by_rho.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .expect("finite rho")
-                        .then(a.0.cmp(&b.0))
-                });
-                for &(i, _) in by_rho.iter().take(boost_size) {
+                        (fe / (de * gap)).abs()
+                    },
+                );
+                for &(i, _) in top_k_into(rho, boost_size, &mut by_rho) {
                     damp[i] *= 2.0;
                 }
                 stats.boosting_steps += 1;

@@ -1,4 +1,4 @@
-use crate::{delivery, Communicator, CostKind, ModelError, NodeId, RoundLedger, Words};
+use crate::{delivery, Communicator, CostKind, ModelError, NodeId, RoundLedger, RouteBatch, Words};
 
 /// Tunable accounting constants of the simulated model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +33,10 @@ pub struct Envelope {
 /// A simulated (unicast) congested clique of `n` nodes — the canonical
 /// [`Communicator`].
 ///
-/// The struct owns no per-node state — algorithms keep their node states in
-/// ordinary `Vec`s indexed by [`NodeId`] and call the communication
-/// primitives of [`Communicator`], which deliver messages
+/// The struct owns no per-node state (only a reused load buffer for
+/// [`route_batch`](Communicator::route_batch)) — algorithms keep their
+/// node states in ordinary `Vec`s indexed by [`NodeId`] and call the
+/// communication primitives of [`Communicator`], which deliver messages
 /// deterministically and charge rounds to the [`RoundLedger`].
 ///
 /// # Round accounting
@@ -46,7 +47,7 @@ pub struct Envelope {
 /// | primitive | rounds charged |
 /// |-----------|----------------|
 /// | [`exchange`](Communicator::exchange) | max over ordered pairs of words sent on that pair |
-/// | [`route`](Communicator::route) | `lenzen_rounds · ⌈max node load / (capacity·n)⌉` |
+/// | [`route`](Communicator::route), [`route_batch`](Communicator::route_batch) | `lenzen_rounds · ⌈max node load / (capacity·n)⌉` |
 /// | [`broadcast_all`](Communicator::broadcast_all) | 1 (one word from everyone to everyone) |
 /// | [`broadcast_all_words`](Communicator::broadcast_all_words) | `max_i w_i` |
 /// | [`broadcast_from`](Communicator::broadcast_from) | `2·⌈w/(n−1)⌉` for `w > 1`, else `w` |
@@ -59,6 +60,9 @@ pub struct Clique {
     n: usize,
     config: CliqueConfig,
     ledger: RoundLedger,
+    /// Per-node send and receive loads of [`Communicator::route_batch`],
+    /// kept so a warm call allocates nothing.
+    loads: Vec<u64>,
 }
 
 impl Clique {
@@ -86,6 +90,7 @@ impl Clique {
             n,
             config,
             ledger: RoundLedger::new(),
+            loads: Vec::new(),
         }
     }
 }
@@ -134,6 +139,17 @@ impl Communicator for Clique {
             self.ledger.charge(rounds, CostKind::Implemented);
         }
         Ok(delivery::deliver(self.n, outboxes))
+    }
+
+    /// Charges what [`Communicator::route`] charges the batch's outboxes
+    /// and builds nothing.
+    fn route_batch(&mut self, batch: &RouteBatch) -> Result<(), ModelError> {
+        let load = delivery::batch_load(self.n, batch, &mut self.loads)?;
+        if load > 0 {
+            let rounds = delivery::route_cost(&self.config, self.n, load);
+            self.ledger.charge(rounds, CostKind::Implemented);
+        }
+        Ok(())
     }
 
     fn route_strict(

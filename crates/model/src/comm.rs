@@ -14,7 +14,7 @@
 //! Algorithms are generic over `C: Communicator`; nothing outside
 //! `cc-model` needs to know which substrate is charging the rounds.
 
-use crate::{CliqueConfig, CostKind, Envelope, ModelError, NodeId, RoundLedger, Words};
+use crate::{CliqueConfig, CostKind, Envelope, ModelError, NodeId, RoundLedger, RouteBatch, Words};
 
 /// Which communication model a [`Communicator`] implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,7 +54,8 @@ pub fn scoped_phase<C: Communicator, R>(
 /// The trait mirrors the primitive surface of [`crate::Clique`] (which is
 /// its canonical implementation): point-to-point
 /// [`exchange`](Communicator::exchange), Lenzen
-/// [`route`](Communicator::route)/[`route_strict`](Communicator::route_strict),
+/// [`route`](Communicator::route)/[`route_strict`](Communicator::route_strict)
+/// (and [`route_batch`](Communicator::route_batch), its charge-only twin),
 /// the broadcast family, [`allgather`](Communicator::allgather),
 /// [`sort`](Communicator::sort), [`gather_to`](Communicator::gather_to),
 /// plus phase scoping and oracle charging. Every
@@ -194,6 +195,23 @@ pub trait Communicator {
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError>;
 
+    /// A routed step whose recipients the caller simulates locally, so no
+    /// inboxes come back: rounds, errors and every wrapper's view are
+    /// those of [`Communicator::route`] on the batch's rebuilt outboxes
+    /// ([`RouteBatch::outboxes`]). The default rebuilds them and calls
+    /// `route`; [`crate::Clique`] overrides it to charge the same rounds
+    /// from the batch's loads without building anything.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidNode`] on an out-of-range source (checked
+    /// before anything is charged or rebuilt), plus whatever `route`
+    /// returns for the rebuilt outboxes.
+    fn route_batch(&mut self, batch: &RouteBatch) -> Result<(), ModelError> {
+        let outboxes = batch.outboxes(self.n())?;
+        self.route(outboxes).map(drop)
+    }
+
     /// Like [`Communicator::route`], but fails instead of batching when a
     /// node's load exceeds one application of the routing theorem.
     ///
@@ -288,12 +306,19 @@ pub trait Communicator {
 /// and `ledger_mut` always forward. Forwarding is static: no `dyn` in the
 /// call path.
 ///
-/// The one provided method that does not forward is
-/// [`Decorator::broadcast_all_into`]: it goes through the decorator's own
-/// `broadcast_all`, so a decorator that records or screens `broadcast_all`
-/// covers the buffered variant too. Decorators that leave `broadcast_all`'s
-/// payload alone override it with a pass-through, keeping the substrate's
-/// allocation-free path.
+/// Two provided methods do not forward; each goes through the
+/// decorator's own owned-payload primitive instead, so a decorator that
+/// records or screens that primitive covers its buffered twin too:
+///
+/// * [`Decorator::broadcast_all_into`] calls the decorator's own
+///   `broadcast_all`;
+/// * [`Decorator::route_batch`] rebuilds the batch's outboxes and calls
+///   the decorator's own `route`, so every message is seen exactly as
+///   if the caller had routed the outboxes itself.
+///
+/// Decorators that leave the payload alone override them with a
+/// pass-through, keeping the substrate's allocation-free path
+/// ([`crate::ThreadedComm`] does).
 ///
 /// The method names mirror [`Communicator`]'s, so with both traits in
 /// scope a method call on a concrete decorator is ambiguous: import
@@ -353,6 +378,13 @@ pub trait Decorator {
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
         self.inner_mut().route(outboxes)
+    }
+
+    /// [`Communicator::route_batch`] through this decorator's own
+    /// [`Decorator::route`] on the rebuilt outboxes (see the trait docs).
+    fn route_batch(&mut self, batch: &RouteBatch) -> Result<(), ModelError> {
+        let outboxes = batch.outboxes(self.inner().n())?;
+        Decorator::route(self, outboxes).map(drop)
     }
 
     /// Forwards [`Communicator::route_strict`].
@@ -456,6 +488,10 @@ impl<D: Decorator> Communicator for D {
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
         Decorator::route(self, outboxes)
+    }
+
+    fn route_batch(&mut self, batch: &RouteBatch) -> Result<(), ModelError> {
+        Decorator::route_batch(self, batch)
     }
 
     fn route_strict(

@@ -2,8 +2,9 @@
 //!
 //! Every transport in this crate ([`crate::Clique`], [`crate::ThreadedComm`])
 //! must move the same messages and charge the same rounds. This module is
-//! the single source of truth for both: pure functions over outboxes and
-//! word vectors, with **no ledger, no threads, no substrate state**.
+//! the single source of truth for both: pure functions over outboxes,
+//! route batches and word vectors, with **no ledger, no threads, no
+//! substrate state**.
 //!
 //! Two properties make the kernel shardable, which is what
 //! [`crate::ThreadedComm`] exploits:
@@ -22,7 +23,7 @@
 //! single shard covering all sources, so the two transports are bitwise
 //! identical by construction — results *and* ledgers.
 
-use crate::{CliqueConfig, Envelope, ModelError, NodeId, Words};
+use crate::{CliqueConfig, Envelope, ModelError, NodeId, RouteBatch, Words};
 
 /// Checks that a per-node collection has exactly `n` entries.
 ///
@@ -158,6 +159,40 @@ pub fn shard_loads(n: usize, shard: &[Vec<(NodeId, Words)>]) -> (Vec<u64>, Vec<u
         }
     }
     (send, recv)
+}
+
+/// Validates a [`RouteBatch`] and returns its maximum per-node load: the
+/// load [`shard_loads`] gives its rebuilt outboxes
+/// ([`RouteBatch::outboxes`]), so [`route_cost`] of it is what `route`
+/// charges them. `loads` is scratch (`2n` words once warm), so a warm
+/// call allocates nothing.
+///
+/// # Errors
+///
+/// [`ModelError::InvalidNode`] for the first out-of-range source in
+/// staging order; otherwise for the first out-of-range destination in
+/// the order [`check_destinations`] scans the rebuilt outboxes (lowest
+/// source, then staging order), which is the error `route` returns.
+pub fn batch_load(n: usize, batch: &RouteBatch, loads: &mut Vec<u64>) -> Result<u64, ModelError> {
+    batch.check_sources(n)?;
+    loads.clear();
+    loads.resize(2 * n, 0);
+    let (send, recv) = loads.split_at_mut(n);
+    let mut bad_dst: Option<(NodeId, NodeId)> = None;
+    for (src, dst, payload) in batch.iter() {
+        if dst >= n {
+            if bad_dst.is_none_or(|(first, _)| src < first) {
+                bad_dst = Some((src, dst));
+            }
+            continue;
+        }
+        send[src] += payload.len() as u64;
+        recv[dst] += payload.len() as u64;
+    }
+    if let Some((_, node)) = bad_dst {
+        return Err(ModelError::InvalidNode { node, n });
+    }
+    Ok(loads.iter().copied().max().unwrap_or(0))
 }
 
 /// Rounds charged by a unicast `route` for maximum per-node load

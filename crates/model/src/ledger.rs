@@ -37,6 +37,11 @@ impl PhaseCost {
     pub fn total(&self) -> u64 {
         self.implemented + self.charged
     }
+
+    fn add(&mut self, delta: PhaseCost) {
+        self.implemented += delta.implemented;
+        self.charged += delta.charged;
+    }
 }
 
 /// Accumulates the round complexity of a simulated execution, attributed to
@@ -134,23 +139,25 @@ impl RoundLedger {
 
     /// Records `rounds` rounds of the given kind against the current phase.
     ///
-    /// Allocation-free once the phase has been charged before: the joined
-    /// phase name is maintained incrementally and the key is only cloned on
-    /// the first charge of a phase.
+    /// One map lookup, and allocation-free, once the phase has been charged
+    /// before: the joined phase name is maintained incrementally and the
+    /// key is only cloned on the first charge of a phase.
     pub fn charge(&mut self, rounds: u64, kind: CostKind) {
-        if !self.phases.contains_key(self.path.as_str()) {
-            self.phases.insert(self.path.clone(), PhaseCost::default());
-        }
-        if let Some(entry) = self.phases.get_mut(self.path.as_str()) {
-            match kind {
-                CostKind::Implemented => {
-                    entry.implemented += rounds;
-                    self.total.implemented += rounds;
-                }
-                CostKind::Charged => {
-                    entry.charged += rounds;
-                    self.total.charged += rounds;
-                }
+        let delta = match kind {
+            CostKind::Implemented => PhaseCost {
+                implemented: rounds,
+                charged: 0,
+            },
+            CostKind::Charged => PhaseCost {
+                implemented: 0,
+                charged: rounds,
+            },
+        };
+        self.total.add(delta);
+        match self.phases.get_mut(self.path.as_str()) {
+            Some(entry) => entry.add(delta),
+            None => {
+                self.phases.insert(self.path.clone(), delta);
             }
         }
     }

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod adversary;
+mod batch;
 mod broadcast;
 mod clique;
 mod comm;
@@ -55,6 +56,7 @@ mod threaded;
 mod trace;
 pub mod util;
 
+pub use batch::RouteBatch;
 pub use broadcast::{BroadcastComm, BroadcastMode};
 pub use clique::{Clique, CliqueConfig, Envelope};
 pub use comm::{scoped_phase, CommunicationMode, Communicator, Decorator};

@@ -23,11 +23,12 @@
 //!   first error.
 //! * **Serial primitives stay serial.** `ThreadedComm` is a
 //!   [`crate::Decorator`] over an embedded sequential [`crate::Clique`]
-//!   that overrides only `exchange`, `route` and `route_strict`. The
+//!   that shards only `exchange`, `route` and `route_strict`. The
 //!   broadcast family, `sort`, and `gather_to` are shared-view operations
-//!   with no per-source message fan-out worth sharding; they forward to
-//!   the embedded clique on the driver thread — identical code, identical
-//!   ledger, by definition.
+//!   with no per-source message fan-out worth sharding, and
+//!   `route_batch` builds no inboxes at all; they forward to the embedded
+//!   clique on the driver thread — identical code, identical ledger, by
+//!   definition.
 //!
 //! # Watchdog contract
 //!
@@ -44,7 +45,8 @@
 //! completing twice) fails loudly rather than corrupting a later round.
 
 use crate::{
-    delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId, Words,
+    delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId,
+    RouteBatch, Words,
 };
 
 /// Per-source outboxes: `outboxes[src][i] = (dst, words)`.
@@ -258,6 +260,12 @@ impl crate::Decorator for ThreadedComm {
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
         self.route_checked(outboxes, true)
+    }
+
+    /// Charged on the embedded clique: with no inboxes to build there
+    /// is nothing to shard.
+    fn route_batch(&mut self, batch: &RouteBatch) -> Result<(), ModelError> {
+        self.seq.route_batch(batch)
     }
 
     /// Keeps the embedded clique's allocation-free path.

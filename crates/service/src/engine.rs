@@ -742,6 +742,11 @@ impl<C: Communicator> FlowEngine<C> {
                         reason: "APSP needs a directed or arc graph",
                     });
                 };
+                if arcs.iter().any(|&(_, _, w)| w < 0) {
+                    return err(ServiceErrorKind::BadRequest {
+                        reason: "APSP needs non-negative arc weights (SSSP accepts negative ones)",
+                    });
+                }
                 let n = entry.spec.n();
                 let session = entry
                     .apsp

@@ -10,7 +10,8 @@ use cc_graph::{DiGraph, Graph};
 /// * [`GraphSpec::Directed`] — max flow and min-cost flow, plus SSSP /
 ///   APSP over the arcs `(from, to, cost)`;
 /// * [`GraphSpec::Arcs`] — SSSP / APSP only (weighted directed arcs
-///   with no capacity semantics; negative weights allowed).
+///   with no capacity semantics; negative weights allowed, but only
+///   SSSP accepts them).
 #[derive(Debug, Clone)]
 pub enum GraphSpec {
     /// A positively weighted undirected graph (Laplacian domain).
@@ -92,7 +93,8 @@ pub enum Request {
     },
     /// All-pairs shortest paths (min-plus squaring). The distance
     /// matrix is memoized per graph generation: the first request pays
-    /// the rounds, later ones are free.
+    /// the rounds, later ones are free. A negative arc weight is a
+    /// [`crate::ServiceErrorKind::BadRequest`] (use [`Request::Sssp`]).
     Apsp {
         /// Registered directed or arc graph.
         graph: String,

@@ -1,9 +1,10 @@
-//! Malformed requests that used to return a silently wrong `Ok` are
-//! typed `BadRequest`s: a non-finite Laplacian right-hand side (which
-//! solved to all-NaN potentials) and an effective resistance between
-//! components (which reported a finite value instead of ∞).
+//! Malformed requests that used to return a silently wrong `Ok` or panic
+//! are typed `BadRequest`s: a non-finite Laplacian right-hand side (which
+//! solved to all-NaN potentials), an effective resistance between
+//! components (which reported a finite value instead of ∞) and APSP on a
+//! negative arc weight (which panicked inside the min-plus product).
 
-use cc_graph::{generators, Graph};
+use cc_graph::{generators, DiGraph, Graph};
 use cc_model::Clique;
 use cc_service::{FlowEngine, GraphSpec, Request, Response, ServiceErrorKind};
 
@@ -86,4 +87,47 @@ fn resistance_across_components_is_a_bad_request() {
         panic!("expected a resistance")
     };
     assert!((value - 1.0).abs() < 1e-8, "got {value}");
+}
+
+#[test]
+fn apsp_on_a_negative_weight_is_a_bad_request() {
+    let mut directed = DiGraph::new(3);
+    directed.add_edge(0, 1, 1, 2);
+    directed.add_edge(1, 2, 1, -1);
+    let mut engine = FlowEngine::new(Clique::new(3));
+    engine.register(
+        "arcs",
+        GraphSpec::Arcs {
+            n: 3,
+            arcs: vec![(0, 1, 2), (1, 2, -1)],
+        },
+    );
+    engine.register("directed", GraphSpec::Directed(directed));
+    for graph in ["arcs", "directed"] {
+        let apsp = engine.submit(Request::Apsp {
+            graph: graph.into(),
+        });
+        assert!(is_bad_request(&apsp, "non-negative"), "{graph}: {apsp:?}");
+        assert_eq!(
+            engine.ledger().total_rounds(),
+            0,
+            "{graph}: rejected before any communication"
+        );
+    }
+    // SSSP still accepts the negative arc.
+    let Ok(sssp) = engine.submit(Request::Sssp {
+        graph: "arcs".into(),
+        source: 0,
+    }) else {
+        panic!("SSSP on a negative arc failed")
+    };
+    let Response::Sssp {
+        dist,
+        negative_cycle,
+    } = sssp.response
+    else {
+        panic!("expected SSSP distances")
+    };
+    assert!(!negative_cycle);
+    assert_eq!(dist, vec![Some(0), Some(2), Some(1)]);
 }
