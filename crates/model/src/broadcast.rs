@@ -61,7 +61,8 @@
 //! proptests at worker counts 1, 2, and 8.
 
 use crate::{
-    delivery, CommunicationMode, Communicator, CostKind, Envelope, ModelError, NodeId, Words,
+    delivery, CommunicationMode, Communicator, CostKind, Envelope, ModelError, NodeId, Op, Reply,
+    Words,
 };
 
 /// How a [`BroadcastComm`] treats unicast-shaped primitives.
@@ -132,14 +133,6 @@ impl<C: Communicator> BroadcastComm<C> {
         self.inner
     }
 
-    /// Strict-mode gate for a unicast-shaped primitive.
-    fn strict_gate(&self, primitive: &'static str) -> Result<(), ModelError> {
-        if self.mode == BroadcastMode::Strict {
-            return Err(ModelError::UnicastInBroadcastModel { primitive });
-        }
-        Ok(())
-    }
-
     /// Charges `rounds` implemented rounds to the substrate's ledger
     /// (the wrapper owns the broadcast accounting; the substrate owns
     /// the ledger).
@@ -149,17 +142,23 @@ impl<C: Communicator> BroadcastComm<C> {
             .charge(rounds, CostKind::Implemented);
     }
 
-    /// Measured-mode simulation shared by `exchange` and `route`:
-    /// validate like the unicast clique, charge the broadcast
-    /// simulation cost, deliver through the shared kernel.
+    /// Measured-mode simulation of an outbox-shaped call: validate like
+    /// the unicast clique (with its routing budget if `budget`), charge
+    /// the broadcast simulation cost, deliver through the shared kernel.
     fn simulate_unicast(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
         always_charge: bool,
+        budget: bool,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
         let n = self.inner.n();
         delivery::check_outboxes(n, &outboxes)?;
-        let (send, _recv) = delivery::shard_loads(n, &outboxes);
+        let (send, recv) = delivery::shard_loads(n, &outboxes);
+        if budget {
+            // Keep the unicast budget check so congestion errors are value-
+            // identical to `Clique::route_strict` before the cost diverges.
+            delivery::strict_violation(&self.inner.config(), n, &send, &recv)?;
+        }
         let rounds = delivery::broadcast_sim_cost(&send);
         if always_charge || rounds > 0 {
             self.charge(rounds);
@@ -183,90 +182,80 @@ impl<C: Communicator> crate::Decorator for BroadcastComm<C> {
         CommunicationMode::Broadcast
     }
 
-    fn exchange(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.strict_gate("exchange")?;
-        // The unicast clique charges exchange unconditionally (even an
-        // empty exchange touches the ledger); mirror that.
-        self.simulate_unicast(outboxes, true)
-    }
-
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.strict_gate("route")?;
-        // The unicast clique leaves the ledger untouched for an empty
-        // route; mirror that.
-        self.simulate_unicast(outboxes, false)
-    }
-
-    fn route_strict(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.strict_gate("route_strict")?;
-        let n = self.inner.n();
-        delivery::check_outboxes(n, &outboxes)?;
-        let (send, recv) = delivery::shard_loads(n, &outboxes);
-        // Keep the unicast budget check so congestion errors are value-
-        // identical to `Clique::route_strict` before the cost diverges.
-        delivery::strict_violation(&self.inner.config(), n, &send, &recv)?;
-        let rounds = delivery::broadcast_sim_cost(&send);
-        if rounds > 0 {
-            self.charge(rounds);
+    fn call(&mut self, op: Op<'_>) -> Result<Reply, ModelError> {
+        let unicast = matches!(
+            op,
+            Op::Exchange(_)
+                | Op::Route(_)
+                | Op::RouteStrict(_)
+                | Op::RouteBatch(_)
+                | Op::Sort(_)
+                | Op::GatherTo(..)
+        );
+        if unicast && self.mode == BroadcastMode::Strict {
+            let primitive = op.name();
+            return Err(ModelError::UnicastInBroadcastModel { primitive });
         }
-        Ok(delivery::deliver(n, outboxes))
-    }
-
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        self.inner.broadcast_all_into(values, out)
-    }
-
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
         let n = self.inner.n();
-        if src >= n {
-            return Err(ModelError::InvalidNode { node: src, n });
+        match op {
+            // The unicast clique charges an exchange even when it is empty,
+            // but leaves the ledger untouched for an empty route; mirror
+            // both.
+            Op::Exchange(outboxes) => self
+                .simulate_unicast(outboxes, true, false)
+                .map(Reply::Inboxes),
+            Op::Route(outboxes) => self
+                .simulate_unicast(outboxes, false, false)
+                .map(Reply::Inboxes),
+            Op::RouteStrict(outboxes) => self
+                .simulate_unicast(outboxes, false, true)
+                .map(Reply::Inboxes),
+            Op::RouteBatch(batch) => {
+                let outboxes = batch.outboxes(n)?;
+                self.simulate_unicast(outboxes, false, false)
+                    .map(|_| Reply::Done)
+            }
+            Op::BroadcastFrom(src, words) => {
+                if src >= n {
+                    return Err(ModelError::InvalidNode { node: src, n });
+                }
+                // No scatter helpers: the source broadcasts its words one a round.
+                self.charge(words.len() as u64);
+                Ok(Reply::Words(words.clone()))
+            }
+            Op::Allgather(per_node) => {
+                delivery::check_len(n, per_node.len())?;
+                // No load balancing: everyone broadcasts its vector, so the
+                // call costs the longest one and touches the ledger even
+                // when empty.
+                self.charge(delivery::broadcast_words_cost(per_node));
+                let (all, offsets) = delivery::concat_words(n, per_node);
+                Ok(Reply::Gathered(all, offsets))
+            }
+            Op::Sort(per_node) => {
+                delivery::check_len(n, per_node.len())?;
+                if per_node.iter().any(|w| !w.is_empty()) {
+                    // Everyone broadcasts their keys (max per-node keys
+                    // rounds); the globally sorted blocks are then known
+                    // locally.
+                    self.charge(delivery::broadcast_words_cost(per_node));
+                }
+                Ok(Reply::Rows(delivery::sorted_blocks(n, per_node)))
+            }
+            Op::GatherTo(dst, per_node) => {
+                if dst >= n {
+                    return Err(ModelError::InvalidNode { node: dst, n });
+                }
+                delivery::check_len(n, per_node.len())?;
+                // A broadcast gather cannot target one node: everyone
+                // broadcasts their vector and `dst` (like everyone else)
+                // hears it all.
+                self.charge(delivery::broadcast_words_cost(per_node));
+                Ok(Reply::Rows(per_node.to_vec()))
+            }
+            // The all-broadcasts cost the same in both models.
+            op => op.apply(&mut self.inner),
         }
-        // No scatter helpers: the source broadcasts its words one a round.
-        self.charge(words.len() as u64);
-        Ok(words.clone())
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        let n = self.inner.n();
-        delivery::check_len(n, per_node.len())?;
-        // No load balancing: everyone broadcasts its vector, so the call
-        // costs the longest one and touches the ledger even when empty.
-        self.charge(delivery::broadcast_words_cost(per_node));
-        Ok(delivery::concat_words(n, per_node))
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.strict_gate("sort")?;
-        let n = self.inner.n();
-        delivery::check_len(n, per_node.len())?;
-        if per_node.iter().any(|w| !w.is_empty()) {
-            // Everyone broadcasts their keys (max per-node keys rounds);
-            // the globally sorted blocks are then known locally.
-            self.charge(delivery::broadcast_words_cost(per_node));
-        }
-        Ok(delivery::sorted_blocks(n, per_node))
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.strict_gate("gather_to")?;
-        let n = self.inner.n();
-        if dst >= n {
-            return Err(ModelError::InvalidNode { node: dst, n });
-        }
-        delivery::check_len(n, per_node.len())?;
-        // A broadcast gather cannot target one node: everyone broadcasts
-        // their vector and `dst` (like everyone else) hears it all.
-        self.charge(delivery::broadcast_words_cost(per_node));
-        Ok(per_node.to_vec())
     }
 }
 

@@ -5,16 +5,19 @@
 //! a concrete substrate. [`crate::Clique`] is the canonical
 //! implementation (the deterministic simulator) and [`crate::ThreadedComm`]
 //! runs the same kernel over a worker pool. Wrapping transports implement
-//! [`Decorator`], the one forwarding seam: [`crate::TracingComm`],
-//! [`crate::FaultComm`] (every injected fault, per call or per node) and
-//! [`crate::BroadcastComm`] (the Broadcast Congested Clique of the
-//! companion paper arXiv:2205.12059) each override only the methods they
-//! change.
+//! [`Decorator`], the one interception seam: every primitive call reaches
+//! a decorator as one [`Op`] value in [`Decorator::call`], and
+//! [`crate::TracingComm`], [`crate::FaultComm`] (every injected fault, per
+//! call or per node), [`crate::BroadcastComm`] (the Broadcast Congested
+//! Clique of the companion paper arXiv:2205.12059) and
+//! [`crate::ThreadedComm`] each override that one method.
 //!
 //! Algorithms are generic over `C: Communicator`; nothing outside
 //! `cc-model` needs to know which substrate is charging the rounds.
 
-use crate::{CliqueConfig, CostKind, Envelope, ModelError, NodeId, RoundLedger, RouteBatch, Words};
+use crate::{
+    CliqueConfig, CostKind, Envelope, ModelError, NodeId, Op, Reply, RoundLedger, RouteBatch, Words,
+};
 
 /// Which communication model a [`Communicator`] implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -200,7 +203,8 @@ pub trait Communicator {
     /// those of [`Communicator::route`] on the batch's rebuilt outboxes
     /// ([`RouteBatch::outboxes`]). The default rebuilds them and calls
     /// `route`; [`crate::Clique`] overrides it to charge the same rounds
-    /// from the batch's loads without building anything.
+    /// from the batch's loads without building anything. A [`Decorator`]
+    /// receives it as [`Op::RouteBatch`], labelled `route`.
     ///
     /// # Errors
     ///
@@ -236,10 +240,11 @@ pub trait Communicator {
 
     /// [`Communicator::broadcast_all`] into a caller-owned buffer: `out`
     /// is cleared and refilled with the shared view. The default delegates
-    /// to [`Communicator::broadcast_all`] (so wrapping transports trace and
-    /// charge it identically); substrates with an allocation-free fast path
-    /// override it ([`crate::Clique`] does). Round accounting must be
-    /// identical to `broadcast_all`.
+    /// to [`Communicator::broadcast_all`]; substrates with an
+    /// allocation-free fast path override it ([`crate::Clique`] does). A
+    /// [`Decorator`] receives it as [`Op::BroadcastAllInto`], labelled
+    /// `broadcast_all`. Round accounting must be identical to
+    /// `broadcast_all`.
     ///
     /// # Errors
     ///
@@ -295,35 +300,31 @@ pub trait Communicator {
     fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError>;
 }
 
-/// The forwarding seam of the wrapping transports.
+/// The interception seam of the wrapping transports.
 ///
 /// A decorator names the communicator it wraps ([`Decorator::inner`],
-/// [`Decorator::inner_mut`]) and overrides only the methods it changes;
-/// a blanket impl makes every `Decorator` a [`Communicator`]. Every
-/// provided method calls the *same* method on the wrapped communicator —
-/// never its ledger — so a `push_phase` or `charge_*` still reaches a
-/// [`crate::TracingComm`] stacked further down. `n`, `config`, `ledger`
-/// and `ledger_mut` always forward. Forwarding is static: no `dyn` in the
-/// call path.
+/// [`Decorator::inner_mut`]) and sees every primitive call — the twelve
+/// data primitives and the two charges — as one [`Op`] value in
+/// [`Decorator::call`]. A blanket impl makes every `Decorator` a
+/// [`Communicator`]: each typed method wraps its arguments into an `Op`,
+/// passes it to `call` and unwraps the [`Reply`] of its shape. The
+/// default `call` forwards ([`Op::apply`] on the wrapped communicator),
+/// so a decorator overrides `call`, handles the ops it changes, and
+/// passes the rest on with `op.apply(inner)`.
 ///
-/// Two provided methods do not forward; each goes through the
-/// decorator's own owned-payload primitive instead, so a decorator that
-/// records or screens that primitive covers its buffered twin too:
+/// Every provided method calls the *same* method on the wrapped
+/// communicator — never its ledger — so a `push_phase` or a charge still
+/// reaches a [`crate::TracingComm`] stacked further down. `n`, `config`,
+/// `ledger` and `ledger_mut` always forward. Forwarding is static: no
+/// `dyn` in the call path.
 ///
-/// * [`Decorator::broadcast_all_into`] calls the decorator's own
-///   `broadcast_all`;
-/// * [`Decorator::route_batch`] rebuilds the batch's outboxes and calls
-///   the decorator's own `route`, so every message is seen exactly as
-///   if the caller had routed the outboxes itself.
+/// `route_batch` checks the batch's sources before its op reaches
+/// `call`, so a bad source is rejected before any decorator sees it.
 ///
-/// Decorators that leave the payload alone override them with a
-/// pass-through, keeping the substrate's allocation-free path
-/// ([`crate::ThreadedComm`] does).
-///
-/// The method names mirror [`Communicator`]'s, so with both traits in
-/// scope a method call on a concrete decorator is ambiguous: import
-/// `Decorator` only to implement it, and otherwise call
-/// `Decorator::inner(&comm)` by path.
+/// The names `mode`, `faults_observed`, `push_phase` and `pop_phase`
+/// mirror [`Communicator`]'s, so with both traits in scope such a call
+/// on a concrete decorator is ambiguous: import `Decorator` only to
+/// implement it, and otherwise call `Decorator::inner(&comm)` by path.
 pub trait Decorator {
     /// The wrapped communicator.
     type Inner: Communicator;
@@ -354,85 +355,28 @@ pub trait Decorator {
         self.inner_mut().pop_phase();
     }
 
-    /// Forwards [`Communicator::charge_oracle`].
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.inner_mut().charge_oracle(rounds);
+    /// Every primitive call and charge. Forwards by default.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the call returns; a decorator may add its own. The reply
+    /// must have the shape of `op`'s typed method.
+    fn call(&mut self, op: Op<'_>) -> Result<Reply, ModelError> {
+        op.apply(self.inner_mut())
     }
+}
 
-    /// Forwards [`Communicator::charge_implemented`].
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.inner_mut().charge_implemented(rounds);
-    }
-
-    /// Forwards [`Communicator::exchange`].
-    fn exchange(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.inner_mut().exchange(outboxes)
-    }
-
-    /// Forwards [`Communicator::route`].
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.inner_mut().route(outboxes)
-    }
-
-    /// [`Communicator::route_batch`] through this decorator's own
-    /// [`Decorator::route`] on the rebuilt outboxes (see the trait docs).
-    fn route_batch(&mut self, batch: &RouteBatch) -> Result<(), ModelError> {
-        let outboxes = batch.outboxes(self.inner().n())?;
-        Decorator::route(self, outboxes).map(drop)
-    }
-
-    /// Forwards [`Communicator::route_strict`].
-    fn route_strict(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.inner_mut().route_strict(outboxes)
-    }
-
-    /// Forwards [`Communicator::broadcast_all`].
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        self.inner_mut().broadcast_all(values)
-    }
-
-    /// [`Communicator::broadcast_all_into`] through this decorator's own
-    /// [`Decorator::broadcast_all`] (see the trait docs).
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        let view = Decorator::broadcast_all(self, values)?;
-        out.clear();
-        out.extend_from_slice(&view);
-        Ok(())
-    }
-
-    /// Forwards [`Communicator::broadcast_all_words`].
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.inner_mut().broadcast_all_words(per_node)
-    }
-
-    /// Forwards [`Communicator::broadcast_from`].
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        self.inner_mut().broadcast_from(src, words)
-    }
-
-    /// Forwards [`Communicator::allgather`].
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        self.inner_mut().allgather(per_node)
-    }
-
-    /// Forwards [`Communicator::sort`].
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.inner_mut().sort(per_node)
-    }
-
-    /// Forwards [`Communicator::gather_to`].
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.inner_mut().gather_to(dst, per_node)
-    }
+/// Passes `op` to `d`'s [`Decorator::call`] and unwraps the reply shape
+/// its typed method returns.
+fn forward<D: Decorator, T>(
+    d: &mut D,
+    op: Op<'_>,
+    shape: fn(Reply) -> Option<T>,
+) -> Result<T, ModelError> {
+    let name = op.name();
+    let reply = d.call(op)?;
+    Ok(shape(reply)
+        .unwrap_or_else(|| panic!("a decorator answered `{name}` with another reply shape")))
 }
 
 impl<D: Decorator> Communicator for D {
@@ -469,64 +413,67 @@ impl<D: Decorator> Communicator for D {
     }
 
     fn charge_oracle(&mut self, rounds: u64) {
-        Decorator::charge_oracle(self, rounds);
+        forward(self, Op::Charge(CostKind::Charged, rounds), Reply::done)
+            .expect("a charge cannot fail");
     }
 
     fn charge_implemented(&mut self, rounds: u64) {
-        Decorator::charge_implemented(self, rounds);
+        forward(self, Op::Charge(CostKind::Implemented, rounds), Reply::done)
+            .expect("a charge cannot fail");
     }
 
     fn exchange(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        Decorator::exchange(self, outboxes)
+        forward(self, Op::Exchange(outboxes), Reply::inboxes)
     }
 
     fn route(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        Decorator::route(self, outboxes)
+        forward(self, Op::Route(outboxes), Reply::inboxes)
     }
 
     fn route_batch(&mut self, batch: &RouteBatch) -> Result<(), ModelError> {
-        Decorator::route_batch(self, batch)
+        batch.check_sources(self.n())?;
+        forward(self, Op::RouteBatch(batch), Reply::done)
     }
 
     fn route_strict(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        Decorator::route_strict(self, outboxes)
+        forward(self, Op::RouteStrict(outboxes), Reply::inboxes)
     }
 
     fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        Decorator::broadcast_all(self, values)
+        forward(self, Op::BroadcastAll(values), Reply::words)
     }
 
     fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        Decorator::broadcast_all_into(self, values, out)
+        forward(self, Op::BroadcastAllInto(values, out), Reply::done)
     }
 
     fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        Decorator::broadcast_all_words(self, per_node)
+        forward(self, Op::BroadcastAllWords(per_node), Reply::rows)
     }
 
     fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        Decorator::broadcast_from(self, src, words)
+        forward(self, Op::BroadcastFrom(src, words), Reply::words)
     }
 
     fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        Decorator::allgather(self, per_node)
+        forward(self, Op::Allgather(per_node), Reply::gathered)
     }
 
     fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        Decorator::sort(self, per_node)
+        forward(self, Op::Sort(per_node), Reply::rows)
     }
 
     fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        Decorator::gather_to(self, dst, per_node)
+        forward(self, Op::GatherTo(dst, per_node), Reply::rows)
     }
 }
 

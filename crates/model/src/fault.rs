@@ -27,7 +27,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::util::{json_escape, SplitMix64};
-use crate::{delivery, CliqueConfig, Communicator, Envelope, ModelError, NodeId, Words};
+use crate::{delivery, CliqueConfig, Communicator, ModelError, NodeId, Op, Reply, Words};
 
 /// One rule of a [`FaultPlan`].
 #[derive(Debug, Clone, PartialEq)]
@@ -480,70 +480,63 @@ impl<C: Communicator> crate::Decorator for FaultComm<C> {
         self.events.len() as u64 + self.inner.faults_observed()
     }
 
-    fn exchange(
-        &mut self,
-        mut outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.admit_outboxes(&mut outboxes, "exchange")?;
-        self.inner.exchange(outboxes)
-    }
-
-    fn route(
-        &mut self,
-        mut outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.admit_outboxes(&mut outboxes, "route")?;
-        self.inner.route(outboxes)
-    }
-
-    fn route_strict(
-        &mut self,
-        mut outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.admit_outboxes(&mut outboxes, "route_strict")?;
-        self.inner.route_strict(outboxes)
-    }
-
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        let values = self.admit_values(values)?;
-        self.inner.broadcast_all(&values)
-    }
-
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        let values = self.admit_values(values)?;
-        self.inner.broadcast_all_into(&values, out)
-    }
-
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        let rows = self.admit_rows(per_node, "broadcast_all_words")?;
-        self.inner.broadcast_all_words(&rows)
-    }
-
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        self.preflight("broadcast_from")?;
-        self.assert_payloads([words.len()]);
-        let mut row = Cow::Borrowed(words);
-        if self.has_node_rules() {
-            self.screen([(src, vec![row.to_mut()])], "broadcast_from")?;
-        }
-        self.inner.broadcast_from(src, &row)
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        let rows = self.admit_rows(per_node, "allgather")?;
-        self.inner.allgather(&rows)
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        // `sort`'s rows are keys, not messages: no payload assertion.
-        self.preflight("sort")?;
-        let rows = self.screen_rows(per_node, "sort")?;
-        self.inner.sort(&rows)
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        let rows = self.admit_rows(per_node, "gather_to")?;
-        self.inner.gather_to(dst, &rows)
+    /// One admission match: outbox-shaped ops (a batch lowered to its
+    /// outboxes), row-shaped ops and value-shaped ops each pass their
+    /// checks, then the admitted op goes to the wrapped communicator.
+    fn call(&mut self, op: Op<'_>) -> Result<Reply, ModelError> {
+        let primitive = op.name();
+        // Screened copies of borrowed payloads, made only under node rules.
+        let (values, rows, mut row);
+        let admitted = match op {
+            mut op @ (Op::Exchange(_) | Op::Route(_) | Op::RouteStrict(_)) => {
+                if let Op::Exchange(o) | Op::Route(o) | Op::RouteStrict(o) = &mut op {
+                    self.admit_outboxes(o, primitive)?;
+                }
+                op
+            }
+            Op::RouteBatch(batch) => {
+                let mut outboxes = batch.outboxes(self.inner.n())?;
+                self.admit_outboxes(&mut outboxes, primitive)?;
+                return self.inner.route(outboxes).map(|_| Reply::Done);
+            }
+            Op::BroadcastAll(v) => {
+                values = self.admit_values(v)?;
+                Op::BroadcastAll(&values)
+            }
+            Op::BroadcastAllInto(v, out) => {
+                values = self.admit_values(v)?;
+                Op::BroadcastAllInto(&values, out)
+            }
+            Op::BroadcastAllWords(per_node) => {
+                rows = self.admit_rows(per_node, primitive)?;
+                Op::BroadcastAllWords(&rows)
+            }
+            Op::Allgather(per_node) => {
+                rows = self.admit_rows(per_node, primitive)?;
+                Op::Allgather(&rows)
+            }
+            Op::GatherTo(dst, per_node) => {
+                rows = self.admit_rows(per_node, primitive)?;
+                Op::GatherTo(dst, &rows)
+            }
+            Op::Sort(per_node) => {
+                // `sort`'s rows are keys, not messages: no payload assertion.
+                self.preflight(primitive)?;
+                rows = self.screen_rows(per_node, primitive)?;
+                Op::Sort(&rows)
+            }
+            Op::BroadcastFrom(src, words) => {
+                self.preflight(primitive)?;
+                self.assert_payloads([words.len()]);
+                row = Cow::Borrowed(words);
+                if self.has_node_rules() {
+                    self.screen([(src, vec![row.to_mut()])], primitive)?;
+                }
+                Op::BroadcastFrom(src, &row)
+            }
+            op @ Op::Charge(..) => op,
+        };
+        admitted.apply(&mut self.inner)
     }
 }
 

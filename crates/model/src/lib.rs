@@ -52,6 +52,7 @@ mod encode;
 mod error;
 mod fault;
 mod ledger;
+mod op;
 mod threaded;
 mod trace;
 pub mod util;
@@ -66,6 +67,7 @@ pub use encode::{
 pub use error::ModelError;
 pub use fault::{FaultAction, FaultComm, FaultEvent, FaultPlan, FaultRule};
 pub use ledger::{CostKind, PhaseCost, RoundLedger};
+pub use op::{Op, Reply};
 pub use threaded::ThreadedComm;
 pub use trace::{PhaseTrace, TraceEvent, TracingComm, TRACE_HIST_BUCKETS};
 

@@ -45,8 +45,8 @@
 //! completing twice) fails loudly rather than corrupting a later round.
 
 use crate::{
-    delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId,
-    RouteBatch, Words,
+    delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId, Op,
+    Reply, Words,
 };
 
 /// Per-source outboxes: `outboxes[src][i] = (dst, words)`.
@@ -235,42 +235,24 @@ impl crate::Decorator for ThreadedComm {
         &mut self.seq
     }
 
-    fn exchange(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::check_len(self.n(), outboxes.len())?;
-        let reports = self.sharded_round(outboxes);
-        let (max_pair, _, _, inboxes) = self.merge(reports)?;
-        self.seq
-            .ledger_mut()
-            .charge(max_pair, CostKind::Implemented);
-        Ok(inboxes)
-    }
-
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.route_checked(outboxes, false)
-    }
-
-    fn route_strict(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.route_checked(outboxes, true)
-    }
-
-    /// Charged on the embedded clique: with no inboxes to build there
-    /// is nothing to shard.
-    fn route_batch(&mut self, batch: &RouteBatch) -> Result<(), ModelError> {
-        self.seq.route_batch(batch)
-    }
-
-    /// Keeps the embedded clique's allocation-free path.
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        self.seq.broadcast_all_into(values, out)
+    /// Shards `exchange`, `route` and `route_strict`; everything else
+    /// runs on the embedded clique, `route_batch` and
+    /// `broadcast_all_into` on its allocation-free paths.
+    fn call(&mut self, op: Op<'_>) -> Result<Reply, ModelError> {
+        match op {
+            Op::Exchange(outboxes) => {
+                delivery::check_len(self.n(), outboxes.len())?;
+                let reports = self.sharded_round(outboxes);
+                let (max_pair, _, _, inboxes) = self.merge(reports)?;
+                self.seq
+                    .ledger_mut()
+                    .charge(max_pair, CostKind::Implemented);
+                Ok(Reply::Inboxes(inboxes))
+            }
+            Op::Route(outboxes) => self.route_checked(outboxes, false).map(Reply::Inboxes),
+            Op::RouteStrict(outboxes) => self.route_checked(outboxes, true).map(Reply::Inboxes),
+            op => op.apply(&mut self.seq),
+        }
     }
 }
 

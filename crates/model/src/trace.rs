@@ -17,8 +17,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::op::CallStats;
 use crate::util::json_escape;
-use crate::{CommunicationMode, Communicator, Envelope, ModelError, NodeId, Words};
+use crate::{Communicator, ModelError, Op, Reply};
 
 /// Number of buckets of the per-message word-count histogram: bucket 0
 /// holds empty payloads, bucket `k ≥ 1` holds sizes in
@@ -31,17 +32,6 @@ fn hist_bucket(words: usize) -> usize {
     } else {
         ((usize::BITS - words.leading_zeros()) as usize).min(TRACE_HIST_BUCKETS - 1)
     }
-}
-
-/// Logical payload statistics of one primitive call (computed from the
-/// arguments before delegation; see [`TracingComm`] for the conventions).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct CallStats {
-    messages: u64,
-    words: u64,
-    max_pair_words: u64,
-    max_node_send: u64,
-    max_node_recv: u64,
 }
 
 /// One recorded primitive call (or phase transition).
@@ -109,11 +99,16 @@ impl Default for PhaseTrace {
 /// the substrate's implementation.
 ///
 /// * [`exchange`](Communicator::exchange) / [`route`](Communicator::route)
-///   / [`route_strict`](Communicator::route_strict): one message per
-///   `(src, dst, payload)` entry; `max_pair_words` is the max total words
-///   on one ordered pair, node loads are per-node send/receive words.
-/// * [`broadcast_all`](Communicator::broadcast_all): `n` one-word
-///   messages.
+///   / [`route_strict`](Communicator::route_strict), and
+///   [`route_batch`](Communicator::route_batch), recorded as `route`: one
+///   message per `(src, dst, payload)` entry; `max_pair_words` is the max
+///   total words on one ordered pair, node loads are per-node
+///   send/receive words. Over a broadcast substrate every sender reaches
+///   all others: pair and send loads are the max per-node send load, and
+///   every node receives all words.
+/// * [`broadcast_all`](Communicator::broadcast_all), and
+///   [`broadcast_all_into`](Communicator::broadcast_all_into), recorded
+///   as `broadcast_all`: `n` one-word messages.
 /// * [`broadcast_all_words`](Communicator::broadcast_all_words) /
 ///   [`allgather`](Communicator::allgather) /
 ///   [`sort`](Communicator::sort) /
@@ -141,83 +136,6 @@ pub struct TracingComm<C: Communicator> {
     max_pair_words: u64,
     max_node_send: u64,
     max_node_recv: u64,
-}
-
-fn outbox_stats(n: usize, outboxes: &[Vec<(NodeId, Words)>]) -> (CallStats, Vec<usize>) {
-    let mut stats = CallStats::default();
-    let mut send = vec![0u64; n];
-    let mut recv = vec![0u64; n];
-    let mut per_dst = vec![0u64; n];
-    let mut touched: Vec<NodeId> = Vec::new();
-    let mut sizes: Vec<usize> = Vec::new();
-    for (src, per_node) in outboxes.iter().enumerate() {
-        for (dst, payload) in per_node {
-            let w = payload.len() as u64;
-            stats.messages += 1;
-            stats.words += w;
-            sizes.push(payload.len());
-            if src < n && *dst < n {
-                send[src] += w;
-                recv[*dst] += w;
-                if per_dst[*dst] == 0 {
-                    touched.push(*dst);
-                }
-                per_dst[*dst] += w;
-            }
-        }
-        for &dst in &touched {
-            stats.max_pair_words = stats.max_pair_words.max(per_dst[dst]);
-            per_dst[dst] = 0;
-        }
-        touched.clear();
-    }
-    stats.max_node_send = send.iter().copied().max().unwrap_or(0);
-    stats.max_node_recv = recv.iter().copied().max().unwrap_or(0);
-    (stats, sizes)
-}
-
-/// Broadcast-mode attribution of a unicast-shaped outbox set: every word
-/// a node emits is broadcast to the other `n − 1` nodes (there are no
-/// private pairs), so the per-pair and per-node-send maxima coincide at
-/// the maximum per-node send load, and every node's receive load is the
-/// total broadcast volume — the same shared-view convention
-/// [`vector_stats`] uses for the broadcast family.
-fn broadcast_outbox_stats(outboxes: &[Vec<(NodeId, Words)>]) -> (CallStats, Vec<usize>) {
-    let mut stats = CallStats::default();
-    let mut sizes: Vec<usize> = Vec::new();
-    let mut max_send = 0u64;
-    for per_node in outboxes {
-        let mut send = 0u64;
-        for (_dst, payload) in per_node {
-            let w = payload.len() as u64;
-            stats.messages += 1;
-            stats.words += w;
-            send += w;
-            sizes.push(payload.len());
-        }
-        max_send = max_send.max(send);
-    }
-    stats.max_pair_words = max_send;
-    stats.max_node_send = max_send;
-    stats.max_node_recv = stats.words;
-    (stats, sizes)
-}
-
-fn vector_stats(per_node: &[Words]) -> (CallStats, Vec<usize>) {
-    let mut stats = CallStats::default();
-    let mut sizes = Vec::new();
-    for words in per_node {
-        if !words.is_empty() {
-            stats.messages += 1;
-            sizes.push(words.len());
-        }
-        let w = words.len() as u64;
-        stats.words += w;
-        stats.max_pair_words = stats.max_pair_words.max(w);
-        stats.max_node_send = stats.max_node_send.max(w);
-    }
-    stats.max_node_recv = stats.words;
-    (stats, sizes)
 }
 
 impl<C: Communicator> TracingComm<C> {
@@ -273,18 +191,6 @@ impl<C: Communicator> TracingComm<C> {
         self.max_node_recv = 0;
     }
 
-    /// Congestion attribution for a unicast-shaped outbox set: per-pair
-    /// in unicast substrates, one-sender-to-`n − 1`-receivers when the
-    /// wrapped substrate reports [`CommunicationMode::Broadcast`] (e.g.
-    /// [`crate::BroadcastComm`] in measured mode).
-    fn outbox_call_stats(&self, outboxes: &[Vec<(NodeId, Words)>]) -> (CallStats, Vec<usize>) {
-        if self.inner.mode() == CommunicationMode::Broadcast {
-            broadcast_outbox_stats(outboxes)
-        } else {
-            outbox_stats(self.inner.n(), outboxes)
-        }
-    }
-
     fn record(&mut self, primitive: &'static str, stats: CallStats, sizes: &[usize], rounds: u64) {
         let phase = self.inner.ledger().current_phase().to_string();
         self.max_pair_words = self.max_pair_words.max(stats.max_pair_words);
@@ -309,20 +215,6 @@ impl<C: Communicator> TracingComm<C> {
             messages: stats.messages,
             words: stats.words,
         });
-    }
-
-    fn traced<T>(
-        &mut self,
-        primitive: &'static str,
-        stats: CallStats,
-        sizes: Vec<usize>,
-        run: impl FnOnce(&mut C) -> T,
-    ) -> T {
-        let before = self.inner.ledger().total_rounds();
-        let out = run(&mut self.inner);
-        let rounds = self.inner.ledger().total_rounds() - before;
-        self.record(primitive, stats, &sizes, rounds);
-        out
     }
 
     /// Serializes the per-phase aggregates and global congestion maxima
@@ -441,96 +333,14 @@ impl<C: Communicator> crate::Decorator for TracingComm<C> {
         self.inner.pop_phase();
     }
 
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.traced("charge_oracle", CallStats::default(), Vec::new(), |c| {
-            c.charge_oracle(rounds)
-        })
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.traced(
-            "charge_implemented",
-            CallStats::default(),
-            Vec::new(),
-            |c| c.charge_implemented(rounds),
-        )
-    }
-
-    fn exchange(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        let (stats, sizes) = self.outbox_call_stats(&outboxes);
-        self.traced("exchange", stats, sizes, |c| c.exchange(outboxes))
-    }
-
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        let (stats, sizes) = self.outbox_call_stats(&outboxes);
-        self.traced("route", stats, sizes, |c| c.route(outboxes))
-    }
-
-    fn route_strict(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        let (stats, sizes) = self.outbox_call_stats(&outboxes);
-        self.traced("route_strict", stats, sizes, |c| c.route_strict(outboxes))
-    }
-
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        let stats = CallStats {
-            messages: values.len() as u64,
-            words: values.len() as u64,
-            max_pair_words: 1,
-            max_node_send: 1,
-            max_node_recv: values.len() as u64,
-        };
-        let sizes = vec![1; values.len()];
-        self.traced("broadcast_all", stats, sizes, |c| c.broadcast_all(values))
-    }
-
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        let (stats, sizes) = vector_stats(per_node);
-        self.traced("broadcast_all_words", stats, sizes, |c| {
-            c.broadcast_all_words(per_node)
-        })
-    }
-
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        let w = words.len() as u64;
-        let stats = CallStats {
-            messages: u64::from(w > 0),
-            words: w,
-            max_pair_words: w,
-            max_node_send: w,
-            max_node_recv: w,
-        };
-        let sizes = if words.is_empty() {
-            Vec::new()
-        } else {
-            vec![words.len()]
-        };
-        self.traced("broadcast_from", stats, sizes, |c| {
-            c.broadcast_from(src, words)
-        })
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        let (stats, sizes) = vector_stats(per_node);
-        self.traced("allgather", stats, sizes, |c| c.allgather(per_node))
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        let (stats, sizes) = vector_stats(per_node);
-        self.traced("sort", stats, sizes, |c| c.sort(per_node))
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        let (stats, sizes) = vector_stats(per_node);
-        self.traced("gather_to", stats, sizes, |c| c.gather_to(dst, per_node))
+    fn call(&mut self, op: Op<'_>) -> Result<Reply, ModelError> {
+        let (stats, sizes) = op.stats(self.inner.mode(), self.inner.n());
+        let primitive = op.name();
+        let before = self.inner.ledger().total_rounds();
+        let reply = op.apply(&mut self.inner);
+        let rounds = self.inner.ledger().total_rounds() - before;
+        self.record(primitive, stats, &sizes, rounds);
+        reply
     }
 }
 

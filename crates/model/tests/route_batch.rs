@@ -153,10 +153,11 @@ proptest! {
         }
     }
 
-    /// Wrappers see every message: `TracingComm`, `FaultComm` (a rate,
-    /// a budget and a corrupting node) and both `BroadcastComm` modes
-    /// record the same events and return the same errors for
-    /// `route_batch` as for `route`.
+    /// Wrappers see every message: `TracingComm` (over a unicast and a
+    /// broadcast substrate), `FaultComm` (a rate, a budget and a
+    /// corrupting node) and both `BroadcastComm` modes record the same
+    /// events and return the same errors for `route_batch` as for
+    /// `route`.
     #[test]
     fn wrappers_see_route_batch_as_route(
         n in 2usize..12,
@@ -171,6 +172,13 @@ proptest! {
         prop_assert_eq!(traced.events(), traced_ref.events());
         prop_assert_eq!(traced.trace_json(), traced_ref.trace_json());
         assert_same_ledger(&traced, &traced_ref, "tracing");
+
+        // Over a broadcast substrate the batch's stats are attributed
+        // one sender to all, exactly as its rebuilt outboxes are.
+        let mut traced = TracingComm::new(BroadcastComm::measured(Clique::new(n)));
+        let mut traced_ref = TracingComm::new(BroadcastComm::measured(Clique::new(n)));
+        prop_assert_eq!(run(&mut traced, &steps, true), run(&mut traced_ref, &steps, false));
+        prop_assert_eq!(traced.trace_json(), traced_ref.trace_json());
 
         let mut faulty = FaultComm::new(Clique::new(n), fault_plan(seed, n));
         let mut faulty_ref = FaultComm::new(Clique::new(n), fault_plan(seed, n));

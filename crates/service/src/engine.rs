@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use cc_apsp::{ApspSession, RoundModel, SsspOutcome};
+use cc_apsp::{ApspSession, RoundModel, SsspOutcome, INFINITY};
 use cc_core::{SolverOptions, SolverSession};
 use cc_maxflow::{IpmOptions, MaxFlowSession};
 use cc_mcf::{McfOptions, McfSession};
@@ -477,18 +477,14 @@ impl<C: Communicator> FlowEngine<C> {
         let faults0 = clique.faults_observed();
         let rounds0 = clique.ledger().total_rounds();
         let charged0 = clique.ledger().charged_rounds();
-        let mut built = false;
-        if entry.solver.is_none() {
-            match SolverSession::build(clique, g, &self.config.solver) {
-                Ok(s) => entry.solver = Some(s),
-                Err(e) => {
-                    let faults = clique.faults_observed() - faults0;
-                    fail_all(slots, ServiceErrorKind::Core(e), faults);
-                    return;
-                }
+        let built = match ensure_solver(entry, clique, &self.config.solver) {
+            Ok(built) => built,
+            Err(kind) => {
+                let faults = clique.faults_observed() - faults0;
+                fail_all(slots, kind, faults);
+                return;
             }
-            built = true;
-        }
+        };
         let rounds_built = clique.ledger().total_rounds();
         let charged_built = clique.ledger().charged_rounds();
 
@@ -617,7 +613,7 @@ impl<C: Communicator> FlowEngine<C> {
                     return err(ServiceErrorKind::BadRequest { reason });
                 }
                 built = ensure_solver(entry, clique, &self.config.solver)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
+                    .map_err(|kind| ServiceError::new(id, &name, kind))?;
                 let session = entry.solver.as_mut().expect("solver just ensured");
                 let mut x = Vec::new();
                 let iterations = session
@@ -647,7 +643,7 @@ impl<C: Communicator> FlowEngine<C> {
                     });
                 }
                 built = ensure_solver(entry, clique, &self.config.solver)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
+                    .map_err(|kind| ServiceError::new(id, &name, kind))?;
                 let session = entry.solver.as_mut().expect("solver just ensured");
                 let mut b = vec![0.0; session.n()];
                 b[s] = 1.0;
@@ -708,20 +704,20 @@ impl<C: Communicator> FlowEngine<C> {
                 }
             }
             Request::Sssp { source, .. } => {
-                let Some(arcs) = spec_arcs(&entry.spec) else {
+                if matches!(entry.spec, GraphSpec::Undirected(_)) {
                     return err(ServiceErrorKind::BadRequest {
                         reason: "SSSP needs a directed or arc graph",
                     });
-                };
-                let n = entry.spec.n();
-                if source >= n {
+                }
+                if source >= entry.spec.n() {
                     return err(ServiceErrorKind::BadRequest {
                         reason: "source out of range",
                     });
                 }
-                let session = entry
-                    .apsp
-                    .get_or_insert_with(|| ApspSession::new(n, arcs, self.config.round_model));
+                let session = match apsp_session(entry, self.config.round_model) {
+                    Ok(session) => session,
+                    Err(reason) => return err(ServiceErrorKind::BadRequest { reason }),
+                };
                 match session
                     .sssp(clique, source)
                     .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Apsp(e)))?
@@ -737,20 +733,21 @@ impl<C: Communicator> FlowEngine<C> {
                 }
             }
             Request::Apsp { .. } => {
-                let Some(arcs) = spec_arcs(&entry.spec) else {
+                if matches!(entry.spec, GraphSpec::Undirected(_)) {
                     return err(ServiceErrorKind::BadRequest {
                         reason: "APSP needs a directed or arc graph",
                     });
+                }
+                let n = entry.spec.n();
+                let session = match apsp_session(entry, self.config.round_model) {
+                    Ok(session) => session,
+                    Err(reason) => return err(ServiceErrorKind::BadRequest { reason }),
                 };
-                if arcs.iter().any(|&(_, _, w)| w < 0) {
+                if session.arcs().iter().any(|&(_, _, w)| w < 0) {
                     return err(ServiceErrorKind::BadRequest {
                         reason: "APSP needs non-negative arc weights (SSSP accepts negative ones)",
                     });
                 }
-                let n = entry.spec.n();
-                let session = entry
-                    .apsp
-                    .get_or_insert_with(|| ApspSession::new(n, arcs, self.config.round_model));
                 built = session.apsp_cached().is_none();
                 let apsp = session.apsp(clique);
                 let dist = (0..n)
@@ -779,8 +776,6 @@ impl<C: Communicator> FlowEngine<C> {
     }
 }
 
-/// Builds the entry's Laplacian solver if absent; returns whether this
-/// call paid the build.
 /// Why a Laplacian right-hand side is malformed for an `n`-vertex graph,
 /// if it is: a wrong length, or an entry that is NaN or infinite (the
 /// solve would return all-NaN potentials).
@@ -794,27 +789,69 @@ fn rhs_problem(b: &[f64], n: usize) -> Option<&'static str> {
     }
 }
 
+/// Why a shortest-path arc list is malformed for an `n`-vertex graph, if
+/// it is: an endpoint that is not a vertex, or a weight too large in
+/// magnitude for the bound documented on [`GraphSpec::Arcs`].
+fn arcs_problem(arcs: &[(usize, usize, i64)], n: usize) -> Option<&'static str> {
+    // A path of fewer than `n` arcs has at most `n − 1` of them.
+    let max_weight = (INFINITY as u64 - 1) / (n.max(2) as u64 - 1);
+    if arcs.iter().any(|&(u, v, _)| u >= n || v >= n) {
+        Some("arc endpoints must be vertices")
+    } else if arcs.iter().any(|&(_, _, w)| w.unsigned_abs() > max_weight) {
+        Some("arc weights must satisfy |w|·(n − 1) < INFINITY")
+    } else {
+        None
+    }
+}
+
+/// Builds the entry's Laplacian solver if absent; returns whether this
+/// call paid the build. An edge weight that is not finite is a
+/// `BadRequest` before anything is communicated.
 fn ensure_solver<C: Communicator>(
     entry: &mut GraphEntry,
     clique: &mut C,
     options: &SolverOptions,
-) -> Result<bool, cc_core::CoreError> {
+) -> Result<bool, ServiceErrorKind> {
     if entry.solver.is_some() {
         return Ok(false);
     }
     let GraphSpec::Undirected(g) = &entry.spec else {
         unreachable!("callers checked the spec kind");
     };
-    entry.solver = Some(SolverSession::build(clique, g, options)?);
+    if !g.edges().iter().all(|e| e.weight.is_finite()) {
+        return Err(ServiceErrorKind::BadRequest {
+            reason: "edge weights must be finite",
+        });
+    }
+    let session = SolverSession::build(clique, g, options).map_err(ServiceErrorKind::Core)?;
+    entry.solver = Some(session);
     Ok(true)
 }
 
-/// The shortest-path arc list of a spec (directed graphs contribute
-/// `(from, to, cost)`), or `None` for undirected graphs.
-fn spec_arcs(spec: &GraphSpec) -> Option<Vec<(usize, usize, i64)>> {
+/// The entry's shortest-path session, created on first use. Only then
+/// are the spec's arcs copied out and checked ([`arcs_problem`]), so a
+/// request on an existing session copies nothing.
+fn apsp_session(
+    entry: &mut GraphEntry,
+    model: RoundModel,
+) -> Result<&mut ApspSession, &'static str> {
+    if entry.apsp.is_none() {
+        let n = entry.spec.n();
+        let arcs = spec_arcs(&entry.spec);
+        if let Some(reason) = arcs_problem(&arcs, n) {
+            return Err(reason);
+        }
+        entry.apsp = Some(ApspSession::new(n, arcs, model));
+    }
+    Ok(entry.apsp.as_mut().expect("session just ensured"))
+}
+
+/// The shortest-path arc list of a directed or arc spec (directed graphs
+/// contribute `(from, to, cost)`).
+fn spec_arcs(spec: &GraphSpec) -> Vec<(usize, usize, i64)> {
     match spec {
-        GraphSpec::Undirected(_) => None,
-        GraphSpec::Directed(g) => Some(g.edges().iter().map(|e| (e.from, e.to, e.cost)).collect()),
-        GraphSpec::Arcs { arcs, .. } => Some(arcs.clone()),
+        GraphSpec::Undirected(_) => unreachable!("callers checked the spec kind"),
+        GraphSpec::Directed(g) => g.edges().iter().map(|e| (e.from, e.to, e.cost)).collect(),
+        GraphSpec::Arcs { arcs, .. } => arcs.clone(),
     }
 }

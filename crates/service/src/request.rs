@@ -14,11 +14,21 @@ use cc_graph::{DiGraph, Graph};
 ///   SSSP accepts them).
 #[derive(Debug, Clone)]
 pub enum GraphSpec {
-    /// A positively weighted undirected graph (Laplacian domain).
+    /// A positively weighted undirected graph (Laplacian domain). A
+    /// Laplacian request on a graph with an infinite edge weight is a
+    /// `BadRequest`.
     Undirected(Graph),
-    /// A capacitated, costed directed graph (flow domain).
+    /// A capacitated, costed directed graph (flow domain). As shortest-
+    /// path arcs, its costs obey the weight bound of [`GraphSpec::Arcs`].
     Directed(DiGraph),
     /// Bare weighted arcs on vertices `0..n` (shortest-path domain).
+    ///
+    /// Distances are `i64`s below [`cc_apsp::INFINITY`] (`i64::MAX / 4`),
+    /// which marks an unreachable vertex, so a shortest path of fewer
+    /// than `n` arcs must stay below it: every weight must satisfy
+    /// `|w| · (n − 1) < INFINITY`. An SSSP or APSP request on arcs that
+    /// break that bound, or that name a vertex `≥ n`, is a `BadRequest`
+    /// before any communication.
     Arcs {
         /// Number of vertices.
         n: usize,

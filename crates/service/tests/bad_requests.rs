@@ -1,8 +1,12 @@
 //! Malformed requests that used to return a silently wrong `Ok` or panic
 //! are typed `BadRequest`s: a non-finite Laplacian right-hand side (which
 //! solved to all-NaN potentials), an effective resistance between
-//! components (which reported a finite value instead of ∞) and APSP on a
-//! negative arc weight (which panicked inside the min-plus product).
+//! components (which reported a finite value instead of ∞), APSP on a
+//! negative arc weight (which panicked inside the min-plus product),
+//! shortest paths over an arc naming no vertex (which panicked) or over
+//! a weight whose paths reach `INFINITY` (reported reachable vertices as
+//! unreachable), and a Laplacian request on an infinite edge weight
+//! (which panicked in the solver build).
 
 use cc_graph::{generators, DiGraph, Graph};
 use cc_model::Clique;
@@ -130,4 +134,111 @@ fn apsp_on_a_negative_weight_is_a_bad_request() {
     };
     assert!(!negative_cycle);
     assert_eq!(dist, vec![Some(0), Some(2), Some(1)]);
+}
+
+#[test]
+fn out_of_range_arc_is_a_bad_request() {
+    let mut engine = FlowEngine::new(Clique::new(3));
+    engine.register(
+        "arcs",
+        GraphSpec::Arcs {
+            n: 3,
+            arcs: vec![(0, 1, 1), (1, 3, 1)],
+        },
+    );
+    let requests = [
+        Request::Sssp {
+            graph: "arcs".into(),
+            source: 0,
+        },
+        Request::Apsp {
+            graph: "arcs".into(),
+        },
+    ];
+    for request in requests {
+        let out = engine.submit(request.clone());
+        assert!(is_bad_request(&out, "vertices"), "{request:?}: {out:?}");
+        assert_eq!(engine.ledger().total_rounds(), 0, "{request:?}");
+    }
+}
+
+#[test]
+fn a_weight_whose_paths_reach_infinity_is_a_bad_request() {
+    use cc_apsp::INFINITY;
+
+    let sssp = |engine: &mut FlowEngine<Clique>, graph: &str| {
+        engine.submit(Request::Sssp {
+            graph: graph.into(),
+            source: 0,
+        })
+    };
+    let mut engine = FlowEngine::new(Clique::new(3));
+    // 2^62 ≥ INFINITY / 2: the two-arc path 0 → 1 → 2 would reach it.
+    let huge = 1i64 << 62;
+    for (name, w) in [("huge", huge), ("negative", -huge)] {
+        engine.register(
+            name,
+            GraphSpec::Arcs {
+                n: 3,
+                arcs: vec![(0, 1, w), (1, 2, 1)],
+            },
+        );
+        let out = sssp(&mut engine, name);
+        assert!(is_bad_request(&out, "INFINITY"), "{name}: {out:?}");
+        let apsp = engine.submit(Request::Apsp { graph: name.into() });
+        assert!(is_bad_request(&apsp, "INFINITY"), "{name}: {apsp:?}");
+    }
+    let mut directed = DiGraph::new(3);
+    directed.add_edge(0, 1, 1, huge);
+    engine.register("directed", GraphSpec::Directed(directed));
+    assert!(is_bad_request(&sssp(&mut engine, "directed"), "INFINITY"));
+    assert_eq!(engine.ledger().total_rounds(), 0);
+
+    // At the bound, the longest path stays just below INFINITY and is
+    // reported reachable.
+    let w = (INFINITY - 1) / 2;
+    engine.register(
+        "bound",
+        GraphSpec::Arcs {
+            n: 3,
+            arcs: vec![(0, 1, w), (1, 2, w)],
+        },
+    );
+    let Ok(out) = sssp(&mut engine, "bound") else {
+        panic!("SSSP at the weight bound failed")
+    };
+    let Response::Sssp { dist, .. } = out.response else {
+        panic!("expected SSSP distances")
+    };
+    assert_eq!(dist, vec![Some(0), Some(w), Some(2 * w)]);
+}
+
+#[test]
+fn infinite_edge_weight_is_a_bad_laplacian_request() {
+    let mut g = Graph::new(3);
+    g.add_edge(0, 1, 1.0);
+    g.add_edge(1, 2, f64::INFINITY);
+    let mut engine = FlowEngine::new(Clique::new(3));
+    engine.register("inf", GraphSpec::Undirected(g));
+    let solve = || Request::LaplacianSolve {
+        graph: "inf".into(),
+        b: vec![1.0, 0.0, -1.0],
+        eps: 1e-8,
+    };
+    let solo = engine.submit(solve());
+    assert!(is_bad_request(&solo, "edge weights"), "{solo:?}");
+    let resistance = engine.submit(Request::EffectiveResistance {
+        graph: "inf".into(),
+        s: 0,
+        t: 2,
+        eps: 1e-8,
+    });
+    assert!(
+        is_bad_request(&resistance, "edge weights"),
+        "{resistance:?}"
+    );
+    for out in engine.submit_batch(vec![solve(), solve()]) {
+        assert!(is_bad_request(&out, "edge weights"), "{out:?}");
+    }
+    assert_eq!(engine.ledger().total_rounds(), 0);
 }

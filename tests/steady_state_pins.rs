@@ -15,12 +15,13 @@ use cc_graph::Graph;
 use cc_maxflow::{max_flow_ipm, IpmOptions};
 use cc_mcf::{min_cost_flow_ipm, McfOptions};
 use cc_model::util::Fnv1a;
-use cc_model::{Clique, Communicator, Decorator, ModelError, NodeId, Words};
+use cc_model::{Clique, Communicator, Decorator, ModelError, NodeId, Op, Reply, Words};
 use cc_sparsify::{build_sparsifier_with_template, SparsifyParams, SpectralSparsifier};
 
 /// Folds every `route` call's outboxes — node order, message order,
-/// destination and payload words — into one running digest, and forwards
-/// everything else untouched.
+/// destination and payload words — into one running digest (a
+/// `route_batch` call as its rebuilt outboxes), and forwards every call
+/// untouched.
 struct RouteDigest<C> {
     inner: C,
     digest: Fnv1a,
@@ -33,6 +34,21 @@ impl<C: Communicator> RouteDigest<C> {
             inner,
             digest: Fnv1a::default(),
             calls: 0,
+        }
+    }
+
+    fn fold(&mut self, outboxes: &[Vec<(NodeId, Words)>]) {
+        self.calls += 1;
+        self.digest.word(outboxes.len() as u64);
+        for outbox in outboxes {
+            self.digest.word(outbox.len() as u64);
+            for (dst, words) in outbox {
+                self.digest.word(*dst as u64);
+                self.digest.word(words.len() as u64);
+                for &w in words {
+                    self.digest.word(w);
+                }
+            }
         }
     }
 }
@@ -48,23 +64,13 @@ impl<C: Communicator> Decorator for RouteDigest<C> {
         &mut self.inner
     }
 
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<cc_model::Envelope>>, ModelError> {
-        self.calls += 1;
-        self.digest.word(outboxes.len() as u64);
-        for outbox in &outboxes {
-            self.digest.word(outbox.len() as u64);
-            for (dst, words) in outbox {
-                self.digest.word(*dst as u64);
-                self.digest.word(words.len() as u64);
-                for &w in words {
-                    self.digest.word(w);
-                }
-            }
+    fn call(&mut self, op: Op<'_>) -> Result<Reply, ModelError> {
+        match &op {
+            Op::Route(outboxes) => self.fold(outboxes),
+            Op::RouteBatch(batch) => self.fold(&batch.outboxes(self.inner.n())?),
+            _ => {}
         }
-        self.inner.route(outboxes)
+        op.apply(&mut self.inner)
     }
 }
 
