@@ -39,9 +39,8 @@ use cc_conform::CellOutcome;
 use cc_core::{solve_laplacian, SolverOptions};
 use cc_graph::generators::{bipartite_assignment, expander, random_connected, random_flow_network};
 use cc_linalg::{
-    chebyshev_solve_fixed_into as cheby_fixed, chebyshev_solve_multi_into as cheby_multi,
-    laplacian_from_edges, par, vec_ops::remove_mean, BatchWorkspace, ChebyshevWorkspace, CsrMatrix,
-    DenseMatrix, GroundedCholesky, SolveScratch,
+    chebyshev_solve_fixed_into as cheby_fixed, laplacian_from_edges, par, vec_ops::remove_mean,
+    ChebyshevWorkspace, CsrMatrix, DenseMatrix, GroundedCholesky, SolveScratch,
 };
 use cc_maxflow::{max_flow_ipm, IpmOptions};
 use cc_mcf::{min_cost_flow_ipm, McfOptions};
@@ -265,14 +264,14 @@ fn large_tier(n: usize, reps: usize) -> (Vec<Row>, Row) {
         solve(r, out);
         out.iter_mut().for_each(|z| *z /= kappa);
     };
-    let (mut ws, mut ws_k) = (ChebyshevWorkspace::new(n), BatchWorkspace::new(n, k));
+    let (mut ws, mut ws_k) = (ChebyshevWorkspace::new(n), ChebyshevWorkspace::new(n * k));
     let mut cheby = |b: &[f64], x: &mut [f64]| {
         let precond = |r: &[f64], z: &mut [f64]| precond(&mut solve, r, z);
         cheby_fixed(matvec, precond, b, kappa, iters, x, &mut ws);
     };
     let mut cheby_k = |b: &[f64], x: &mut [f64]| {
         let precond = |r: &[f64], z: &mut [f64]| precond(&mut solve_k, r, z);
-        cheby_multi(matvec_k, precond, b, k, kappa, iters, x, &mut ws_k);
+        cheby_fixed(matvec_k, precond, b, kappa, iters, x, &mut ws_k);
     };
     let work = iters * (lap.nnz() + n * n) * k;
     kernel("large_chebyshev_multi", work, &mut cheby, &mut cheby_k);

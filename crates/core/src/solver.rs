@@ -62,11 +62,13 @@ impl SolveOutcome {
     }
 }
 
-/// Reusable buffers of [`LaplacianSolver::solve_into`].
+/// Reusable buffers of [`LaplacianSolver::solve_multi_into`] (and so of
+/// [`LaplacianSolver::solve_into`], its width-1 call).
 ///
-/// One workspace serves any number of solves (buffers are sized on first
-/// use and kept), so the steady-state per-solve hot path performs no heap
-/// allocation — the discipline the counting-allocator tests pin down. The
+/// One workspace serves any number of solves of any batch width (buffers
+/// are sized on first use and kept), so the steady-state per-solve hot
+/// path performs no heap allocation — the discipline the
+/// counting-allocator tests pin down. The
 /// projected right-hand side of the most recent solve is retained in the
 /// workspace for callers that need it (e.g. the reference solve of
 /// [`LaplacianSolver::solve`]).
@@ -84,10 +86,8 @@ pub struct SolveWorkspace {
     view: Vec<u64>,
     /// Decoded shared iterate.
     shared: Vec<f64>,
-    /// Chebyshev iteration vectors.
+    /// Chebyshev iteration vectors (length `n·k` for a batch of `k`).
     cheby: cc_linalg::ChebyshevWorkspace,
-    /// Batched Chebyshev iteration vectors (multi-RHS solves).
-    batch: cc_linalg::BatchWorkspace,
     /// Preconditioner (sparsifier Cholesky) scratch.
     scratch: cc_sparsify::SparsifierSolveScratch,
 }
@@ -274,29 +274,13 @@ impl LaplacianSolver {
         chebyshev_iteration_bound(self.kappa, eps.clamp(f64::MIN_POSITIVE, 0.5))
     }
 
-    /// Projects `x` onto `range(L_G)` in place (removes the per-component
-    /// mean) — free internally: connectivity is known from the globally
-    /// known sparsifier. `sums`/`counts` are caller-owned scratch.
-    fn project_in_place(&self, x: &mut [f64], sums: &mut Vec<f64>, counts: &mut Vec<usize>) {
-        sums.clear();
-        sums.resize(self.comp_count, 0.0);
-        counts.clear();
-        counts.resize(self.comp_count, 0);
-        for (v, &xv) in x.iter().enumerate() {
-            sums[self.components[v]] += xv;
-            counts[self.components[v]] += 1;
-        }
-        for (v, xv) in x.iter_mut().enumerate() {
-            *xv -= sums[self.components[v]] / counts[self.components[v]] as f64;
-        }
-    }
-
-    /// Multi-column twin of [`LaplacianSolver::project_in_place`]:
-    /// removes the per-component mean of every interleaved column
-    /// (`xs[v*k + j]` is entry `v` of column `j`). Column `j` undergoes
-    /// exactly the floating-point operations of the single-column
-    /// projection — vertices accumulate in the same ascending order — so
-    /// the result is bitwise identical per column.
+    /// Projects every interleaved column of `xs` (`xs[v*k + j]` is entry
+    /// `v` of column `j`) onto `range(L_G)` in place: removes the
+    /// per-component mean, free internally because connectivity is known
+    /// from the globally known sparsifier. Vertices accumulate in
+    /// ascending order per column, so a column's projection does not
+    /// depend on the batch it rides in. `sums`/`counts` are caller-owned
+    /// scratch.
     fn project_multi_in_place(
         &self,
         xs: &mut [f64],
@@ -375,11 +359,12 @@ impl LaplacianSolver {
 
     /// [`LaplacianSolver::solve`] into caller-owned buffers: writes the
     /// solution into `x` (resized to `n`) and returns the Chebyshev
-    /// iterations spent. Identical round accounting and bitwise-identical
-    /// solution to `solve`; no reference solution is computed. With a
-    /// reused [`SolveWorkspace`] the steady-state call performs no heap
-    /// allocation — this is the per-iteration path of the interior point
-    /// methods (`cc-ipm`).
+    /// iterations spent. This is the width-1
+    /// [`LaplacianSolver::solve_multi_into`]: identical round accounting
+    /// and bitwise-identical solution to `solve`; no reference solution
+    /// is computed. With a reused [`SolveWorkspace`] the steady-state call
+    /// performs no heap allocation — this is the per-iteration path of
+    /// the interior point methods (`cc-ipm`).
     ///
     /// # Errors
     ///
@@ -397,115 +382,28 @@ impl LaplacianSolver {
         x: &mut Vec<f64>,
         ws: &mut SolveWorkspace,
     ) -> Result<usize, CoreError> {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        assert!(eps > 0.0, "eps must be positive");
-        let eps = eps.min(0.5);
-        ws.b_proj.clear();
-        ws.b_proj.extend_from_slice(b);
-        {
-            // Split borrows: the projection target and its scratch live in
-            // the same workspace.
-            let SolveWorkspace {
-                ref mut b_proj,
-                ref mut comp_sums,
-                ref mut comp_counts,
-                ..
-            } = *ws;
-            self.project_in_place(b_proj, comp_sums, comp_counts);
-        }
-        let kappa = self.kappa;
-        let alpha = self.sparsifier.alpha();
-        let iterations = chebyshev_iteration_bound(kappa, eps);
-        x.clear();
-        x.resize(self.n, 0.0);
-
-        let mut comm_err: Option<ModelError> = None;
-        let spent = clique.phase("laplacian_solve", |clique| {
-            let frac_bits = self.message_frac_bits;
-            let encode = |x: f64| match frac_bits {
-                Some(b) => cc_model::encode_f64_fixed(x, b),
-                None => encode_f64(x),
-            };
-            let decode = |w: u64| match frac_bits {
-                Some(b) => cc_model::decode_f64_fixed(w, b),
-                None => decode_f64(w),
-            };
-            let SolveWorkspace {
-                ref b_proj,
-                ref mut words,
-                ref mut view,
-                ref mut shared,
-                ref mut cheby,
-                ref mut scratch,
-                ..
-            } = *ws;
-            // Encode/decode staging buffers, reused across all iterations
-            // (and across solves sharing this workspace).
-            words.clear();
-            words.resize(clique.n(), 0);
-            shared.clear();
-            shared.resize(self.n, 0.0);
-            let comm_err = &mut comm_err;
-            let apply_a = |v: &[f64], out: &mut [f64]| {
-                // One broadcast round: every node ships its coordinate to
-                // everyone, then evaluates its Laplacian row locally. A
-                // substrate failure latches in `comm_err`; the remaining
-                // (abandoned) iterations run on a zeroed view and the
-                // caller returns the error after the loop unwinds.
-                for (w, &x) in words.iter_mut().zip(v.iter()) {
-                    *w = encode(x);
-                }
-                if comm_err.is_none() {
-                    if let Err(e) = clique.broadcast_all_into(words, view) {
-                        *comm_err = Some(e);
-                    }
-                }
-                if comm_err.is_some() {
-                    view.clear();
-                    view.resize(words.len(), 0);
-                }
-                for (s, &w) in shared.iter_mut().zip(view[..self.n].iter()) {
-                    *s = decode(w);
-                }
-                self.laplacian.matvec_into(shared, out);
-            };
-            // B = α·S_H  ⇒  B-solve = (1/α)·S_H†; internal, zero rounds.
-            let solve_b = |r: &[f64], z: &mut [f64]| {
-                self.inner.solve_into(r, z, scratch);
-                for zi in z.iter_mut() {
-                    *zi /= alpha;
-                }
-            };
-            cc_linalg::chebyshev_solve_fixed_into(
-                apply_a, solve_b, b_proj, kappa, iterations, x, cheby,
-            )
-        });
-        if let Some(e) = comm_err {
-            return Err(CoreError::Comm(e));
-        }
-        // Canonical representative: zero mean per component (free).
-        self.project_in_place(x, &mut ws.comp_sums, &mut ws.comp_counts);
-        Ok(spent)
+        self.solve_multi_into(clique, b, 1, eps, x, ws)
     }
 
-    /// Batched [`LaplacianSolver::solve_into`] over `k` interleaved
-    /// right-hand sides (`bs[v*k + j]` is entry `v` of column `j`), all at
-    /// accuracy `eps`. Writes the interleaved solutions into `xs` (resized
-    /// to `n·k`) and returns the Chebyshev iterations spent.
+    /// Solves `L_G x = b` for `k` interleaved right-hand sides
+    /// (`bs[v*k + j]` is entry `v` of column `j`), all at accuracy `eps`
+    /// — the one solve driver; a single right-hand side is `k = 1`.
+    /// Writes the interleaved solutions into `xs` (resized to `n·k`) and
+    /// returns the Chebyshev iterations spent.
     ///
     /// Rounds charged: `k` broadcast rounds per Chebyshev iteration (one
     /// per column — every column's mat-vec ships the same payload a
     /// single solve would), so the total round cost equals `k` separate
-    /// `solve_into` calls exactly. The amortization is wall-clock: the
-    /// Laplacian, the preconditioner factor and the Chebyshev vectors
-    /// stream through the cache once per iteration instead of `k` times
-    /// ([`cc_linalg::chebyshev_solve_multi_into`]).
+    /// single solves exactly. The amortization is wall-clock: one
+    /// [`cc_linalg::chebyshev_solve_fixed_into`] over the `n·k` buffers
+    /// streams the Laplacian, the preconditioner factor and the Chebyshev
+    /// vectors through the cache once per iteration instead of `k` times.
     ///
-    /// Column `j` of the result is **bitwise identical** to a single
-    /// `solve_into` of column `j`: the Chebyshev coefficients depend only
-    /// on `κ` and the iteration index, every vector update is
-    /// elementwise, and the mat-vec / preconditioner kernels are
-    /// bitwise-per-column by construction.
+    /// Column `j` of the result is **bitwise identical** to a width-1
+    /// solve of column `j`: the Chebyshev coefficients depend only on `κ`
+    /// and the iteration index, every vector update is elementwise, and
+    /// the mat-vec / preconditioner kernels are bitwise-per-column by
+    /// construction.
     ///
     /// # Errors
     ///
@@ -525,13 +423,15 @@ impl LaplacianSolver {
         ws: &mut SolveWorkspace,
     ) -> Result<usize, CoreError> {
         assert!(k > 0, "batch width must be positive");
-        assert_eq!(bs.len(), self.n * k, "rhs batch length mismatch");
+        assert_eq!(bs.len(), self.n * k, "rhs length mismatch (n·k entries)");
         assert!(eps > 0.0, "eps must be positive");
         let eps = eps.min(0.5);
         let n = self.n;
         ws.b_proj.clear();
         ws.b_proj.extend_from_slice(bs);
         {
+            // Split borrows: the projection target and its scratch live in
+            // the same workspace.
             let SolveWorkspace {
                 ref mut b_proj,
                 ref mut comp_sums,
@@ -562,25 +462,27 @@ impl LaplacianSolver {
                 ref mut words,
                 ref mut view,
                 ref mut shared,
-                ref mut batch,
+                ref mut cheby,
                 ref mut scratch,
                 ..
             } = *ws;
+            // Encode/decode staging buffers, reused across all iterations
+            // (and across solves sharing this workspace).
             words.clear();
             words.resize(clique.n(), 0);
             shared.clear();
             shared.resize(n * k, 0.0);
             let comm_err = &mut comm_err;
             let apply_a = |v: &[f64], out: &mut [f64]| {
-                // One broadcast round per column: column `j` ships exactly
-                // the words its single solve would, so the decoded view —
-                // and hence every downstream bit — matches the unbatched
-                // path. A substrate failure latches in `comm_err`; the
-                // remaining broadcasts are abandoned (zeroed views) and
-                // the caller returns the error after the loop unwinds.
+                // One broadcast round per column: every node ships its
+                // coordinate to everyone, then evaluates its Laplacian row
+                // locally. Column `j` ships exactly the words its single
+                // solve would. A substrate failure latches in `comm_err`;
+                // the remaining broadcasts are abandoned (zeroed views)
+                // and the caller returns the error after the loop unwinds.
                 for j in 0..k {
-                    for (i, w) in words[..n].iter_mut().enumerate() {
-                        *w = encode(v[i * k + j]);
+                    for (w, &x) in words.iter_mut().zip(v.iter().skip(j).step_by(k)) {
+                        *w = encode(x);
                     }
                     if comm_err.is_none() {
                         if let Err(e) = clique.broadcast_all_into(words, view) {
@@ -591,8 +493,8 @@ impl LaplacianSolver {
                         view.clear();
                         view.resize(words.len(), 0);
                     }
-                    for (i, &w) in view[..n].iter().enumerate() {
-                        shared[i * k + j] = decode(w);
+                    for (s, &w) in shared.iter_mut().skip(j).step_by(k).zip(&view[..n]) {
+                        *s = decode(w);
                     }
                 }
                 self.laplacian.matvec_multi_into(shared, k, out);
@@ -604,13 +506,14 @@ impl LaplacianSolver {
                     *zi /= alpha;
                 }
             };
-            cc_linalg::chebyshev_solve_multi_into(
-                apply_a, solve_b, b_proj, k, kappa, iterations, xs, batch,
+            cc_linalg::chebyshev_solve_fixed_into(
+                apply_a, solve_b, b_proj, kappa, iterations, xs, cheby,
             )
         });
         if let Some(e) = comm_err {
             return Err(CoreError::Comm(e));
         }
+        // Canonical representative: zero mean per component (free).
         self.project_multi_in_place(xs, k, &mut ws.comp_sums, &mut ws.comp_counts);
         Ok(spent)
     }

@@ -146,6 +146,18 @@ pub fn chebyshev_solve_fixed(
 /// * `apply_a(v, out)` — writes `A·v` into `out`;
 /// * `solve_b(v, out)` — writes `B†·v` into `out`.
 ///
+/// A batch of `k` right-hand sides is this same call over interleaved
+/// `n·k` buffers (`b[v*k + j]` is entry `v` of column `j`) with batched
+/// operators — typically [`crate::CsrMatrix::matvec_multi_into`] and
+/// [`crate::GroundedCholesky::solve_multi_into`], which stream the matrix
+/// and the factor through the cache once per iteration for the whole
+/// batch — and a workspace of length `n·k`. The coefficients `α, β`
+/// depend only on `kappa` and the iteration index, and every vector
+/// update is elementwise, so column `j` of the batch performs exactly the
+/// floating-point operations of a single solve of column `j`: given
+/// operators with the same per-column property, the results are bitwise
+/// identical per column, at any thread count.
+///
 /// Returns the iteration count (`iterations`, for symmetry with
 /// [`ChebyshevOutcome`]).
 ///
@@ -193,64 +205,6 @@ pub fn chebyshev_solve_fixed_into(
         axpy(&mut ws.r, -alpha, &ws.ap);
     }
     iterations
-}
-
-/// Reusable buffers for [`chebyshev_solve_multi_into`]: one
-/// [`ChebyshevWorkspace`] over the interleaved `n·k` batch buffers.
-/// Create once per batch shape, hand to every batched solve — steady
-/// state performs zero heap allocations (pinned by the counting-allocator
-/// harness in `cc-sparsify/tests/alloc_free_batch.rs`).
-#[derive(Debug, Clone, Default)]
-pub struct BatchWorkspace {
-    inner: ChebyshevWorkspace,
-}
-
-impl BatchWorkspace {
-    /// Workspace sized for `k` interleaved right-hand sides of length `n`.
-    pub fn new(n: usize, k: usize) -> Self {
-        Self {
-            inner: ChebyshevWorkspace::new(n * k),
-        }
-    }
-}
-
-/// Batched preconditioned Chebyshev over `k` interleaved right-hand
-/// sides: `bs` and `xs` hold `n` rows of `k` lanes (`bs[c*k + j]` is
-/// entry `c` of vector `j`), and the operators receive the full
-/// interleaved buffers — `apply_a` is typically
-/// [`crate::CsrMatrix::matvec_multi_into`] and `solve_b` a batched
-/// preconditioner solve, so one pass over each operator serves the whole
-/// batch per iteration. That is the amortization: the matrix and the
-/// preconditioner factor stream through the cache once per iteration
-/// instead of `k` times.
-///
-/// The Chebyshev coefficients `α, β` depend only on `kappa` and the
-/// iteration index — never on the iterate — and every vector update is
-/// elementwise, so column `j` of the batched run performs exactly the
-/// floating-point operations of a single [`chebyshev_solve_fixed_into`]
-/// on column `j`: results are bitwise identical per column (given
-/// operators with the same per-column property), at any thread count.
-///
-/// Returns the iteration count.
-///
-/// # Panics
-///
-/// Panics if `kappa < 1`, `k == 0`, `bs.len()` is not a multiple of `k`,
-/// or `xs.len() != bs.len()`.
-#[allow(clippy::too_many_arguments)]
-pub fn chebyshev_solve_multi_into(
-    apply_a: impl FnMut(&[f64], &mut [f64]),
-    solve_b: impl FnMut(&[f64], &mut [f64]),
-    bs: &[f64],
-    k: usize,
-    kappa: f64,
-    iterations: usize,
-    xs: &mut [f64],
-    ws: &mut BatchWorkspace,
-) -> usize {
-    assert!(k > 0, "batch width must be positive");
-    assert_eq!(bs.len() % k, 0, "rhs buffer not a multiple of the batch");
-    chebyshev_solve_fixed_into(apply_a, solve_b, bs, kappa, iterations, xs, &mut ws.inner)
 }
 
 /// Convenience: the error functional of Theorem 1.1,

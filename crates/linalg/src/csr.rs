@@ -232,13 +232,18 @@ impl CsrMatrix {
     /// For every `(row, rhs)` pair the entries accumulate in index order
     /// from `0.0`, exactly as [`CsrMatrix::matvec_into`] does, so column
     /// `j` of the result is bitwise identical to a single matvec of
-    /// column `j` — at any thread count.
+    /// column `j` — at any thread count. Width `k == 1` runs
+    /// [`CsrMatrix::matvec_into`] itself: the tiled loop is measurably
+    /// slower on a single column (`DESIGN.md` §10).
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`, `xs.len() != cols*k`, or `out.len() != rows*k`.
     pub fn matvec_multi_into(&self, xs: &[f64], k: usize, out: &mut [f64]) {
         assert!(k > 0, "batch width must be positive");
+        if k == 1 {
+            return self.matvec_into(xs, out);
+        }
         assert_eq!(xs.len(), self.cols * k, "matvec_multi dimension mismatch");
         assert_eq!(
             out.len(),

@@ -185,63 +185,6 @@ impl DenseMatrix {
         });
     }
 
-    /// Batched matrix-vector product over `k` interleaved right-hand
-    /// sides (`xs[c*k + j]` is entry `c` of vector `j`): one pass over
-    /// the matrix serves the whole batch, with lanes processed in
-    /// register tiles of [`crate::RHS_LANES`]. Every `(row, rhs)` pair
-    /// accumulates its terms in ascending column order from `0.0` —
-    /// column `j` of the result is bitwise identical to
-    /// [`DenseMatrix::matvec_into`] on column `j`, at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `xs.len() != cols*k`, or `out.len() != rows*k`.
-    pub fn matvec_multi_into(&self, xs: &[f64], k: usize, out: &mut [f64]) {
-        const LANES: usize = crate::csr::RHS_LANES;
-        assert!(k > 0, "batch width must be positive");
-        assert_eq!(xs.len(), self.cols * k, "matvec_multi dimension mismatch");
-        assert_eq!(
-            out.len(),
-            self.rows * k,
-            "matvec_multi output length mismatch"
-        );
-        let row_multi = |r: usize, orow: &mut [f64]| {
-            let arow = self.row(r);
-            let mut j = 0;
-            while j + LANES <= k {
-                let mut acc = [0.0f64; LANES];
-                for (c, &v) in arow.iter().enumerate() {
-                    let xrow = &xs[c * k + j..c * k + j + LANES];
-                    for (a, &xv) in acc.iter_mut().zip(xrow) {
-                        *a += v * xv;
-                    }
-                }
-                orow[j..j + LANES].copy_from_slice(&acc);
-                j += LANES;
-            }
-            while j < k {
-                let mut a = 0.0;
-                for (c, &v) in arow.iter().enumerate() {
-                    a += v * xs[c * k + j];
-                }
-                orow[j] = a;
-                j += 1;
-            }
-        };
-        if self.rows * self.cols * k < PAR_MIN_WORK {
-            for (r, orow) in out.chunks_mut(k).enumerate() {
-                row_multi(r, orow);
-            }
-            return;
-        }
-        crate::par::par_chunks_mut(out, MATMUL_ROW_BLOCK * k, |chunk_idx, sl| {
-            let base = chunk_idx * MATMUL_ROW_BLOCK;
-            for (i, orow) in sl.chunks_mut(k).enumerate() {
-                row_multi(base + i, orow);
-            }
-        });
-    }
-
     /// Matrix product `A·B`, blocked two ways: threads own disjoint
     /// output row blocks of fixed size ([`MATMUL_ROW_BLOCK`]), and within
     /// a row block the `k`/`j` loops are tiled into

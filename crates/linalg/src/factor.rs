@@ -300,7 +300,9 @@ impl GroundedCholesky {
     /// [`GroundedCholesky::solve_into`] on that column (projection,
     /// substitution, mean shift — all in the same order), so column `j`
     /// of the result is bitwise identical to a single solve of column
-    /// `j`.
+    /// `j`. Width `k == 1` runs [`GroundedCholesky::solve_into`] itself:
+    /// the tiled sweeps are measurably slower on a single column
+    /// (`DESIGN.md` §10).
     ///
     /// # Panics
     ///
@@ -313,6 +315,9 @@ impl GroundedCholesky {
         scratch: &mut SolveScratch,
     ) {
         assert!(k > 0, "batch width must be positive");
+        if k == 1 {
+            return self.solve_into(bs, xs, scratch);
+        }
         assert_eq!(bs.len(), self.n * k, "rhs batch length mismatch");
         assert_eq!(xs.len(), self.n * k, "solution batch length mismatch");
         let num_comps = self.comp_size.len();

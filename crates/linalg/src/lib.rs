@@ -45,8 +45,7 @@ pub mod vec_ops;
 
 pub use cheby::{
     chebyshev_iteration_bound, chebyshev_solve, chebyshev_solve_fixed, chebyshev_solve_fixed_into,
-    chebyshev_solve_multi_into, relative_a_error, BatchWorkspace, ChebyshevOutcome,
-    ChebyshevWorkspace,
+    relative_a_error, ChebyshevOutcome, ChebyshevWorkspace,
 };
 pub use csr::{CsrMatrix, MATVEC_ROW_CHUNK, PAR_MIN_NNZ, RHS_LANES};
 pub use dense::{DenseMatrix, MATMUL_J_BLOCK, MATMUL_K_PANEL, MATMUL_ROW_BLOCK, PAR_MIN_WORK};

@@ -10,18 +10,18 @@
 //!
 //! * blocked `DenseMatrix::matmul` vs a naive `i,k,j` triple loop (with
 //!   the same `a[i][k] == 0` skip);
-//! * `CsrMatrix::matvec_multi_into` / `DenseMatrix::matvec_multi_into`
-//!   vs `k` independent single matvecs;
+//! * `CsrMatrix::matvec_multi_into` vs `k` independent single matvecs;
 //! * `GroundedCholesky::solve_multi_into` vs `k` single solves;
-//! * `chebyshev_solve_multi_into` vs `k` single preconditioned solves;
+//! * `chebyshev_solve_fixed_into` over an interleaved batch of `k`
+//!   columns vs `k` single preconditioned solves;
 //! * `symmetric_eigen` across thread budgets (the tred2 blocking);
 //! * `symmetric_eigenvalues` vs `symmetric_eigen(..).eigenvalues()`, on
 //!   both sides of tred2's row chunk.
 
 use cc_linalg::{
-    chebyshev_solve_fixed_into, chebyshev_solve_multi_into, laplacian_from_edges, par,
-    symmetric_eigen, symmetric_eigenvalues, BatchWorkspace, ChebyshevWorkspace, CsrMatrix,
-    DenseMatrix, GroundedCholesky, SolveScratch, MATMUL_J_BLOCK, MATMUL_K_PANEL, PAR_MIN_NNZ,
+    chebyshev_solve_fixed_into, laplacian_from_edges, par, symmetric_eigen, symmetric_eigenvalues,
+    ChebyshevWorkspace, CsrMatrix, DenseMatrix, GroundedCholesky, SolveScratch, MATMUL_J_BLOCK,
+    MATMUL_K_PANEL, PAR_MIN_NNZ,
 };
 use proptest::prelude::*;
 
@@ -132,38 +132,6 @@ proptest! {
     }
 
     #[test]
-    fn dense_matvec_multi_matches_k_single_matvecs(
-        pool in proptest::collection::vec(-50f64..50.0, 24),
-    ) {
-        let (n, k) = (96usize, 5usize);
-        let a = dense_from_pool(n, n, &pool);
-        let xs: Vec<f64> = (0..n * k).map(|i| pool[(i * 3) % pool.len()]).collect();
-        let want = par::with_threads(1, || {
-            let mut want = vec![0.0; n * k];
-            let mut col = vec![0.0; n];
-            let mut out = vec![0.0; n];
-            for j in 0..k {
-                for v in 0..n {
-                    col[v] = xs[v * k + j];
-                }
-                a.matvec_into(&col, &mut out);
-                for v in 0..n {
-                    want[v * k + j] = out[v];
-                }
-            }
-            want
-        });
-        for threads in [1usize, 2, 8] {
-            let got = par::with_threads(threads, || {
-                let mut got = vec![0.0; n * k];
-                a.matvec_multi_into(&xs, k, &mut got);
-                got
-            });
-            assert_bits_eq(&got, &want, "dense matvec_multi");
-        }
-    }
-
-    #[test]
     fn cholesky_solve_multi_matches_k_single_solves(
         pool in proptest::collection::vec(-5f64..5.0, 24),
     ) {
@@ -261,9 +229,9 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let got = par::with_threads(threads, || {
                 let mut xs = vec![0.0; n * k];
-                let mut ws = BatchWorkspace::new(n, k);
+                let mut ws = ChebyshevWorkspace::new(n * k);
                 let mut scratch = SolveScratch::default();
-                chebyshev_solve_multi_into(
+                chebyshev_solve_fixed_into(
                     |p, out| lap.matvec_multi_into(p, k, out),
                     |r, out| {
                         chol.solve_multi_into(r, k, out, &mut scratch);
@@ -272,7 +240,6 @@ proptest! {
                         }
                     },
                     &bs,
-                    k,
                     kappa,
                     iterations,
                     &mut xs,

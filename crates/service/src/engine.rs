@@ -293,9 +293,10 @@ impl<C: Communicator> FlowEngine<C> {
     /// Submits a batch. Admission: [`Request::LaplacianSolve`] entries
     /// sharing `(graph, eps)` are answered by one `solve_multi_into`
     /// call (each response is its column of the batched solve —
-    /// bitwise-identical to a solo solve by the multi-RHS kernel
-    /// contract); everything else runs solo, in submission order.
-    /// Results are returned in submission order.
+    /// bitwise-identical to a lone solve by the multi-RHS kernel
+    /// contract). Groups of two or more run first; then every other
+    /// request runs alone, in submission order — a lone Laplacian solve
+    /// as a group of one. Results are returned in submission order.
     pub fn submit_batch(
         &mut self,
         requests: Vec<Request>,
@@ -318,15 +319,14 @@ impl<C: Communicator> FlowEngine<C> {
         let mut slots: Vec<Option<Result<ServiceOutcome, ServiceError>>> =
             requests.iter().map(|_| None).collect();
         for ((graph, eps_bits), members) in groups {
-            if members.len() < 2 {
-                continue; // solo path below
+            if members.len() >= 2 {
+                let eps = f64::from_bits(eps_bits);
+                self.execute_solve_group(&graph, eps, &members, base_id, &requests, &mut slots);
             }
-            let eps = f64::from_bits(eps_bits);
-            self.execute_solve_group(&graph, eps, &members, base_id, &requests, &mut slots);
         }
-        for (i, r) in requests.iter().enumerate() {
+        for i in 0..requests.len() {
             if slots[i].is_none() {
-                slots[i] = Some(self.execute(base_id + i as u64, r.clone()));
+                self.execute_alone(i, base_id, &requests, &mut slots);
             }
         }
         self.retry_failed(&requests, base_id, &mut slots);
@@ -352,12 +352,11 @@ impl<C: Communicator> FlowEngine<C> {
             return;
         }
         let deadline = cc_par::watchdog_timeout().map(|d| std::time::Instant::now() + d);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let mut faults = match slot {
+        for i in 0..slots.len() {
+            let mut faults = match &slots[i] {
                 Some(Err(e)) if e.comm_rooted() => e.faults_observed,
                 _ => continue,
             };
-            let id = base_id + i as u64;
             let mut attempts: u32 = 1;
             while attempts < policy.max_attempts {
                 if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
@@ -379,23 +378,21 @@ impl<C: Communicator> FlowEngine<C> {
                     self.clique
                         .phase("service_retry", |c| c.charge_implemented(backoff));
                 }
-                match self.execute(id, requests[i].clone()) {
-                    Ok(mut outcome) => {
+                self.execute_alone(i, base_id, requests, slots);
+                match slots[i].as_mut().expect("slot just filled") {
+                    Ok(outcome) => {
                         outcome.stats.attempts = attempts;
                         outcome.stats.degraded = Some(Degraded {
                             attempts,
                             faults_observed: faults,
                         });
-                        *slot = Some(Ok(outcome));
                         break;
                     }
-                    Err(mut e) => {
+                    Err(e) => {
                         faults += e.faults_observed;
                         e.faults_observed = faults;
                         e.attempts = attempts;
-                        let transient = e.comm_rooted();
-                        *slot = Some(Err(e));
-                        if !transient {
+                        if !e.comm_rooted() {
                             break;
                         }
                     }
@@ -404,8 +401,27 @@ impl<C: Communicator> FlowEngine<C> {
         }
     }
 
+    /// Runs request `i` on its own, filling its slot: a Laplacian solve
+    /// as a group of one, anything else through [`FlowEngine::execute`].
+    fn execute_alone(
+        &mut self,
+        i: usize,
+        base_id: u64,
+        requests: &[Request],
+        slots: &mut [Option<Result<ServiceOutcome, ServiceError>>],
+    ) {
+        if let Request::LaplacianSolve { graph, eps, .. } = &requests[i] {
+            self.execute_solve_group(graph, *eps, &[i], base_id, requests, slots);
+        } else {
+            slots[i] = Some(self.execute(base_id + i as u64, requests[i].clone()));
+        }
+    }
+
     /// Runs one admitted group of same-graph same-`eps` Laplacian
-    /// solves through `solve_multi_into`, filling the members' slots.
+    /// solves (a lone solve is a group of one) through
+    /// `solve_multi_into`, filling the members' slots. Every failure is
+    /// stamped with the transport faults the group observed, and every
+    /// member is held to the per-request round budget.
     fn execute_solve_group(
         &mut self,
         graph: &str,
@@ -523,14 +539,16 @@ impl<C: Communicator> FlowEngine<C> {
             let member_rounds = build_r + solve_rounds / k as u64;
             if let Some(budget) = self.config.round_budget {
                 if member_rounds > budget {
-                    slots[i] = Some(Err(ServiceError::new(
+                    let mut e = ServiceError::new(
                         base_id + i as u64,
                         graph,
                         ServiceErrorKind::RoundBudgetExceeded {
                             rounds: member_rounds,
                             budget,
                         },
-                    )));
+                    );
+                    e.faults_observed = clique.faults_observed() - faults0;
+                    slots[i] = Some(Err(e));
                     continue;
                 }
             }
@@ -553,9 +571,9 @@ impl<C: Communicator> FlowEngine<C> {
         }
     }
 
-    /// Executes one request solo: runs it, stamps observed transport
-    /// faults onto any failure, and enforces the per-request round
-    /// budget.
+    /// Executes one request that is not a Laplacian solve: runs it,
+    /// stamps observed transport faults onto any failure, and enforces
+    /// the per-request round budget.
     fn execute(&mut self, id: u64, request: Request) -> Result<ServiceOutcome, ServiceError> {
         let faults0 = self.clique.faults_observed();
         match self.execute_inner(id, request) {
@@ -584,6 +602,8 @@ impl<C: Communicator> FlowEngine<C> {
     }
 
     /// The raw single-request dispatch (no fault stamping, no budget).
+    /// Laplacian solves never reach it: they run through
+    /// [`FlowEngine::execute_solve_group`].
     fn execute_inner(&mut self, id: u64, request: Request) -> Result<ServiceOutcome, ServiceError> {
         let name = request.graph().to_string();
         let err = |kind| Err(ServiceError::new(id, &name, kind));
@@ -598,29 +618,6 @@ impl<C: Communicator> FlowEngine<C> {
         let mut engine_stats = None;
 
         let response = match request {
-            Request::LaplacianSolve { b, eps, .. } => {
-                let GraphSpec::Undirected(g) = &entry.spec else {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "Laplacian solve needs an undirected graph",
-                    });
-                };
-                if eps.is_nan() || eps <= 0.0 {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "eps must be positive",
-                    });
-                }
-                if let Some(reason) = rhs_problem(&b, g.n()) {
-                    return err(ServiceErrorKind::BadRequest { reason });
-                }
-                built = ensure_solver(entry, clique, &self.config.solver)
-                    .map_err(|kind| ServiceError::new(id, &name, kind))?;
-                let session = entry.solver.as_mut().expect("solver just ensured");
-                let mut x = Vec::new();
-                let iterations = session
-                    .solve_into(clique, &b, eps, &mut x)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
-                Response::Potentials { x, iterations }
-            }
             Request::EffectiveResistance { s, t, eps, .. } => {
                 let GraphSpec::Undirected(g) = &entry.spec else {
                     return err(ServiceErrorKind::BadRequest {
@@ -755,6 +752,7 @@ impl<C: Communicator> FlowEngine<C> {
                     .collect();
                 Response::Apsp { dist }
             }
+            Request::LaplacianSolve { .. } => unreachable!("solves run as groups"),
         };
 
         Ok(ServiceOutcome {
@@ -805,8 +803,10 @@ fn arcs_problem(arcs: &[(usize, usize, i64)], n: usize) -> Option<&'static str> 
 }
 
 /// Builds the entry's Laplacian solver if absent; returns whether this
-/// call paid the build. An edge weight that is not finite is a
-/// `BadRequest` before anything is communicated.
+/// call paid the build. An edge weight that is not finite, or weights
+/// whose volume `2·Σw` overflows (the sparsifier's conductance threshold
+/// is derived from it), is a `BadRequest` before anything is
+/// communicated: either makes the volume non-finite.
 fn ensure_solver<C: Communicator>(
     entry: &mut GraphEntry,
     clique: &mut C,
@@ -818,9 +818,9 @@ fn ensure_solver<C: Communicator>(
     let GraphSpec::Undirected(g) = &entry.spec else {
         unreachable!("callers checked the spec kind");
     };
-    if !g.edges().iter().all(|e| e.weight.is_finite()) {
+    if !(2.0 * g.total_weight()).is_finite() {
         return Err(ServiceErrorKind::BadRequest {
-            reason: "edge weights must be finite",
+            reason: "edge weights must be finite and have a finite volume 2·Σw",
         });
     }
     let session = SolverSession::build(clique, g, options).map_err(ServiceErrorKind::Core)?;

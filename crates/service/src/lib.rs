@@ -20,7 +20,8 @@
 //! * same-graph, same-`eps` Laplacian solves submitted in one
 //!   [`FlowEngine::submit_batch`] are admitted as a single
 //!   `solve_multi_into` call — each response is bitwise-identical to a
-//!   solo solve, and total rounds equal the sum of solo solves.
+//!   lone solve (which runs as a group of one), and total rounds equal
+//!   the sum of lone solves.
 //!
 //! Re-registering a name bumps the entry's **generation** and drops all
 //! cached artifacts, so no request is ever served from stale state.

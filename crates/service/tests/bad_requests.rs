@@ -5,8 +5,9 @@
 //! negative arc weight (which panicked inside the min-plus product),
 //! shortest paths over an arc naming no vertex (which panicked) or over
 //! a weight whose paths reach `INFINITY` (reported reachable vertices as
-//! unreachable), and a Laplacian request on an infinite edge weight
-//! (which panicked in the solver build).
+//! unreachable), and a Laplacian request on an infinite edge weight, or
+//! on finite weights whose volume `2·Σw` overflows (both panicked in the
+//! solver build).
 
 use cc_graph::{generators, DiGraph, Graph};
 use cc_model::Clique;
@@ -241,4 +242,63 @@ fn infinite_edge_weight_is_a_bad_laplacian_request() {
         assert!(is_bad_request(&out, "edge weights"), "{out:?}");
     }
     assert_eq!(engine.ledger().total_rounds(), 0);
+}
+
+#[test]
+fn overflowing_weight_volume_is_a_bad_laplacian_request() {
+    // Finite weights whose volume 2·Σw overflows to ∞ used to panic in
+    // the sparsifier's conductance threshold (`phi must be in (0,1)`).
+    for w in [f64::MAX, 1e308, 9e307] {
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, w);
+        let mut engine = FlowEngine::new(Clique::new(3));
+        engine.register("huge", GraphSpec::Undirected(g));
+        let solve = || Request::LaplacianSolve {
+            graph: "huge".into(),
+            b: vec![1.0, 0.0, -1.0],
+            eps: 1e-8,
+        };
+        let solo = engine.submit(solve());
+        assert!(is_bad_request(&solo, "finite volume"), "{w}: {solo:?}");
+        let resistance = engine.submit(Request::EffectiveResistance {
+            graph: "huge".into(),
+            s: 0,
+            t: 2,
+            eps: 1e-8,
+        });
+        assert!(
+            is_bad_request(&resistance, "finite volume"),
+            "{w}: {resistance:?}"
+        );
+        for out in engine.submit_batch(vec![solve(), solve()]) {
+            assert!(is_bad_request(&out, "finite volume"), "{w}: {out:?}");
+        }
+        assert_eq!(engine.ledger().total_rounds(), 0);
+    }
+}
+
+#[test]
+fn extreme_weights_with_a_finite_volume_fail_typed() {
+    // 1e300 and 1e−300 keep a finite volume; the preconditioner then
+    // fails to factor, which is a typed error, not a panic.
+    for w in [1e300, 1e-300] {
+        let mut g = Graph::new(3);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 2, w);
+        let mut engine = FlowEngine::new(Clique::new(3));
+        engine.register("extreme", GraphSpec::Undirected(g));
+        let solo = engine.submit(Request::LaplacianSolve {
+            graph: "extreme".into(),
+            b: vec![1.0, 0.0, -1.0],
+            eps: 1e-8,
+        });
+        assert!(
+            matches!(
+                &solo,
+                Err(e) if matches!(e.kind, ServiceErrorKind::Core(_))
+            ),
+            "{w}: {solo:?}"
+        );
+    }
 }

@@ -290,6 +290,58 @@ fn round_budget_violations_are_typed_and_never_retried() {
 }
 
 #[test]
+fn batched_budget_violations_carry_the_observed_faults() {
+    // A corrupting node under a budget every solve exceeds: the lone
+    // solve and each member of a width-2 group report the transport
+    // faults their (shared) execution observed, not 0.
+    let run = |requests: Vec<Request>| {
+        let mut engine = FlowEngine::with_config(
+            FaultComm::new(
+                Clique::new(12),
+                FaultPlan::new(7).with(FaultRule::Corrupt(2)),
+            ),
+            EngineConfig {
+                round_budget: Some(5),
+                ..EngineConfig::default()
+            },
+        );
+        engine.register(
+            "g",
+            GraphSpec::Undirected(generators::random_connected(12, 30, 4, 3)),
+        );
+        engine.submit_batch(requests)
+    };
+    let solve = |s: usize, t: usize| {
+        let mut b = vec![0.0; 12];
+        b[s] = 1.0;
+        b[t] = -1.0;
+        Request::LaplacianSolve {
+            graph: "g".into(),
+            b,
+            eps: 1e-8,
+        }
+    };
+    let faults = |out: &Result<ServiceOutcome, cc_service::ServiceError>| {
+        let e = out.as_ref().unwrap_err();
+        assert!(
+            matches!(
+                e.kind,
+                ServiceErrorKind::RoundBudgetExceeded { budget: 5, .. }
+            ),
+            "{e}"
+        );
+        e.faults_observed
+    };
+    // One corrupted word per broadcast: 2 in the build, then one per
+    // Chebyshev iteration (15) and column.
+    let lone = run(vec![solve(0, 11)]);
+    assert_eq!(faults(&lone[0]), 2 + 15);
+    let group = run(vec![solve(0, 11), solve(3, 7)]);
+    assert_eq!(faults(&group[0]), 2 + 2 * 15);
+    assert_eq!(faults(&group[1]), 2 + 2 * 15);
+}
+
+#[test]
 fn default_config_keeps_retry_disabled() {
     let config = EngineConfig::default();
     assert_eq!(config.retry, RetryPolicy::default());

@@ -44,7 +44,6 @@ mod decomposition;
 mod error;
 mod gadget;
 mod randomized;
-mod session;
 mod sparsifier;
 mod template;
 
@@ -54,7 +53,6 @@ pub use decomposition::{expander_decompose, Cluster, ExpanderDecomposition};
 pub use error::SparsifyError;
 pub use gadget::ClusterGadget;
 pub use randomized::build_randomized_sparsifier;
-pub use session::SparsifierSession;
 pub use sparsifier::{
     build_sparsifier, SparsifierSolveScratch, SparsifierSolver, SparsifyParams, SpectralSparsifier,
 };

@@ -209,7 +209,8 @@ impl SparsifierSolver {
         out
     }
 
-    /// Allocation-free variant of [`SparsifierSolver::solve`]: the padded
+    /// Allocation-free variant of [`SparsifierSolver::solve`]: the
+    /// width-1 [`SparsifierSolver::solve_multi_into`]. The padded
     /// right-hand side, full gadget solution, and factor scratch live in
     /// `scratch` (sized on first use). Bitwise identical to `solve`.
     ///
@@ -218,23 +219,7 @@ impl SparsifierSolver {
     /// Panics if `b.len()` or `out.len()` differ from the number of
     /// original vertices.
     pub fn solve_into(&self, b: &[f64], out: &mut [f64], scratch: &mut SparsifierSolveScratch) {
-        assert_eq!(
-            b.len(),
-            self.n,
-            "rhs must have one entry per original vertex"
-        );
-        assert_eq!(
-            out.len(),
-            self.n,
-            "output must have one entry per original vertex"
-        );
-        scratch.padded.resize(self.chol.n(), 0.0);
-        scratch.full.resize(self.chol.n(), 0.0);
-        scratch.padded[..self.n].copy_from_slice(b);
-        scratch.padded[self.n..].fill(0.0);
-        self.chol
-            .solve_into(&scratch.padded, &mut scratch.full, &mut scratch.factor);
-        out.copy_from_slice(&scratch.full[..self.n]);
+        self.solve_multi_into(b, 1, out, scratch);
     }
 
     /// Batched preconditioner solve over `k` interleaved right-hand

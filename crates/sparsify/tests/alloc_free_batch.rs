@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use cc_linalg::{chebyshev_solve_multi_into, laplacian_from_edges, par, BatchWorkspace};
+use cc_linalg::{chebyshev_solve_fixed_into, laplacian_from_edges, par, ChebyshevWorkspace};
 use cc_model::Clique;
 use cc_sparsify::{build_sparsifier, SparsifierSolveScratch, SparsifyParams};
 
@@ -83,12 +83,12 @@ fn batched_solve_steady_state_performs_zero_heap_allocations() {
         }
 
         let mut xs = vec![0.0f64; n * k];
-        let mut ws = BatchWorkspace::new(n, k);
+        let mut ws = ChebyshevWorkspace::new(n * k);
         let mut scratch = SparsifierSolveScratch::default();
 
         // Warm-up: size every workspace once.
         solver.solve_multi_into(&bs, k, &mut xs, &mut scratch);
-        chebyshev_solve_multi_into(
+        chebyshev_solve_fixed_into(
             |p, out| lap.matvec_multi_into(p, k, out),
             |r, out| {
                 solver.solve_multi_into(r, k, out, &mut scratch);
@@ -97,7 +97,6 @@ fn batched_solve_steady_state_performs_zero_heap_allocations() {
                 }
             },
             &bs,
-            k,
             kappa,
             20,
             &mut xs,
@@ -110,7 +109,7 @@ fn batched_solve_steady_state_performs_zero_heap_allocations() {
         assert_eq!(count, 0, "SparsifierSolver::solve_multi_into allocated");
 
         let (iters, count) = armed(|| {
-            chebyshev_solve_multi_into(
+            chebyshev_solve_fixed_into(
                 |p, out| lap.matvec_multi_into(p, k, out),
                 |r, out| {
                     solver.solve_multi_into(r, k, out, &mut scratch);
@@ -119,7 +118,6 @@ fn batched_solve_steady_state_performs_zero_heap_allocations() {
                     }
                 },
                 &bs,
-                k,
                 kappa,
                 20,
                 &mut xs,
@@ -127,6 +125,6 @@ fn batched_solve_steady_state_performs_zero_heap_allocations() {
             )
         });
         assert_eq!(iters, 20);
-        assert_eq!(count, 0, "chebyshev_solve_multi_into allocated");
+        assert_eq!(count, 0, "batched chebyshev_solve_fixed_into allocated");
     });
 }
