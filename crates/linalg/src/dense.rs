@@ -279,11 +279,6 @@ impl DenseMatrix {
         true
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// `A ← A + α·B`.
     ///
     /// # Panics

@@ -5,6 +5,11 @@
 //! `O(n³)`, accurate to machine precision — exactly what the sparsifier
 //! needs to *certify* cluster spectral gaps and approximation factors
 //! instead of trusting asymptotic bounds.
+//!
+//! The decomposition runs in two steps, so a caller that decides on the
+//! eigenvalues alone pays only for them: [`symmetric_reduce`] (reduction
+//! and eigenvalues), then [`SymmetricReduction::finish`] (transform,
+//! rotations, eigenvectors). Both run serially.
 
 use crate::{DenseMatrix, LinalgError};
 
@@ -51,16 +56,64 @@ impl SymmetricEigen {
     }
 }
 
-/// Computes the full eigendecomposition of a symmetric matrix.
+/// A symmetric matrix after its Householder reduction, with its
+/// eigenvalues: the first step of [`symmetric_eigen`], made by
+/// [`symmetric_reduce`].
+#[derive(Debug, Clone)]
+pub struct SymmetricReduction {
+    /// Row-major, row stride `ld`: Householder vectors below the
+    /// diagonal, each step's `u/h` above it.
+    z: Vec<f64>,
+    ld: usize,
+    /// Each step's `h` (zero where the step was skipped).
+    h: Vec<f64>,
+    /// The tridiagonal form.
+    d: Vec<f64>,
+    e: Vec<f64>,
+    eigenvalues: Vec<f64>,
+}
+
+impl SymmetricReduction {
+    /// Eigenvalues in ascending order, bitwise those of
+    /// [`finish`](Self::finish).
+    pub fn eigenvalues(&self) -> &[f64] {
+        &self.eigenvalues
+    }
+
+    /// The second step of [`symmetric_eigen`]: forms the orthogonal
+    /// transform, reruns the QL iteration rotating it along, and extracts
+    /// the eigenvectors.
+    pub fn finish(mut self) -> SymmetricEigen {
+        let n = self.d.len();
+        accumulate(&mut self.z, self.ld, &self.h);
+        // Neither the transform nor the rotations feed back into `d` or
+        // `e`: this is the QL arithmetic that converged in
+        // `symmetric_reduce`, and it ends on the same eigenvalues.
+        tql2(Some((&mut self.z, self.ld)), &mut self.d, &mut self.e)
+            .expect("the QL iteration converged on this tridiagonal before");
+        let d = &self.d;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
+        let mut eigenvectors = DenseMatrix::zeros(n, n);
+        let rows = eigenvectors.as_mut_slice().chunks_mut(n.max(1));
+        for (dst, src) in rows.zip(self.z.chunks(self.ld)) {
+            for (x, &oldc) in dst.iter_mut().zip(&order) {
+                *x = src[oldc];
+            }
+        }
+        SymmetricEigen {
+            eigenvalues: self.eigenvalues,
+            eigenvectors,
+        }
+    }
+}
+
+/// Computes the full eigendecomposition of a symmetric matrix:
+/// [`symmetric_reduce`] followed by [`SymmetricReduction::finish`].
 ///
 /// # Errors
 ///
-/// [`LinalgError::DimensionMismatch`] if `a` is not square;
-/// [`LinalgError::EigenNoConvergence`] if the QL iteration stalls
-/// (practically unreachable for finite symmetric input).
-///
-/// The input is *not* checked for symmetry (only its lower triangle is
-/// read); callers certifying spectral claims should assert symmetry first.
+/// Same conditions as [`symmetric_reduce`].
 ///
 /// ```
 /// use cc_linalg::{symmetric_eigen, DenseMatrix};
@@ -71,73 +124,67 @@ impl SymmetricEigen {
 /// # Ok::<(), cc_linalg::LinalgError>(())
 /// ```
 pub fn symmetric_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
-    if a.rows() != a.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "symmetric_eigen",
-            got: a.cols(),
-            expected: a.rows(),
-        });
-    }
-    let n = a.rows();
-    if n == 0 {
-        return Ok(SymmetricEigen {
-            eigenvalues: Vec::new(),
-            eigenvectors: DenseMatrix::zeros(0, 0),
-        });
-    }
-    // Work on a mutable row-major copy; z accumulates the orthogonal
-    // transform. An odd row stride keeps the column walks of the
-    // accumulation and the QL rotations off power-of-two strides, which
-    // would map a column's entries onto a few cache sets.
-    let ld = n | 1;
-    let mut z = vec![0.0; n * ld];
-    for (row, src) in z.chunks_mut(ld).zip(a.as_slice().chunks(n)) {
-        row[..n].copy_from_slice(src);
-    }
-    let mut d = vec![0.0; n]; // diagonal
-    let mut e = vec![0.0; n]; // off-diagonal
-    tred2(&mut z, ld, &mut d, &mut e, true);
-    tql2(Some((&mut z, ld)), &mut d, &mut e)?;
-
-    // A NaN eigenvalue means the QL iteration produced garbage (possible
-    // only for non-finite input); report it as a typed error instead of
-    // panicking inside the sort below.
-    if let Some(index) = d.iter().position(|v| v.is_nan()) {
-        return Err(LinalgError::EigenNoConvergence { index });
-    }
-    // Sort ascending, permuting eigenvector columns along.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let mut eigenvectors = DenseMatrix::zeros(n, n);
-    for (newc, &oldc) in order.iter().enumerate() {
-        for r in 0..n {
-            eigenvectors.set(r, newc, z[r * ld + oldc]);
-        }
-    }
-    Ok(SymmetricEigen {
-        eigenvalues,
-        eigenvectors,
-    })
+    Ok(symmetric_reduce(a)?.finish())
 }
 
-/// The eigenvalues of a symmetric matrix, ascending, without the
-/// eigenvectors: [`symmetric_eigen`]'s reduction with the transform
-/// accumulation and the eigenvector rotations left out. The values are
-/// bitwise equal to `symmetric_eigen(a)?.eigenvalues()` — neither skipped
-/// pass feeds back into the diagonal or off-diagonal the QL iteration
-/// reads.
-///
-/// `a` is overwritten (it holds the Householder reduction on return);
-/// `out` receives the `n` eigenvalues. Both buffers are reused: once
-/// `out` has held `2n` values, a call on an `n × n` matrix with
-/// `n ≤ 64` (one row chunk of the reduction) runs serially and performs
-/// no heap allocation. Larger matrices fan the reduction out across
-/// cores exactly as [`symmetric_eigen`] does.
+/// The first step of [`symmetric_eigen`]: the Householder reduction of `a`
+/// and its eigenvalues, without the `O(n³)` transform and rotations that
+/// [`SymmetricReduction::finish`] adds.
 ///
 /// # Errors
 ///
-/// Same conditions as [`symmetric_eigen`].
+/// [`LinalgError::DimensionMismatch`] if `a` is not square;
+/// [`LinalgError::EigenNoConvergence`] if the QL iteration stalls or
+/// yields NaN (practically unreachable for finite symmetric input).
+///
+/// The input is *not* checked for symmetry (only its lower triangle is
+/// read); callers certifying spectral claims should assert symmetry first.
+///
+/// ```
+/// use cc_linalg::{symmetric_reduce, DenseMatrix};
+/// let a = DenseMatrix::from_row_major(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
+/// let reduction = symmetric_reduce(&a)?;
+/// assert!((reduction.eigenvalues()[1] - 3.0).abs() < 1e-12);
+/// let eig = reduction.finish();
+/// assert!((eig.eigenvector(1)[0].abs() - 0.5f64.sqrt()).abs() < 1e-12);
+/// # Ok::<(), cc_linalg::LinalgError>(())
+/// ```
+pub fn symmetric_reduce(a: &DenseMatrix) -> Result<SymmetricReduction, LinalgError> {
+    let n = square(a, "symmetric_reduce")?;
+    // Work on a row-major copy. An odd row stride keeps the column reads
+    // of the QL rotations off power-of-two strides, which would map a
+    // column's entries onto a few cache sets.
+    let ld = n | 1;
+    let mut z = vec![0.0; n * ld];
+    for (row, src) in z.chunks_mut(ld).zip(a.as_slice().chunks(n.max(1))) {
+        row[..n].copy_from_slice(src);
+    }
+    let (mut d, mut e, mut h) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    tred2(&mut z, ld, &mut d, &mut e, &mut h);
+    let mut eigenvalues = d.clone();
+    sorted_eigenvalues(&mut eigenvalues, &mut e.clone())?;
+    Ok(SymmetricReduction {
+        z,
+        ld,
+        h,
+        d,
+        e,
+        eigenvalues,
+    })
+}
+
+/// The eigenvalues of a symmetric matrix, ascending, in place: the work of
+/// [`symmetric_reduce`] on the caller's buffers. The values are bitwise
+/// equal to `symmetric_eigen(a)?.eigenvalues()`.
+///
+/// `a` is overwritten (it holds the Householder reduction on return);
+/// `out` receives the `n` eigenvalues. Both buffers are reused: once
+/// `out` has held `3n` values, a call on an `n × n` matrix performs no
+/// heap allocation.
+///
+/// # Errors
+///
+/// Same conditions as [`symmetric_reduce`].
 ///
 /// ```
 /// use cc_linalg::{symmetric_eigenvalues, DenseMatrix};
@@ -148,52 +195,60 @@ pub fn symmetric_eigen(a: &DenseMatrix) -> Result<SymmetricEigen, LinalgError> {
 /// # Ok::<(), cc_linalg::LinalgError>(())
 /// ```
 pub fn symmetric_eigenvalues(a: &mut DenseMatrix, out: &mut Vec<f64>) -> Result<(), LinalgError> {
-    if a.rows() != a.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "symmetric_eigenvalues",
-            got: a.cols(),
-            expected: a.rows(),
-        });
-    }
-    let n = a.rows();
+    let n = square(a, "symmetric_eigenvalues")?;
+    // `out` holds the diagonal, the off-diagonal and the step sizes until
+    // the QL iteration is done.
     out.clear();
-    if n == 0 {
-        return Ok(());
-    }
-    // `out` holds the diagonal in its first half and the off-diagonal in
-    // its second until the QL iteration is done.
-    out.resize(2 * n, 0.0);
-    let (d, e) = out.split_at_mut(n);
-    tred2(a.as_mut_slice(), n, d, e, false);
-    tql2(None, d, e)?;
+    out.resize(3 * n, 0.0);
+    let (d, rest) = out.split_at_mut(n);
+    let (e, h) = rest.split_at_mut(n);
+    tred2(a.as_mut_slice(), n, d, e, h);
+    sorted_eigenvalues(d, e)?;
     out.truncate(n);
-    if let Some(index) = out.iter().position(|v| v.is_nan()) {
-        return Err(LinalgError::EigenNoConvergence { index });
-    }
-    // Values equal under `total_cmp` have equal bits, so an unstable
-    // (allocation-free) sort yields exactly the stable sort's sequence.
-    out.sort_unstable_by(f64::total_cmp);
     Ok(())
 }
 
-/// Rows per parallel chunk in the two Householder update loops of
-/// [`tred2`]. Fixed so the decomposition is independent of parallelism;
-/// matrices smaller than one chunk run serially inside `par_*`.
-const TRED2_ROW_CHUNK: usize = 64;
+/// The side of square `a`, or the typed error `op` reports.
+fn square(a: &DenseMatrix, op: &'static str) -> Result<usize, LinalgError> {
+    if a.rows() == a.cols() {
+        Ok(a.rows())
+    } else {
+        Err(LinalgError::DimensionMismatch {
+            op,
+            got: a.cols(),
+            expected: a.rows(),
+        })
+    }
+}
+
+/// Runs the QL iteration on the tridiagonal `d`, `e` without vectors and
+/// leaves the eigenvalues in `d`, ascending.
+fn sorted_eigenvalues(d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
+    tql2(None, d, e)?;
+    // A NaN eigenvalue means the QL iteration produced garbage (possible
+    // only for non-finite input); report it as a typed error instead of
+    // sorting it.
+    if let Some(index) = d.iter().position(|v| v.is_nan()) {
+        return Err(LinalgError::EigenNoConvergence { index });
+    }
+    // Values equal under `total_cmp` have equal bits, so this yields
+    // exactly the sequence of `finish`'s stable index sort.
+    d.sort_unstable_by(f64::total_cmp);
+    Ok(())
+}
 
 /// Householder reduction of the `n × n` symmetric matrix `z` (row-major,
-/// row stride `ld ≥ n`, `n = d.len()`) to tridiagonal form (classical
-/// tred2), with diagonal `d` and off-diagonal `e`. With `vectors`, the orthogonal transform is accumulated into `z`;
-/// without, `z` is left holding the reduction and only `d` and `e` are
-/// meaningful. The two passes never feed back into `d` or `e`.
+/// row stride `ld ≥ n`, `n = d.len()`; only the lower triangle is read) to
+/// tridiagonal form (classical tred2): diagonal `d`, and off-diagonal
+/// `e[i]` coupling `i − 1` and `i` (`e[0]` is unused). Step `i` records its
+/// `h` in `steps[i]` and stores `u/h` above the diagonal in column `i`, as
+/// [`accumulate`] needs; neither feeds back into `d` or `e`.
 ///
-/// The two `O(l²)` inner loops are restructured into a *pure-read* phase
-/// fanned out over row chunks followed by a short serial phase, so the
-/// floating-point operations per row are exactly those of the classical
-/// serial formulation — parallel runs are bitwise identical to serial
-/// ones (the column-`i` writes these loops perform are never read back
-/// within the same `i` step, which is what makes the split legal).
-fn tred2(z: &mut [f64], ld: usize, d: &mut [f64], e: &mut [f64], vectors: bool) {
+/// The column part of each `A·u` product is transposed into a k-outer
+/// walk over row segments; every element still adds its terms in the
+/// classical ascending order, so the result is bitwise the textbook
+/// loop's.
+fn tred2(z: &mut [f64], ld: usize, d: &mut [f64], e: &mut [f64], steps: &mut [f64]) {
     let n = d.len();
     for i in (1..n).rev() {
         let l = i - 1;
@@ -212,102 +267,82 @@ fn tred2(z: &mut [f64], ld: usize, d: &mut [f64], e: &mut [f64], vectors: bool) 
                 e[i] = scale * g;
                 h -= f * g;
                 z[i * ld + l] = f - g;
-                // Phase A (parallel, pure reads of columns ≤ l):
-                // e[j] = (A·u)_j / h for the Householder vector u = z[i][..=l].
-                let (head, tail) = z.split_at_mut(i * ld);
+                let (rows, tail) = z.split_at_mut(i * ld);
                 let zi: &[f64] = &tail[..n];
-                let rows: &[f64] = head;
-                crate::par::par_chunks_mut(&mut e[..=l], TRED2_ROW_CHUNK, |ci, acc| {
-                    let j0 = ci * TRED2_ROW_CHUNK;
-                    // Row part: Σ_{k≤j} rows[j][k]·zi[k], a contiguous
-                    // row read per j.
-                    for (a, j) in acc.iter_mut().zip(j0..) {
-                        let mut g_acc = 0.0;
-                        for k in 0..=j {
-                            g_acc += rows[j * ld + k] * zi[k];
-                        }
-                        *a = g_acc;
+                // e[j] = (A·u)_j / h for the Householder vector u = zi[..=l]:
+                // the row part Σ_{k≤j} a[j][k]·u[k], then the column part
+                // Σ_{k>j} a[k][j]·u[k] in ascending k, read row by row.
+                for j in 0..=l {
+                    let mut acc = 0.0;
+                    for k in 0..=j {
+                        acc += rows[j * ld + k] * zi[k];
                     }
-                    // Column part, transposed: the naive per-j walk down
-                    // column j (`rows[k][j]`, stride-n reads) becomes a
-                    // k-outer loop over the chunk-wide row segments
-                    // `rows[k][j0..j1]`. Per j the contributions still
-                    // arrive in ascending k, appended after the row part
-                    // — the accumulation order is exactly the naive
-                    // loop's, so the result is bitwise identical.
-                    let j1 = j0 + acc.len();
-                    for k in (j0 + 1)..=l {
-                        let rk = &rows[k * ld + j0..k * ld + j1.min(k)];
-                        let zk = zi[k];
-                        for (a, &rv) in acc[..rk.len()].iter_mut().zip(rk) {
-                            *a += rv * zk;
-                        }
+                    e[j] = acc;
+                }
+                for k in 1..=l {
+                    let zk = zi[k];
+                    for (acc, &a) in e[..k].iter_mut().zip(&rows[k * ld..k * ld + k]) {
+                        *acc += a * zk;
                     }
-                    for a in acc.iter_mut() {
-                        *a /= h;
-                    }
-                });
-                // Phase B (serial, O(l)): write column i and reduce f_acc
-                // in ascending j order — the exact summation order of the
-                // classical loop.
+                }
                 let mut f_acc = 0.0;
                 for j in 0..=l {
-                    if vectors {
-                        head[j * ld + i] = zi[j] / h;
-                    }
+                    e[j] /= h;
+                    rows[j * ld + i] = zi[j] / h;
                     f_acc += e[j] * zi[j];
                 }
                 let hh = f_acc / (h + h);
-                // Phase A′ (serial, O(l)): finish the e update first so the
-                // row updates below read a fully updated e.
                 for j in 0..=l {
                     e[j] -= hh * zi[j];
                 }
-                // Phase B′ (parallel, disjoint row writes): rank-two update
-                // of the lower triangle, row by row in classical k order.
-                let e_ro: &[f64] = e;
-                crate::par::par_chunks_mut(
-                    &mut head[..(l + 1) * ld],
-                    TRED2_ROW_CHUNK * ld,
-                    |chunk_idx, rows| {
-                        let base = chunk_idx * TRED2_ROW_CHUNK;
-                        for (local, row) in rows.chunks_mut(ld).enumerate() {
-                            let j = base + local;
-                            let f = zi[j];
-                            let g = e_ro[j];
-                            for k in 0..=j {
-                                row[k] -= f * e_ro[k] + g * zi[k];
-                            }
-                        }
-                    },
-                );
+                // Rank-two update of the lower triangle, row by row.
+                for j in 0..=l {
+                    let (f, g) = (zi[j], e[j]);
+                    for (k, a) in rows[j * ld..=j * ld + j].iter_mut().enumerate() {
+                        *a -= f * e[k] + g * zi[k];
+                    }
+                }
             }
         } else {
             e[i] = z[i * ld + l];
         }
-        d[i] = h;
+        steps[i] = h;
     }
-    d[0] = 0.0;
-    e[0] = 0.0;
+    for (i, di) in d.iter_mut().enumerate() {
+        *di = z[i * ld + i];
+    }
+}
+
+/// Forms the orthogonal transform of a [`tred2`] reduction in `z` (the
+/// classical accumulation pass), from the stored Householder vectors and
+/// the step sizes `h`. Step `i` gathers `g_j = Σ_{k<i} z[i][k]·z[k][j]`
+/// row by row — k outermost, every `g_j` still adding its terms in
+/// ascending k — then updates the rows; per element the arithmetic is the
+/// textbook column walk's.
+fn accumulate(z: &mut [f64], ld: usize, h: &[f64]) {
+    let n = h.len();
+    let mut g = vec![0.0; n];
     for i in 0..n {
-        if vectors && d[i] != 0.0 {
-            for j in 0..i {
-                let mut g = 0.0;
-                for k in 0..i {
-                    g += z[i * ld + k] * z[k * ld + j];
+        if h[i] != 0.0 {
+            let (rows, tail) = z.split_at_mut(i * ld);
+            let g = &mut g[..i];
+            g.fill(0.0);
+            for (k, &zik) in tail[..i].iter().enumerate() {
+                for (gj, &zkj) in g.iter_mut().zip(&rows[k * ld..k * ld + i]) {
+                    *gj += zik * zkj;
                 }
-                for k in 0..i {
-                    z[k * ld + j] -= g * z[k * ld + i];
+            }
+            for row in rows.chunks_mut(ld) {
+                let zki = row[i];
+                for (zkj, &gj) in row[..i].iter_mut().zip(g.iter()) {
+                    *zkj -= gj * zki;
                 }
             }
         }
-        d[i] = z[i * ld + i];
-        if vectors {
-            z[i * ld + i] = 1.0;
-            for j in 0..i {
-                z[j * ld + i] = 0.0;
-                z[i * ld + j] = 0.0;
-            }
+        z[i * ld + i] = 1.0;
+        for j in 0..i {
+            z[j * ld + i] = 0.0;
+            z[i * ld + j] = 0.0;
         }
     }
 }

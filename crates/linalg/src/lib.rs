@@ -9,6 +9,8 @@
 //! * [`symmetric_eigen`] — a dense symmetric eigensolver (Householder
 //!   tridiagonalization followed by implicit-shift QL), used to *certify*
 //!   spectral gaps and sparsifier approximation factors deterministically;
+//!   [`symmetric_reduce`] stops at the eigenvalues and forms the
+//!   eigenvectors only when asked;
 //! * [`GroundedCholesky`] — exact solves with singular Laplacians by
 //!   grounding one vertex per connected component;
 //! * [`chebyshev_solve`] — preconditioned Chebyshev iteration
@@ -49,7 +51,9 @@ pub use cheby::{
 };
 pub use csr::{CsrMatrix, MATVEC_ROW_CHUNK, PAR_MIN_NNZ, RHS_LANES};
 pub use dense::{DenseMatrix, MATMUL_J_BLOCK, MATMUL_K_PANEL, MATMUL_ROW_BLOCK, PAR_MIN_WORK};
-pub use eigen::{symmetric_eigen, symmetric_eigenvalues, SymmetricEigen};
+pub use eigen::{
+    symmetric_eigen, symmetric_eigenvalues, symmetric_reduce, SymmetricEigen, SymmetricReduction,
+};
 pub use error::LinalgError;
 pub use factor::{GroundedCholesky, SolveScratch};
 pub use laplacian::{

@@ -2,7 +2,8 @@
 //!
 //! A counting global allocator wraps `System`; after one warm-up call
 //! (which sizes every workspace), the armed region re-runs the hot paths
-//! — `matvec_into`, Chebyshev, pseudo-inverse solves — and asserts
+//! — `matvec_into`, Chebyshev, pseudo-inverse solves, eigenvalues-only
+//! certificates — and asserts
 //! the allocation counter did not move.
 //!
 //! Threads are pinned to 1: the fixed-chunk fan-out machinery itself
@@ -14,8 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cc_linalg::{
-    chebyshev_solve_fixed_into, laplacian_from_edges, par, vec_ops::remove_mean,
-    ChebyshevWorkspace, GroundedCholesky, SolveScratch,
+    chebyshev_solve_fixed_into, laplacian_from_edges, par, symmetric_eigenvalues,
+    vec_ops::remove_mean, ChebyshevWorkspace, GroundedCholesky, SolveScratch,
 };
 
 struct CountingAlloc;
@@ -108,5 +109,22 @@ fn steady_state_iteration_performs_zero_heap_allocations() {
             );
         });
         assert_eq!(count, 0, "chebyshev_solve_fixed_into allocated");
+
+        // n = 96 spans more than one of the 64-row chunks the Householder
+        // reduction was once fanned out over.
+        let dense = lap.to_dense();
+        let mut work = dense.clone();
+        let mut values = Vec::new();
+        symmetric_eigenvalues(&mut work, &mut values).unwrap();
+        let (result, count) = armed(|| {
+            for i in 0..n {
+                for j in 0..n {
+                    work.set(i, j, dense.get(i, j));
+                }
+            }
+            symmetric_eigenvalues(&mut work, &mut values)
+        });
+        result.unwrap();
+        assert_eq!(count, 0, "symmetric_eigenvalues allocated");
     });
 }

@@ -14,14 +14,14 @@
 //! * `GroundedCholesky::solve_multi_into` vs `k` single solves;
 //! * `chebyshev_solve_fixed_into` over an interleaved batch of `k`
 //!   columns vs `k` single preconditioned solves;
-//! * `symmetric_eigen` across thread budgets (the tred2 blocking);
-//! * `symmetric_eigenvalues` vs `symmetric_eigen(..).eigenvalues()`, on
-//!   both sides of tred2's row chunk.
+//! * `symmetric_eigenvalues` and `symmetric_reduce(..).eigenvalues()` vs
+//!   `symmetric_eigen(..).eigenvalues()` (the eigensolver is serial, so
+//!   this twin has no thread budget).
 
 use cc_linalg::{
     chebyshev_solve_fixed_into, laplacian_from_edges, par, symmetric_eigen, symmetric_eigenvalues,
-    ChebyshevWorkspace, CsrMatrix, DenseMatrix, GroundedCholesky, SolveScratch, MATMUL_J_BLOCK,
-    MATMUL_K_PANEL, PAR_MIN_NNZ,
+    symmetric_reduce, ChebyshevWorkspace, CsrMatrix, DenseMatrix, GroundedCholesky, SolveScratch,
+    MATMUL_J_BLOCK, MATMUL_K_PANEL, PAR_MIN_NNZ,
 };
 use proptest::prelude::*;
 
@@ -252,33 +252,12 @@ proptest! {
     }
 
     #[test]
-    fn symmetric_eigen_is_thread_count_invariant(
-        pool in proptest::collection::vec(-3f64..3.0, 24),
-    ) {
-        // Large enough for tred2's chunked column updates to span many
-        // chunks; the blocked update must stay bitwise thread-invariant.
-        let n = 160usize;
-        let lap = path_laplacian(n, &pool);
-        let a = lap.to_dense();
-        let want = par::with_threads(1, || symmetric_eigen(&a).unwrap());
-        for threads in [2usize, 8] {
-            let got = par::with_threads(threads, || symmetric_eigen(&a).unwrap());
-            assert_bits_eq(got.eigenvalues(), want.eigenvalues(), "eigenvalues");
-            assert_bits_eq(
-                got.eigenvectors().as_slice(),
-                want.eigenvectors().as_slice(),
-                "eigenvectors",
-            );
-        }
-    }
-
-    #[test]
     fn symmetric_eigenvalues_match_full_decomposition_bitwise(
         pool in proptest::collection::vec(-3f64..3.0, 31),
     ) {
-        // Sizes on both sides of tred2's 64-row chunk: the serial
-        // allocation-free path and the fanned-out one.
-        for n in [1usize, 2, 9, 24, 63, 64, 65, 97] {
+        // The eigenvalues-only reduction, the first step of the full
+        // decomposition, and the full decomposition agree at every size.
+        for n in [1usize, 2, 9, 24, 63, 64, 65, 97, 256] {
             let mut a = DenseMatrix::zeros(n, n);
             for i in 0..n {
                 for j in 0..=i {
@@ -287,14 +266,12 @@ proptest! {
                     a.set(j, i, v);
                 }
             }
-            let want = par::with_threads(1, || symmetric_eigen(&a).unwrap());
+            let want = symmetric_eigen(&a).unwrap();
             let mut values = Vec::new();
-            for threads in [1usize, 2, 8] {
-                let mut work = a.clone();
-                par::with_threads(threads, || symmetric_eigenvalues(&mut work, &mut values))
-                    .unwrap();
-                assert_bits_eq(&values, want.eigenvalues(), "eigenvalues only");
-            }
+            symmetric_eigenvalues(&mut a.clone(), &mut values).unwrap();
+            assert_bits_eq(&values, want.eigenvalues(), "eigenvalues only");
+            let reduction = symmetric_reduce(&a).unwrap();
+            assert_bits_eq(reduction.eigenvalues(), &values, "reduce vs eigenvalues only");
         }
     }
 }

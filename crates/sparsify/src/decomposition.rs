@@ -2,16 +2,19 @@
 //!
 //! Substitute for the \[CS20\] black box of Theorem 3.2 (see `DESIGN.md`
 //! §2.1): a recursive spectral partitioner. For the current vertex set we
-//! compute the exact second eigenpair of the weighted normalized Laplacian
-//! with the dense symmetric eigensolver, try all sweep cuts of the exact
-//! eigenvector, and split when the best sweep cut has weighted conductance
-//! below `phi`; otherwise the cluster is final and — because the
-//! eigenvector is exact — carries a *certificate* `µ₂ ≥ φ²/2 > 0` (we
-//! record the exact `µ₂` and `µ_max`, which is strictly stronger than the
-//! conductance guarantee the paper consumes downstream).
+//! compute the exact spectrum of the weighted normalized Laplacian with the
+//! dense symmetric eigensolver. A piece with `µ₂ ≥ 2φ` is final as it
+//! stands: by the easy direction of Cheeger's inequality no cut of it has
+//! conductance below `µ₂/2 ≥ φ`. Otherwise we form the exact second
+//! eigenvector, try all its sweep cuts, and split when the best one has
+//! weighted conductance below `phi`; if none does, the piece is final and
+//! — because the eigenvector is exact — carries a *certificate*
+//! `µ₂ ≥ φ²/2 > 0`. Either way we record the exact `µ₂` and `µ_max`,
+//! which is strictly stronger than the conductance guarantee the paper
+//! consumes downstream.
 
 use cc_graph::{EdgeId, Graph, VertexId};
-use cc_linalg::{normalized_laplacian_dense, symmetric_eigen, LinalgError};
+use cc_linalg::{normalized_laplacian_dense, symmetric_reduce, LinalgError};
 
 /// A final cluster of the decomposition with its exact spectral certificate.
 #[derive(Debug, Clone)]
@@ -86,11 +89,6 @@ impl ExpanderDecomposition {
         }
         a
     }
-
-    /// Total weight of crossing edges in `g`.
-    pub fn crossing_weight(&self, g: &Graph) -> f64 {
-        self.crossing_edges.iter().map(|&e| g.edge(e).weight).sum()
-    }
 }
 
 /// The default conductance threshold `φ = 1/(8·ln(2 + vol(G)))`, chosen so
@@ -108,9 +106,11 @@ pub fn default_phi(g: &Graph) -> f64 {
 /// Guarantees:
 /// * every final cluster with ≥ 2 vertices is connected and carries its
 ///   exact spectral gap `µ₂` (> 0);
-/// * a cluster is only accepted when no sweep cut of its exact Fiedler
-///   vector has weighted conductance below `phi`, which by the sweep-cut
-///   (Cheeger) inequality certifies `µ₂ ≥ φ²/2`;
+/// * a cluster is only accepted when `µ₂ ≥ 2φ`, so that no cut of it has
+///   weighted conductance below `phi` (Cheeger's easy direction), or when
+///   no sweep cut of its exact Fiedler vector does, which by the sweep-cut
+///   (Cheeger) inequality certifies `µ₂ ≥ φ²/2`; the Fiedler vector is
+///   computed only in the second case;
 /// * crossing edges are exactly the edges whose endpoints lie in different
 ///   clusters.
 ///
@@ -135,7 +135,7 @@ pub fn expander_decompose(g: &Graph, phi: f64) -> Result<ExpanderDecomposition, 
     // only on its own vertex set — the recursion tree is independent of
     // processing order — and the cluster list is sorted below, so the
     // result is identical to the sequential worklist's.
-    let mut pending: Vec<Vec<VertexId>> = split_components(g, &(0..g.n()).collect::<Vec<_>>());
+    let mut pending = components(g, &(0..g.n()).collect::<Vec<_>>());
     while !pending.is_empty() {
         let wave = std::mem::take(&mut pending);
         for outcome in cc_linalg::par::par_map(&wave, |piece| process_piece(g, piece, phi)) {
@@ -196,25 +196,25 @@ fn process_piece(g: &Graph, vertices: &[VertexId], phi: f64) -> Result<PieceOutc
         ));
     }
     let nl = normalized_laplacian_dense(sub.n(), &sub.edge_triples());
-    let eig = symmetric_eigen(&nl)?;
-    let mu2 = eig.eigenvalues()[1];
-    let mu_max = *eig
-        .eigenvalues()
-        .last()
-        .expect("nonempty spectrum for nonempty cluster");
+    let reduction = symmetric_reduce(&nl)?;
+    let spectrum = reduction.eigenvalues();
+    let mu2 = spectrum[1];
+    let mu_max = spectrum[spectrum.len() - 1];
+    let certified = || {
+        let mut cl = finish_cluster(g, vertices.to_vec());
+        cl.mu2 = mu2;
+        cl.mu_max = mu_max;
+        PieceOutcome::Clusters(vec![cl])
+    };
     if mu2 <= 1e-12 {
-        // Disconnected: split by components (mapped back to global ids)
-        // and retry.
-        let comp = sub.components();
-        let num = comp.iter().copied().max().map_or(0, |c| c + 1);
-        let mut pieces = vec![Vec::new(); num];
-        for (local, &c) in comp.iter().enumerate() {
-            pieces[c].push(map[local]);
-        }
-        return Ok(PieceOutcome::Split(pieces));
+        // Disconnected: split by components and retry.
+        return Ok(PieceOutcome::Split(components(&sub, &map)));
+    }
+    if cheeger_accepts(mu2, phi) {
+        return Ok(certified());
     }
     // Sweep the exact Fiedler vector in the degree-weighted embedding.
-    let fiedler = eig.eigenvector(1);
+    let fiedler = reduction.finish().eigenvector(1);
     Ok(match best_sweep_cut(&sub, &fiedler) {
         Some((cut_conductance, side)) if cut_conductance < phi => {
             let (mut left, mut right) = (Vec::new(), Vec::new());
@@ -227,20 +227,31 @@ fn process_piece(g: &Graph, vertices: &[VertexId], phi: f64) -> Result<PieceOutc
             }
             PieceOutcome::Split(vec![left, right])
         }
-        _ => {
-            // Certified expander: record exact spectral bounds.
-            let mut cl = finish_cluster(g, vertices.to_vec());
-            cl.mu2 = mu2;
-            cl.mu_max = mu_max;
-            PieceOutcome::Clusters(vec![cl])
-        }
+        // Certified expander: record exact spectral bounds.
+        _ => certified(),
     })
 }
 
-/// Connected components of the subgraph induced on `vertices` (global ids),
-/// returned as global id lists.
-fn split_components(g: &Graph, vertices: &[VertexId]) -> Vec<Vec<VertexId>> {
-    let (sub, map) = g.induced(vertices);
+/// Relative margin by which `µ₂` must clear `2φ` for [`cheeger_accepts`].
+/// The computed `µ₂` is within a few `n·ε` of the exact one, and a sweep
+/// quotient could only fall below `φ` from an exact value of at least
+/// `µ₂/2 ≥ φ·(1 + 1e-6)` through a rounding error above `1e-6` relative,
+/// so the rule accepts only pieces the floating-point sweep accepts too;
+/// the guard test `cheeger_rule_accepts_what_the_sweep_accepts` checks
+/// this piece by piece, with weights up to `2^40`.
+const CHEEGER_MARGIN: f64 = 1e-6;
+
+/// Whether a connected piece with second normalized eigenvalue `mu2` is
+/// final without a sweep: by the easy direction of Cheeger's inequality
+/// every cut has conductance at least `µ₂/2`, so at `µ₂ ≥ 2φ` none is
+/// below `φ`.
+fn cheeger_accepts(mu2: f64, phi: f64) -> bool {
+    mu2 >= 2.0 * phi * (1.0 + CHEEGER_MARGIN)
+}
+
+/// Connected components of `sub`, as lists of the global ids `map` gives
+/// its vertices.
+fn components(sub: &Graph, map: &[VertexId]) -> Vec<Vec<VertexId>> {
     let comp = sub.components();
     let num = comp.iter().copied().max().map_or(0, |c| c + 1);
     let mut out = vec![Vec::new(); num];
@@ -347,6 +358,116 @@ fn best_sweep_cut(sub: &Graph, vector: &[f64]) -> Option<(f64, Vec<bool>)> {
 mod tests {
     use super::*;
     use cc_graph::generators;
+    use cc_linalg::symmetric_eigen;
+
+    /// Runs the decomposition's worklist on `g` piece by piece and checks
+    /// every outcome of [`process_piece`] against the full eigensolve and
+    /// sweep. Counts the outcomes into `seen`: accepted by the Cheeger
+    /// rule, accepted by the sweep, split by the sweep, split into
+    /// components.
+    fn check_pieces(g: &Graph, phi: f64, seen: &mut [usize; 4], id: &str) {
+        let mut pending = components(g, &(0..g.n()).collect::<Vec<_>>());
+        while let Some(piece) = pending.pop() {
+            let outcome = process_piece(g, &piece, phi).unwrap();
+            let (sub, _) = g.induced(&piece);
+            if piece.len() <= 2 || sub.m() == 0 {
+                assert!(matches!(outcome, PieceOutcome::Clusters(_)), "{id}");
+                continue;
+            }
+            let nl = normalized_laplacian_dense(sub.n(), &sub.edge_triples());
+            let eig = symmetric_eigen(&nl).unwrap();
+            let mu2 = eig.eigenvalues()[1];
+            let mu_max = *eig.eigenvalues().last().unwrap();
+            let sweep = best_sweep_cut(&sub, &eig.eigenvector(1));
+            match outcome {
+                PieceOutcome::Split(parts) => {
+                    if mu2 <= 1e-12 {
+                        seen[3] += 1;
+                    } else {
+                        seen[2] += 1;
+                        assert!(sweep.unwrap().0 < phi, "{id}: split without a cut below φ");
+                    }
+                    pending.extend(parts);
+                }
+                PieceOutcome::Clusters(cs) => {
+                    let [cl] = cs.as_slice() else {
+                        panic!("{id}: an accepted piece yields one cluster");
+                    };
+                    assert_eq!(cl.mu2.to_bits(), mu2.to_bits(), "{id}: µ2");
+                    assert_eq!(cl.mu_max.to_bits(), mu_max.to_bits(), "{id}: µmax");
+                    let (cond, _) = sweep.unwrap();
+                    assert!(
+                        cond >= phi,
+                        "{id}: accepted a piece with a sweep cut {cond} < φ {phi}"
+                    );
+                    if cheeger_accepts(mu2, phi) {
+                        seen[0] += 1;
+                        if sub.n() <= 14 {
+                            assert!(sub.conductance_exact() >= phi, "{id}: a cut below φ");
+                        }
+                    } else {
+                        seen[1] += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Two `K_k` hanging by unit edges off vertex 0, which heads a path of
+    /// `len` edges of weight `w`. The cliques get near-equal Fiedler
+    /// values, so the best sweep cut can take both without the hub: a
+    /// disconnected side, which the next wave splits into components.
+    fn broom(k: usize, len: usize, w: f64) -> Graph {
+        let mut g = Graph::new(1 + len + 2 * k);
+        for i in 0..len {
+            g.add_edge(i, i + 1, w);
+        }
+        for base in [1 + len, 1 + len + k] {
+            for a in 0..k {
+                for b in (a + 1)..k {
+                    g.add_edge(base + a, base + b, 1.0);
+                }
+            }
+            g.add_edge(0, base, 1.0);
+        }
+        g
+    }
+
+    #[test]
+    fn cheeger_rule_accepts_what_the_sweep_accepts() {
+        let mut graphs: Vec<(String, Graph)> = cc_conform::corpus::undirected_corpus(0)
+            .into_iter()
+            .chain(cc_conform::corpus::eulerian_corpus(0))
+            .map(|c| (c.id, c.graph))
+            .collect();
+        graphs.extend([
+            ("path/12".into(), generators::path(12)),
+            ("cycle/14".into(), generators::cycle(14)),
+            ("complete/10".into(), generators::complete(10)),
+            ("star/9".into(), generators::star(9)),
+            ("expander/32".into(), generators::expander(32)),
+            ("barbell/6".into(), generators::barbell(6)),
+            ("grid/6x6".into(), generators::grid(6, 6)),
+            ("broom/5-6-10".into(), broom(5, 6, 10.0)),
+            ("broom/5-8-3".into(), broom(5, 8, 3.0)),
+        ]);
+        for max_weight in [1u64, 1 << 16, 1 << 40] {
+            for seed in 0..4 {
+                let g = generators::random_connected(30, 45, max_weight, seed);
+                graphs.push((format!("random/30-45-{max_weight}-s{seed}"), g));
+            }
+        }
+        let mut seen = [0usize; 4];
+        for (id, g) in &graphs {
+            for phi in [default_phi(g), 0.05, 0.2, 0.45] {
+                check_pieces(g, phi, &mut seen, &format!("{id} at φ = {phi}"));
+            }
+        }
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "an outcome was never reached: {seen:?}"
+        );
+    }
 
     #[test]
     fn barbell_splits_into_two_cliques() {
