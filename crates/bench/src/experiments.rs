@@ -190,8 +190,7 @@ pub fn e3_chebyshev() -> Table {
     let mut b = st_rhs(24);
     cc_linalg::vec_ops::remove_mean(&mut b);
     let x_star = chol.solve(&b);
-    // One set of buffers serves every (κ, ε) row: the `_into` kernels are
-    // bitwise-identical to the allocating wrappers and keep the sweep's
+    // One set of buffers serves every (κ, ε) row and keeps the sweep's
     // steady state allocation-free.
     let mut x = vec![0.0f64; 24];
     let mut ws = cc_linalg::ChebyshevWorkspace::new(24);

@@ -299,11 +299,15 @@ impl LaplacianSolver {
                 sums[c * k + j] += xs[v * k + j];
             }
         }
+        for (means, &cnt) in sums.chunks_mut(k).zip(counts.iter()) {
+            for m in means {
+                *m /= cnt as f64;
+            }
+        }
         for v in 0..self.n {
             let c = self.components[v];
-            let cnt = counts[c] as f64;
             for j in 0..k {
-                xs[v * k + j] -= sums[c * k + j] / cnt;
+                xs[v * k + j] -= sums[c * k + j];
             }
         }
     }

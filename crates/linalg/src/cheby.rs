@@ -8,15 +8,6 @@
 
 use crate::vec_ops::{axpy, sub, xpay};
 
-/// Result of a Chebyshev solve.
-#[derive(Debug, Clone)]
-pub struct ChebyshevOutcome {
-    /// The computed vector `Z b ≈ A† b`.
-    pub x: Vec<f64>,
-    /// Number of iterations executed (each: one `A`-matvec + one `B`-solve).
-    pub iterations: usize,
-}
-
 /// Reusable buffers for [`chebyshev_solve_fixed_into`]: the residual,
 /// search direction, preconditioned residual, and `A·p` product. Create
 /// once, hand to every solve — the iteration then performs zero heap
@@ -71,80 +62,22 @@ pub fn chebyshev_iteration_bound(kappa: f64, eps: f64) -> usize {
     (k as usize).max(1)
 }
 
-/// Runs preconditioned Chebyshev iteration.
+/// Runs preconditioned Chebyshev iteration for a fixed number of steps.
 ///
-/// * `apply_a` — multiplication by `A` (one congested clique round in the
-///   distributed setting);
-/// * `solve_b` — application of `B†` (free internally once the sparsifier
-///   is globally known);
-/// * `kappa` — a certified bound with `A ⪯ B ⪯ κA`;
-/// * `eps` — target relative error in the `A`-norm.
+/// * `apply_a(v, out)` — writes `A·v` into `out` (one congested clique
+///   round in the distributed setting);
+/// * `solve_b(v, out)` — writes `B†·v` into `out` (free internally once
+///   the sparsifier is globally known);
+/// * `kappa` — a certified bound with `A ⪯ B ⪯ κA`.
 ///
-/// Returns the iterate after [`chebyshev_iteration_bound`]`(kappa, eps)`
-/// steps. The operator realized on `b` is symmetric and spectrally within
-/// `(1±ε)A†` (property 1 of Theorem 2.2), which Corollary 2.3 turns into
-/// the `‖x − A†b‖_A ≤ ε‖A†b‖_A` guarantee.
-///
-/// # Panics
-///
-/// Panics if `kappa < 1`, `eps ≤ 0`, or the closures return vectors of the
-/// wrong length.
-pub fn chebyshev_solve(
-    apply_a: impl FnMut(&[f64]) -> Vec<f64>,
-    solve_b: impl FnMut(&[f64]) -> Vec<f64>,
-    b: &[f64],
-    kappa: f64,
-    eps: f64,
-) -> ChebyshevOutcome {
-    let iterations = chebyshev_iteration_bound(kappa, eps);
-    chebyshev_solve_fixed(apply_a, solve_b, b, kappa, iterations)
-}
-
-/// Like [`chebyshev_solve`] but with an explicit iteration count —
-/// useful for ablation experiments on the iteration bound (E3).
-///
-/// # Panics
-///
-/// Panics if `kappa < 1` or the closures return vectors of the wrong length.
-pub fn chebyshev_solve_fixed(
-    mut apply_a: impl FnMut(&[f64]) -> Vec<f64>,
-    mut solve_b: impl FnMut(&[f64]) -> Vec<f64>,
-    b: &[f64],
-    kappa: f64,
-    iterations: usize,
-) -> ChebyshevOutcome {
-    let n = b.len();
-    let mut x = vec![0.0; n];
-    let mut ws = ChebyshevWorkspace::new(n);
-    chebyshev_solve_fixed_into(
-        |p, out| {
-            let ap = apply_a(p);
-            assert_eq!(ap.len(), out.len(), "apply_a returned wrong length");
-            out.copy_from_slice(&ap);
-        },
-        |r, out| {
-            let z = solve_b(r);
-            assert_eq!(z.len(), out.len(), "solve_b returned wrong length");
-            out.copy_from_slice(&z);
-        },
-        b,
-        kappa,
-        iterations,
-        &mut x,
-        &mut ws,
-    );
-    ChebyshevOutcome { x, iterations }
-}
-
-/// Allocation-free core of [`chebyshev_solve_fixed`]: operators write into
-/// caller-provided buffers, the iterate lands in `x`, and all intermediate
-/// vectors live in `ws`. Steady-state iteration performs **zero heap
-/// allocations** (verified by `tests/alloc_free.rs`), and the sequence of
-/// floating-point operations is identical to the allocating wrapper, so
-/// both produce bitwise-equal results.
-///
-/// * `apply_a(v, out)` — writes `A·v` into `out`;
-/// * `solve_b(v, out)` — writes `B†·v` into `out`.
+/// The iterate lands in `x`, and every intermediate vector lives in `ws`,
+/// so steady-state iteration performs **zero heap allocations**
+/// (verified by `tests/alloc_free.rs`). After
+/// [`chebyshev_iteration_bound`]`(kappa, eps)` steps the operator
+/// realized on `b` is symmetric and spectrally within `(1±ε)A†`
+/// (property 1 of Theorem 2.2), which Corollary 2.3 turns into the
+/// `‖x − A†b‖_A ≤ ε‖A†b‖_A` guarantee; another count is useful for
+/// ablations of the bound (E3).
 ///
 /// A batch of `k` right-hand sides is this same call over interleaved
 /// `n·k` buffers (`b[v*k + j]` is entry `v` of column `j`) with batched
@@ -158,8 +91,7 @@ pub fn chebyshev_solve_fixed(
 /// operators with the same per-column property, the results are bitwise
 /// identical per column, at any thread count.
 ///
-/// Returns the iteration count (`iterations`, for symmetry with
-/// [`ChebyshevOutcome`]).
+/// Returns the iteration count (`iterations`).
 ///
 /// # Panics
 ///
@@ -225,7 +157,20 @@ mod tests {
     use super::*;
     use crate::laplacian::{laplacian_from_edges, laplacian_quadratic_form};
     use crate::vec_ops::remove_mean;
-    use crate::GroundedCholesky;
+    use crate::{GroundedCholesky, SolveScratch};
+
+    /// The iterate after `iterations` steps, on fresh buffers.
+    fn solve(
+        apply_a: impl FnMut(&[f64], &mut [f64]),
+        solve_b: impl FnMut(&[f64], &mut [f64]),
+        b: &[f64],
+        kappa: f64,
+        iterations: usize,
+    ) -> Vec<f64> {
+        let (mut x, mut ws) = (vec![0.0; b.len()], ChebyshevWorkspace::new(b.len()));
+        chebyshev_solve_fixed_into(apply_a, solve_b, b, kappa, iterations, &mut x, &mut ws);
+        x
+    }
 
     #[test]
     fn bound_shrinks_with_looser_eps_and_grows_with_kappa() {
@@ -254,10 +199,18 @@ mod tests {
         let chol = GroundedCholesky::new(&lap).unwrap();
         let mut b = vec![1.0, -3.0, 2.0];
         remove_mean(&mut b);
-        let out = chebyshev_solve(|x| lap.matvec(x), |r| chol.solve(r), &b, 1.0, 1e-6);
-        assert_eq!(out.iterations, 1);
+        let iterations = chebyshev_iteration_bound(1.0, 1e-6);
+        assert_eq!(iterations, 1);
+        let mut scratch = SolveScratch::default();
+        let x = solve(
+            |p, ap| lap.matvec_into(p, ap),
+            |r, z| chol.solve_into(r, z, &mut scratch),
+            &b,
+            1.0,
+            iterations,
+        );
         let x_star = chol.solve(&b);
-        let err = relative_a_error(|v| laplacian_quadratic_form(&edges, v), &out.x, &x_star);
+        let err = relative_a_error(|v| laplacian_quadratic_form(&edges, v), &x, &x_star);
         assert!(err < 1e-10, "err={err}");
     }
 
@@ -278,20 +231,20 @@ mod tests {
         remove_mean(&mut b);
         let x_star = chol.solve(&b);
         for &eps in &[1e-2, 1e-6, 1e-10] {
-            let out = chebyshev_solve(
-                |x| lap.matvec(x),
-                |r| {
-                    let mut z = chol.solve(r);
+            let mut scratch = SolveScratch::default();
+            let x = solve(
+                |p, ap| lap.matvec_into(p, ap),
+                |r, z| {
+                    chol.solve_into(r, z, &mut scratch);
                     for zi in z.iter_mut() {
                         *zi /= 3.0;
                     }
-                    z
                 },
                 &b,
                 3.0,
-                eps,
+                chebyshev_iteration_bound(3.0, eps),
             );
-            let err = relative_a_error(|v| laplacian_quadratic_form(&edges, v), &out.x, &x_star);
+            let err = relative_a_error(|v| laplacian_quadratic_form(&edges, v), &x, &x_star);
             assert!(err <= eps * 1.01, "eps={eps} err={err}");
         }
     }
@@ -315,20 +268,25 @@ mod tests {
         let eb = symmetric_eigen(&lb.to_dense()).unwrap();
         // crude but valid sandwich: A ⪯ B always (B = A + edge);
         // B ⪯ κ A with κ = λmax(B)/λ₂(A).
-        let kappa = eb.largest().unwrap() / ea.smallest_above(1e-9).unwrap();
+        let lambda2 = ea.eigenvalues().iter().copied().find(|&l| l > 1e-9);
+        let kappa = eb.largest().unwrap() / lambda2.unwrap();
         let cholb = GroundedCholesky::new(&lb).unwrap();
         let mut b = vec![0.0; n];
         b[0] = 1.0;
         b[n - 1] = -1.0;
         let x_star = GroundedCholesky::new(&la).unwrap().solve(&b);
         let eps = 1e-7;
-        let out = chebyshev_solve(|x| la.matvec(x), |r| cholb.solve(r), &b, kappa, eps);
-        let err = relative_a_error(|v| laplacian_quadratic_form(&path, v), &out.x, &x_star);
-        assert!(
-            err <= eps * 1.05,
-            "err={err} after {} iters",
-            out.iterations
+        let iterations = chebyshev_iteration_bound(kappa, eps);
+        let mut scratch = SolveScratch::default();
+        let x = solve(
+            |p, ap| la.matvec_into(p, ap),
+            |r, z| cholb.solve_into(r, z, &mut scratch),
+            &b,
+            kappa,
+            iterations,
         );
+        let err = relative_a_error(|v| laplacian_quadratic_form(&path, v), &x, &x_star);
+        assert!(err <= eps * 1.05, "err={err} after {iterations} iters");
     }
 
     #[test]
@@ -344,23 +302,24 @@ mod tests {
         let chol = GroundedCholesky::new(&lap).unwrap();
         let mut b = vec![5.0, -1.0, -2.5, 0.0];
         remove_mean(&mut b);
-        let out = chebyshev_solve_fixed(|x| lap.matvec(x), |r| chol.solve(r), &b, 3.0, 25);
-        let mut x = vec![0.0; 4];
-        let mut ws = ChebyshevWorkspace::new(4);
-        let iters = chebyshev_solve_fixed_into(
+        // The in-place operators against the allocating `matvec` and
+        // `solve`.
+        let mut scratch = SolveScratch::default();
+        let x = solve(
             |p, ap| lap.matvec_into(p, ap),
-            |r, z| {
-                let s = chol.solve(r);
-                z.copy_from_slice(&s);
-            },
+            |r, z| chol.solve_into(r, z, &mut scratch),
             &b,
             3.0,
             25,
-            &mut x,
-            &mut ws,
         );
-        assert_eq!(iters, out.iterations);
-        for (a, b) in x.iter().zip(&out.x) {
+        let want = solve(
+            |p, ap| ap.copy_from_slice(&lap.matvec(p)),
+            |r, z| z.copy_from_slice(&chol.solve(r)),
+            &b,
+            3.0,
+            25,
+        );
+        for (a, b) in x.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -323,21 +323,6 @@ impl CsrMatrix {
         out
     }
 
-    /// Checks symmetry up to absolute tolerance `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for r in 0..self.rows {
-            for (c, v) in self.row(r) {
-                if (self.get(c, r) - v).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Transpose (stored exact zeros are dropped, as
     /// [`CsrMatrix::from_triplets`] drops zero triplets).
     pub fn transpose(&self) -> CsrMatrix {
@@ -434,13 +419,6 @@ mod tests {
     fn get_returns_zero_for_missing() {
         assert_eq!(sample().get(0, 2), 0.0);
         assert_eq!(sample().get(0, 1), -1.0);
-    }
-
-    #[test]
-    fn symmetry_detection() {
-        assert!(sample().is_symmetric(0.0));
-        let asym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]);
-        assert!(!asym.is_symmetric(0.0));
     }
 
     #[test]

@@ -264,21 +264,6 @@ impl DenseMatrix {
         vec_ops::dot(x, &self.matvec(x))
     }
 
-    /// Checks symmetry up to absolute tolerance `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        for r in 0..self.rows {
-            for c in (r + 1)..self.cols {
-                if (self.get(r, c) - self.get(c, r)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// `A ← A + α·B`.
     ///
     /// # Panics
@@ -330,16 +315,6 @@ mod tests {
     fn transpose_involution() {
         let a = sample();
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn symmetry_check() {
-        let mut s = DenseMatrix::zeros(2, 2);
-        s.set(0, 1, 3.0);
-        assert!(!s.is_symmetric(1e-12));
-        s.set(1, 0, 3.0);
-        assert!(s.is_symmetric(1e-12));
-        assert!(!sample().is_symmetric(1e-12));
     }
 
     #[test]

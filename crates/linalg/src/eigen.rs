@@ -44,12 +44,6 @@ impl SymmetricEigen {
             .collect()
     }
 
-    /// Smallest eigenvalue strictly greater than `threshold`
-    /// (`None` if all eigenvalues are ≤ threshold).
-    pub fn smallest_above(&self, threshold: f64) -> Option<f64> {
-        self.eigenvalues.iter().copied().find(|&l| l > threshold)
-    }
-
     /// Largest eigenvalue (`None` for the 0×0 matrix).
     pub fn largest(&self) -> Option<f64> {
         self.eigenvalues.last().copied()
@@ -244,10 +238,9 @@ fn sorted_eigenvalues(d: &mut [f64], e: &mut [f64]) -> Result<(), LinalgError> {
 /// `h` in `steps[i]` and stores `u/h` above the diagonal in column `i`, as
 /// [`accumulate`] needs; neither feeds back into `d` or `e`.
 ///
-/// The column part of each `A·u` product is transposed into a k-outer
-/// walk over row segments; every element still adds its terms in the
-/// classical ascending order, so the result is bitwise the textbook
-/// loop's.
+/// Each step's `A·u` product is one pass over the lower triangle
+/// ([`lower_times`]); every element still adds its terms in the classical
+/// order, so the result is bitwise the textbook loop's.
 fn tred2(z: &mut [f64], ld: usize, d: &mut [f64], e: &mut [f64], steps: &mut [f64]) {
     let n = d.len();
     for i in (1..n).rev() {
@@ -268,23 +261,9 @@ fn tred2(z: &mut [f64], ld: usize, d: &mut [f64], e: &mut [f64], steps: &mut [f6
                 h -= f * g;
                 z[i * ld + l] = f - g;
                 let (rows, tail) = z.split_at_mut(i * ld);
-                let zi: &[f64] = &tail[..n];
-                // e[j] = (A·u)_j / h for the Householder vector u = zi[..=l]:
-                // the row part Σ_{k≤j} a[j][k]·u[k], then the column part
-                // Σ_{k>j} a[k][j]·u[k] in ascending k, read row by row.
-                for j in 0..=l {
-                    let mut acc = 0.0;
-                    for k in 0..=j {
-                        acc += rows[j * ld + k] * zi[k];
-                    }
-                    e[j] = acc;
-                }
-                for k in 1..=l {
-                    let zk = zi[k];
-                    for (acc, &a) in e[..k].iter_mut().zip(&rows[k * ld..k * ld + k]) {
-                        *acc += a * zk;
-                    }
-                }
+                // The Householder vector u.
+                let zi: &[f64] = &tail[..i];
+                lower_times(rows, ld, zi, &mut e[..i]);
                 let mut f_acc = 0.0;
                 for j in 0..=l {
                     e[j] /= h;
@@ -310,6 +289,58 @@ fn tred2(z: &mut [f64], ld: usize, d: &mut [f64], e: &mut [f64], steps: &mut [f6
     }
     for (i, di) in d.iter_mut().enumerate() {
         *di = z[i * ld + i];
+    }
+}
+
+/// Rows of the lower triangle that one block of [`lower_times`] reads
+/// together. Each row's own sum is a chain of dependent adds; four chains
+/// in flight overlap their latency. Fixed, so no sum's order depends on
+/// the matrix.
+const TRED2_ROWS: usize = 4;
+
+/// `e = A·u` for the symmetric `A` whose lower triangle is `rows` (row
+/// stride `ld`, `m = u.len()` rows). Row `j` is read once, for both its
+/// row part `Σ_{k≤j} a[j][k]·u[k]` and its column terms `a[j][c]·u[j]`
+/// into `e[c]`, `c < j`, in blocks of [`TRED2_ROWS`] rows. Rows run in
+/// ascending order and each block finishes its diagonal part row by row,
+/// so every `e[j]` adds exactly the textbook terms in the textbook order:
+/// its row part, `k` ascending from `0.0`, then its column part, row
+/// ascending.
+fn lower_times(rows: &[f64], ld: usize, u: &[f64], e: &mut [f64]) {
+    let m = u.len();
+    let mut j0 = 0;
+    while j0 + TRED2_ROWS <= m {
+        lower_times_block::<TRED2_ROWS>(rows, ld, u, e, j0);
+        j0 += TRED2_ROWS;
+    }
+    for j in j0..m {
+        lower_times_block::<1>(rows, ld, u, e, j);
+    }
+}
+
+/// Rows `j0..j0 + W` of [`lower_times`].
+fn lower_times_block<const W: usize>(rows: &[f64], ld: usize, u: &[f64], e: &mut [f64], j0: usize) {
+    let r: [&[f64]; W] = std::array::from_fn(|t| &rows[(j0 + t) * ld..][..=j0 + t]);
+    let uj: [f64; W] = std::array::from_fn(|t| u[j0 + t]);
+    let mut acc = [0.0; W];
+    for (k, (ek, &uk)) in e[..j0].iter_mut().zip(&u[..j0]).enumerate() {
+        for t in 0..W {
+            acc[t] += r[t][k] * uk;
+        }
+        for t in 0..W {
+            *ek += r[t][k] * uj[t];
+        }
+    }
+    // The diagonal block: each row's sum is complete before the rows below
+    // add their column terms to it.
+    for t in 0..W {
+        for k in j0..=j0 + t {
+            acc[t] += r[t][k] * u[k];
+        }
+        e[j0 + t] = acc[t];
+        for s in 0..t {
+            e[j0 + s] += r[t][j0 + s] * uj[t];
+        }
     }
 }
 
@@ -545,8 +576,110 @@ mod tests {
         let a = DenseMatrix::from_row_major(2, 2, vec![0.0, 0.0, 0.0, 5.0]);
         let eig = symmetric_eigen(&a).unwrap();
         assert_eq!(eig.largest(), Some(5.0));
-        assert_eq!(eig.smallest_above(1e-9), Some(5.0));
-        assert_eq!(eig.smallest_above(10.0), None);
+    }
+
+    /// The textbook tred2 (row-major, lower triangle, stores `u/h` above
+    /// the diagonal), kept verbatim so [`tred2`] can be differenced
+    /// against it bit for bit.
+    fn textbook_tred2(z: &mut [f64], ld: usize, d: &mut [f64], e: &mut [f64], steps: &mut [f64]) {
+        let n = d.len();
+        for i in (1..n).rev() {
+            let l = i - 1;
+            let mut h = 0.0;
+            if l > 0 {
+                let mut scale = 0.0;
+                for k in 0..=l {
+                    scale += z[i * ld + k].abs();
+                }
+                if scale == 0.0 {
+                    e[i] = z[i * ld + l];
+                } else {
+                    for k in 0..=l {
+                        z[i * ld + k] /= scale;
+                        h += z[i * ld + k] * z[i * ld + k];
+                    }
+                    let f = z[i * ld + l];
+                    let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+                    e[i] = scale * g;
+                    h -= f * g;
+                    z[i * ld + l] = f - g;
+                    let mut f = 0.0;
+                    for j in 0..=l {
+                        z[j * ld + i] = z[i * ld + j] / h;
+                        let mut g = 0.0;
+                        for k in 0..=j {
+                            g += z[j * ld + k] * z[i * ld + k];
+                        }
+                        for k in j + 1..=l {
+                            g += z[k * ld + j] * z[i * ld + k];
+                        }
+                        e[j] = g / h;
+                        f += e[j] * z[i * ld + j];
+                    }
+                    let hh = f / (h + h);
+                    for j in 0..=l {
+                        let f = z[i * ld + j];
+                        let g = e[j] - hh * f;
+                        e[j] = g;
+                        for k in 0..=j {
+                            z[j * ld + k] -= f * e[k] + g * z[i * ld + k];
+                        }
+                    }
+                }
+            } else {
+                e[i] = z[i * ld + l];
+            }
+            steps[i] = h;
+        }
+        for i in 0..n {
+            d[i] = z[i * ld + i];
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn tred2_matches_textbook_bitwise() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(28);
+        for n in (0..=70).chain([96, 127, 128, 129, 256]) {
+            for kind in 0..4 {
+                let mut a = vec![0.0; n * n];
+                for r in 0..n {
+                    for c in 0..=r {
+                        let mut v: f64 = rng.gen_range(-1.0..1.0);
+                        match kind {
+                            1 => v *= 1e6,
+                            // Every fifth row and column zero: some steps
+                            // see `scale == 0`.
+                            2 if r % 5 == 0 || c % 5 == 0 => v = 0.0,
+                            3 if r == c => v = 0.0,
+                            _ => {}
+                        }
+                        a[r * n + c] = v;
+                        a[c * n + r] = v;
+                    }
+                }
+                for ld in [n, n | 1] {
+                    let mut z = vec![0.0; n * ld];
+                    for (row, src) in z.chunks_mut(ld.max(1)).zip(a.chunks(n.max(1))) {
+                        row[..n].copy_from_slice(src);
+                    }
+                    let mut want = (z.clone(), vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                    let (wz, wd, we, wh) = &mut want;
+                    textbook_tred2(wz, ld, wd, we, wh);
+                    let (mut d, mut e, mut h) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                    tred2(&mut z, ld, &mut d, &mut e, &mut h);
+                    let case = format!("n = {n}, kind {kind}, ld = {ld}");
+                    assert_eq!(bits(&z), bits(&want.0), "z, {case}");
+                    assert_eq!(bits(&d), bits(&want.1), "d, {case}");
+                    assert_eq!(bits(&e), bits(&want.2), "e, {case}");
+                    assert_eq!(bits(&h), bits(&want.3), "h, {case}");
+                }
+            }
+        }
     }
 
     proptest! {

@@ -267,9 +267,7 @@ impl GroundedCholesky {
         for (v, &bv) in b.iter().enumerate() {
             scratch.comp[self.component[v]] += bv;
         }
-        for (s, &c) in scratch.comp.iter_mut().zip(&self.comp_size) {
-            *s /= c as f64; // sums → means, in place
-        }
+        self.sums_to_means(&mut scratch.comp, 1);
         for (ri, &v) in self.reduced_vertices.iter().enumerate() {
             scratch.rhs[ri] = b[v] - scratch.comp[self.component[v]];
         }
@@ -283,9 +281,9 @@ impl GroundedCholesky {
         for (v, &xv) in x.iter().enumerate() {
             scratch.comp[self.component[v]] += xv;
         }
-        for (v, xv) in x.iter_mut().enumerate() {
-            let c = self.component[v];
-            *xv -= scratch.comp[c] / self.comp_size[c] as f64;
+        self.sums_to_means(&mut scratch.comp, 1);
+        for (xv, &c) in x.iter_mut().zip(&self.component) {
+            *xv -= scratch.comp[c];
         }
     }
 
@@ -332,11 +330,7 @@ impl GroundedCholesky {
                 scratch.comp[base + j] += bv;
             }
         }
-        for (ci, &c) in self.comp_size.iter().enumerate() {
-            for s in &mut scratch.comp[ci * k..(ci + 1) * k] {
-                *s /= c as f64;
-            }
-        }
+        self.sums_to_means(&mut scratch.comp, k);
         for (ri, &v) in self.reduced_vertices.iter().enumerate() {
             let base = self.component[v] * k;
             for j in 0..k {
@@ -356,11 +350,19 @@ impl GroundedCholesky {
                 scratch.comp[base + j] += xv;
             }
         }
-        for (v, xrow) in xs.chunks_mut(k).enumerate() {
-            let c = self.component[v];
-            let size = self.comp_size[c] as f64;
-            for (j, xv) in xrow.iter_mut().enumerate() {
-                *xv -= scratch.comp[c * k + j] / size;
+        self.sums_to_means(&mut scratch.comp, k);
+        for (xrow, &c) in xs.chunks_mut(k).zip(&self.component) {
+            for (xv, &mean) in xrow.iter_mut().zip(&scratch.comp[c * k..]) {
+                *xv -= mean;
+            }
+        }
+    }
+
+    /// Divides each component's `k` column sums in `comp` by its size.
+    fn sums_to_means(&self, comp: &mut [f64], k: usize) {
+        for (sums, &c) in comp.chunks_mut(k).zip(&self.comp_size) {
+            for s in sums {
+                *s /= c as f64;
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   eigenvectors only when asked;
 //! * [`GroundedCholesky`] — exact solves with singular Laplacians by
 //!   grounding one vertex per connected component;
-//! * [`chebyshev_solve`] — preconditioned Chebyshev iteration
+//! * [`chebyshev_solve_fixed_into`] — preconditioned Chebyshev iteration
 //!   (Theorem 2.2 of the paper), the engine of the Laplacian solver.
 //!
 //! Everything here is deterministic: fixed start vectors, no randomized
@@ -46,8 +46,7 @@ pub mod par;
 pub mod vec_ops;
 
 pub use cheby::{
-    chebyshev_iteration_bound, chebyshev_solve, chebyshev_solve_fixed, chebyshev_solve_fixed_into,
-    relative_a_error, ChebyshevOutcome, ChebyshevWorkspace,
+    chebyshev_iteration_bound, chebyshev_solve_fixed_into, relative_a_error, ChebyshevWorkspace,
 };
 pub use csr::{CsrMatrix, MATVEC_ROW_CHUNK, PAR_MIN_NNZ, RHS_LANES};
 pub use dense::{DenseMatrix, MATMUL_J_BLOCK, MATMUL_K_PANEL, MATMUL_ROW_BLOCK, PAR_MIN_WORK};

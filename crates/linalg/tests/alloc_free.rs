@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cc_linalg::{
     chebyshev_solve_fixed_into, laplacian_from_edges, par, symmetric_eigenvalues,
-    vec_ops::remove_mean, ChebyshevWorkspace, GroundedCholesky, SolveScratch,
+    vec_ops::remove_mean, ChebyshevWorkspace, CsrMatrix, GroundedCholesky, SolveScratch,
 };
 
 struct CountingAlloc;
@@ -56,15 +56,20 @@ fn armed<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (out, ALLOCATIONS.load(Ordering::SeqCst))
 }
 
+/// The Laplacian of a weighted `n`-cycle.
+fn ring(n: usize) -> CsrMatrix {
+    let mut edges: Vec<(usize, usize, f64)> = (0..n - 1)
+        .map(|i| (i, i + 1, 1.0 + (i % 5) as f64))
+        .collect();
+    edges.push((0, n - 1, 2.0));
+    laplacian_from_edges(n, &edges)
+}
+
 #[test]
 fn steady_state_iteration_performs_zero_heap_allocations() {
     par::with_threads(1, || {
         let n = 96;
-        let mut edges: Vec<(usize, usize, f64)> = (0..n - 1)
-            .map(|i| (i, i + 1, 1.0 + (i % 5) as f64))
-            .collect();
-        edges.push((0, n - 1, 2.0));
-        let lap = laplacian_from_edges(n, &edges);
+        let lap = ring(n);
         let chol = GroundedCholesky::new(&lap).unwrap();
         let mut b: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 - 8.0).collect();
         remove_mean(&mut b);
@@ -110,21 +115,25 @@ fn steady_state_iteration_performs_zero_heap_allocations() {
         });
         assert_eq!(count, 0, "chebyshev_solve_fixed_into allocated");
 
-        // n = 96 spans more than one of the 64-row chunks the Householder
-        // reduction was once fanned out over.
-        let dense = lap.to_dense();
-        let mut work = dense.clone();
-        let mut values = Vec::new();
-        symmetric_eigenvalues(&mut work, &mut values).unwrap();
-        let (result, count) = armed(|| {
-            for i in 0..n {
-                for j in 0..n {
-                    work.set(i, j, dense.get(i, j));
+        // n = 11 is the size of a flow build's certificate cluster; n = 96
+        // spans more than one of the 64-row chunks the Householder
+        // reduction was once fanned out over; n = 256 is the size of the
+        // one-piece graph of e2ebench's `laplacian_n256` workload.
+        for n in [11, 96, 256] {
+            let dense = ring(n).to_dense();
+            let mut work = dense.clone();
+            let mut values = Vec::new();
+            symmetric_eigenvalues(&mut work, &mut values).unwrap();
+            let (result, count) = armed(|| {
+                for i in 0..n {
+                    for j in 0..n {
+                        work.set(i, j, dense.get(i, j));
+                    }
                 }
-            }
-            symmetric_eigenvalues(&mut work, &mut values)
-        });
-        result.unwrap();
-        assert_eq!(count, 0, "symmetric_eigenvalues allocated");
+                symmetric_eigenvalues(&mut work, &mut values)
+            });
+            result.unwrap();
+            assert_eq!(count, 0, "symmetric_eigenvalues allocated at n = {n}");
+        }
     });
 }

@@ -196,8 +196,8 @@ mod tests {
         b[0] = 1.0;
         b[23] = -1.0;
         let alpha = h.alpha();
-        // Allocation-free iteration path: same FP sequence as the
-        // allocating wrapper, reused buffers across iterations.
+        // Allocation-free iteration path: buffers reused across
+        // iterations.
         let iters = cc_linalg::chebyshev_iteration_bound(h.kappa(), 1e-8);
         let mut x = vec![0.0f64; 24];
         let mut ws = cc_linalg::ChebyshevWorkspace::new(24);
