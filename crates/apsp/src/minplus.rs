@@ -5,6 +5,24 @@ use cc_model::{Communicator, CostKind};
 /// Sentinel "no path" distance (safely addable without overflow).
 pub const INFINITY: i64 = i64::MAX / 4;
 
+/// `d + w` for a distance `d` and an arc weight or second distance `w`.
+///
+/// The sum stays in range only because every arc weight obeys the one
+/// weight contract, `|w|·(n − 1) < INFINITY` (`INFINITY` is about
+/// 2^61, so no weight of 2^62 or more is admitted): a distance then
+/// stays within `±2·INFINITY`. The service checks the contract when it admits a
+/// request (`arcs_problem` in `cc-service`, documented on
+/// `GraphSpec::Arcs`); debug builds assert here that no addition
+/// overflows.
+#[inline]
+pub(crate) fn add_distance(d: i64, w: i64) -> i64 {
+    debug_assert!(
+        d.checked_add(w).is_some(),
+        "distance {d} + {w} overflows: arc weights must obey |w|·(n − 1) < INFINITY"
+    );
+    d + w
+}
+
 /// How APSP rounds are charged (see crate docs and `DESIGN.md` §2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundModel {
@@ -182,7 +200,7 @@ fn square(n: usize, dist: &mut [i64], next: &mut [usize]) {
                 continue;
             }
             for v in 0..n {
-                let cand = duk + old_dist[k * n + v];
+                let cand = add_distance(duk, old_dist[k * n + v]);
                 if cand < dist[u * n + v] {
                     dist[u * n + v] = cand;
                     next[u * n + v] = old_next[u * n + k];

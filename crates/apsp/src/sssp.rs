@@ -9,6 +9,7 @@
 
 use cc_model::Communicator;
 
+use crate::minplus::add_distance;
 use crate::ApspError;
 
 /// Result of [`sssp_bellman_ford`].
@@ -71,8 +72,8 @@ pub fn sssp_bellman_ford<C: Communicator>(
             let snapshot = dist.clone();
             let mut changed = false;
             for (i, &(u, v, w)) in arcs.iter().enumerate() {
-                if snapshot[u] < UNREACHED && snapshot[u] + w < dist[v] {
-                    dist[v] = snapshot[u] + w;
+                if snapshot[u] < UNREACHED && add_distance(snapshot[u], w) < dist[v] {
+                    dist[v] = add_distance(snapshot[u], w);
                     parent[v] = i;
                     changed = true;
                 }
@@ -91,7 +92,7 @@ pub fn sssp_bellman_ford<C: Communicator>(
                     .iter()
                     .enumerate()
                     .find(|(_, &(u, v, w))| {
-                        snapshot[u] < UNREACHED && snapshot[u] + w < snapshot[v]
+                        snapshot[u] < UNREACHED && add_distance(snapshot[u], w) < snapshot[v]
                     })
                     .map(|(_, &(_, v, _))| v)
                     .unwrap_or(source);

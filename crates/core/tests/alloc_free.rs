@@ -6,8 +6,9 @@
 //! A counting global allocator wraps `System`; the solver build (which
 //! talks to the `Clique` and allocates freely) and one warm-up round of
 //! every width happen outside the armed region, and the armed region
-//! alternates `solve_into`, `solve_multi_into` at `k = 4` and
-//! `solve_into` again, asserting the counter did not move.
+//! alternates `solve_into`, `solve_multi_into` at `k = 2, 3, 4, 5, 9`
+//! (every tile of the lane-tiled kernels, and tail tiles behind full
+//! ones) and `solve_into` again, asserting the counter did not move.
 //!
 //! Threads are pinned to 1: the fixed-chunk fan-out machinery itself
 //! allocates when it spawns (and results are bitwise identical either
@@ -64,27 +65,35 @@ fn armed<R>(f: impl FnOnce() -> R) -> (R, u64) {
 fn one_workspace_serves_every_batch_width_without_allocating() {
     par::with_threads(1, || {
         const N: usize = 24;
-        const K: usize = 4;
+        // Every lane count of a tile, a full tile plus a remainder, and
+        // two full tiles plus a remainder.
+        const WIDTHS: [usize; 5] = [2, 3, 4, 5, 9];
         let g = generators::random_connected(N, 70, 4, 11);
         let mut clique = Clique::new(N);
         let mut session = SolverSession::build(&mut clique, &g, &SolverOptions::default()).unwrap();
         let mut b = vec![0.0; N];
         b[0] = 1.0;
         b[N - 1] = -1.0;
-        let mut bs = vec![0.0; N * K];
-        for j in 0..K {
-            bs[j * K + j] = 1.0;
-            bs[(N - 1 - j) * K + j] = -1.0;
-        }
+        let batches = WIDTHS.map(|k| {
+            let mut bs = vec![0.0; N * k];
+            for j in 0..k {
+                bs[j * k + j] = 1.0;
+                bs[(N - 1 - j) * k + j] = -1.0;
+            }
+            bs
+        });
         let (mut x, mut xs) = (Vec::new(), Vec::new());
         let mut round = |clique: &mut Clique, x: &mut Vec<f64>, xs: &mut Vec<f64>| {
             let single = session.solve_into(clique, &b, 1e-8, x).unwrap();
-            let batch = session.solve_multi_into(clique, &bs, K, 1e-8, xs).unwrap();
+            let mut batch = [0; WIDTHS.len()];
+            for ((spent, k), bs) in batch.iter_mut().zip(WIDTHS).zip(&batches) {
+                *spent = session.solve_multi_into(clique, bs, k, 1e-8, xs).unwrap();
+            }
             let again = session.solve_into(clique, &b, 1e-8, x).unwrap();
             (single, batch, again)
         };
 
-        // Warm-up: size every buffer at both widths once.
+        // Warm-up: size every buffer at every width once.
         let warm = round(&mut clique, &mut x, &mut xs);
         let want = x.clone();
         let rounds = clique.ledger().total_rounds();
@@ -92,12 +101,14 @@ fn one_workspace_serves_every_batch_width_without_allocating() {
         let (spent, count) = armed(|| round(&mut clique, &mut x, &mut xs));
         assert_eq!(count, 0, "a warm session allocated across batch widths");
         assert_eq!(spent, warm);
-        // The armed round did the same work: (1 + K + 1) broadcast
-        // rounds per iteration, and the same single-solve bits.
+        // The armed round did the same work: one broadcast round per
+        // column per iteration, and the same single-solve bits.
         let iterations = spent.0 as u64;
+        assert!(spent.1.iter().all(|&it| it as u64 == iterations));
+        let columns = 2 + WIDTHS.iter().sum::<usize>() as u64;
         assert_eq!(
             clique.ledger().total_rounds() - rounds,
-            (2 + K as u64) * iterations
+            columns * iterations
         );
         assert!(x.iter().zip(&want).all(|(a, w)| a.to_bits() == w.to_bits()));
     });

@@ -87,7 +87,7 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
 /// # Panics
 ///
 /// Panics if `n < 3`, offsets are empty, or an offset is `0` or `≥ n/2+1`.
-pub fn circulant(n: usize, offsets: &[usize]) -> Graph {
+fn circulant(n: usize, offsets: &[usize]) -> Graph {
     assert!(n >= 3 && !offsets.is_empty());
     let mut edges = Vec::new();
     for &o in offsets {

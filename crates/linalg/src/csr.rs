@@ -1,20 +1,75 @@
 use crate::DenseMatrix;
 
-/// Rows per parallel chunk in [`CsrMatrix::matvec_into`]. Fixed (never
+/// Rows per parallel chunk in [`CsrMatrix::matvec_multi_into`]. Fixed (never
 /// derived from the thread count) so the work decomposition — and hence
 /// the floating-point result — is independent of parallelism.
 pub const MATVEC_ROW_CHUNK: usize = 512;
 
-/// Minimum stored entries before [`CsrMatrix::matvec_into`] fans out.
+/// Minimum entry-lane products (`nnz·k`) before
+/// [`CsrMatrix::matvec_multi_into`] fans out.
 pub const PAR_MIN_NNZ: usize = 16_384;
 
-/// Right-hand sides per register tile of the multi-RHS kernels
-/// ([`CsrMatrix::matvec_multi_into`] and friends). Fixed so the lane
-/// decomposition never depends on the batch width at runtime: each tile
-/// accumulates into a `[f64; RHS_LANES]` that the compiler keeps in
-/// vector registers, and every `(row, rhs)` pair still sums its entries
-/// in index order — bitwise identical to the single-RHS kernel.
+/// The widest register tile of the lane-tiled kernels
+/// ([`CsrMatrix::matvec_multi_into`],
+/// [`crate::GroundedCholesky::solve_multi_into`]). Every lane performs
+/// the single-column operations in the single-column order, so results
+/// are bitwise identical at every batch width.
 pub const RHS_LANES: usize = 4;
+
+/// A kernel over lanes `j..j + L` of a width-`k` interleaved batch. Its
+/// inner loops run over the compile-time `L` (`DESIGN.md` §10).
+pub(crate) trait LaneTile {
+    fn tile<const L: usize>(&mut self, k: usize, j: usize);
+}
+
+/// Runs `kernel` over a width-`k` batch: `k ≤ RHS_LANES` is one tile whose
+/// stride is a literal too; a wider batch runs tiles of [`RHS_LANES`]
+/// lanes with the stride `k`, then one tile for the remainder.
+#[inline(always)]
+pub(crate) fn for_each_tile(k: usize, kernel: &mut impl LaneTile) {
+    const { assert!(RHS_LANES == 4, "the tiles below spell out widths 1..=4") };
+    match k {
+        1 => kernel.tile::<1>(1, 0),
+        2 => kernel.tile::<2>(2, 0),
+        3 => kernel.tile::<3>(3, 0),
+        4 => kernel.tile::<4>(4, 0),
+        _ => {
+            let full = k - k % RHS_LANES;
+            for j in (0..full).step_by(RHS_LANES) {
+                kernel.tile::<RHS_LANES>(k, j);
+            }
+            match k - full {
+                1 => kernel.tile::<1>(k, full),
+                2 => kernel.tile::<2>(k, full),
+                3 => kernel.tile::<3>(k, full),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// [`CsrMatrix::matvec_multi_into`] of `(matrix, xs, first_row, out)`:
+/// the rows `first_row..` that `out` holds.
+struct MatvecTile<'a>(&'a CsrMatrix, &'a [f64], usize, &'a mut [f64]);
+
+impl LaneTile for MatvecTile<'_> {
+    #[inline(always)]
+    fn tile<const L: usize>(&mut self, k: usize, j: usize) {
+        let MatvecTile(m, xs, first_row, out) = self;
+        let ptr = &m.indptr[*first_row..];
+        for (orow, span) in out.chunks_exact_mut(k).zip(ptr.windows(2)) {
+            let (cols, vals) = (&m.indices[span[0]..span[1]], &m.values[span[0]..span[1]]);
+            let mut acc = [0.0f64; L];
+            for (&c, &v) in cols.iter().zip(vals) {
+                let x = &xs[c * k + j..c * k + j + L];
+                for l in 0..L {
+                    acc[l] += v * x[l];
+                }
+            }
+            orow[j..j + L].copy_from_slice(&acc);
+        }
+    }
+}
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -184,109 +239,45 @@ impl CsrMatrix {
         y
     }
 
-    /// Matrix-vector product `out ← A·x` into a caller-provided buffer —
-    /// the allocation-free hot path of every iterative solver.
-    ///
-    /// Row-partitioned across threads in fixed chunks of
-    /// [`MATVEC_ROW_CHUNK`] rows: each output entry is an independent
-    /// sequential dot product over one row, so the result is bitwise
-    /// identical to the serial loop for any thread count. Matrices too
-    /// small to fill more than one chunk (or with fewer than
-    /// [`PAR_MIN_NNZ`] stored entries) run serially to avoid spawn
-    /// overhead — with, again, identical results.
+    /// Matrix-vector product `out ← A·x` into a caller-provided buffer:
+    /// the width-1 [`CsrMatrix::matvec_multi_into`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols` or `out.len() != rows`.
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        let row_dot = |r: usize| {
-            let mut acc = 0.0;
-            for (c, v) in self.row(r) {
-                acc += v * x[c];
-            }
-            acc
-        };
-        if self.nnz() < PAR_MIN_NNZ {
-            for (r, yi) in out.iter_mut().enumerate() {
-                *yi = row_dot(r);
-            }
-            return;
-        }
-        crate::par::par_chunks_mut(out, MATVEC_ROW_CHUNK, |chunk_idx, sl| {
-            let base = chunk_idx * MATVEC_ROW_CHUNK;
-            for (k, yi) in sl.iter_mut().enumerate() {
-                *yi = row_dot(base + k);
-            }
-        });
+        self.matvec_multi_into(x, 1, out);
     }
 
     /// Batched matrix-vector product over `k` interleaved right-hand
     /// sides: `xs` holds `cols` rows of `k` lanes (`xs[c*k + j]` is entry
-    /// `c` of vector `j`), `out` likewise. One pass over the stored
-    /// entries serves the whole batch — the matrix streams through the
-    /// cache once instead of `k` times — and lanes are processed in
-    /// register tiles of [`RHS_LANES`].
+    /// `c` of vector `j`), `out` likewise.
     ///
-    /// For every `(row, rhs)` pair the entries accumulate in index order
-    /// from `0.0`, exactly as [`CsrMatrix::matvec_into`] does, so column
-    /// `j` of the result is bitwise identical to a single matvec of
-    /// column `j` — at any thread count. Width `k == 1` runs
-    /// [`CsrMatrix::matvec_into`] itself: the tiled loop is measurably
-    /// slower on a single column (`DESIGN.md` §10).
+    /// One lane-tiled kernel serves every width: a batch of at most
+    /// [`RHS_LANES`] columns is one tile, a wider one runs tiles of
+    /// `RHS_LANES` lanes and one tile for the remainder, and a tile reads
+    /// each stored entry once for its lanes. Each `(row, rhs)` pair
+    /// accumulates in index order from `0.0`, so column `j` is bitwise
+    /// identical to [`CsrMatrix::matvec_into`] on column `j`. Rows fan out
+    /// in fixed chunks of [`MATVEC_ROW_CHUNK`] once `nnz·k ≥`
+    /// [`PAR_MIN_NNZ`]; the chunking never depends on the thread count, so
+    /// neither does the result.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`, `xs.len() != cols*k`, or `out.len() != rows*k`.
     pub fn matvec_multi_into(&self, xs: &[f64], k: usize, out: &mut [f64]) {
         assert!(k > 0, "batch width must be positive");
-        if k == 1 {
-            return self.matvec_into(xs, out);
-        }
-        assert_eq!(xs.len(), self.cols * k, "matvec_multi dimension mismatch");
-        assert_eq!(
-            out.len(),
-            self.rows * k,
-            "matvec_multi output length mismatch"
-        );
-        let row_multi = |r: usize, orow: &mut [f64]| {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let cols_r = &self.indices[lo..hi];
-            let vals_r = &self.values[lo..hi];
-            let mut j = 0;
-            while j + RHS_LANES <= k {
-                let mut acc = [0.0f64; RHS_LANES];
-                for (&c, &v) in cols_r.iter().zip(vals_r) {
-                    let xrow = &xs[c * k + j..c * k + j + RHS_LANES];
-                    for (a, &xv) in acc.iter_mut().zip(xrow) {
-                        *a += v * xv;
-                    }
-                }
-                orow[j..j + RHS_LANES].copy_from_slice(&acc);
-                j += RHS_LANES;
-            }
-            while j < k {
-                let mut a = 0.0;
-                for (&c, &v) in cols_r.iter().zip(vals_r) {
-                    a += v * xs[c * k + j];
-                }
-                orow[j] = a;
-                j += 1;
-            }
+        assert_eq!(xs.len(), self.cols * k, "matvec dimension mismatch");
+        assert_eq!(out.len(), self.rows * k, "matvec output length mismatch");
+        let rows_into = |first_row: usize, out: &mut [f64]| {
+            for_each_tile(k, &mut MatvecTile(self, xs, first_row, out));
         };
         if self.nnz() * k < PAR_MIN_NNZ {
-            for (r, orow) in out.chunks_mut(k).enumerate() {
-                row_multi(r, orow);
-            }
-            return;
+            return rows_into(0, out);
         }
         crate::par::par_chunks_mut(out, MATVEC_ROW_CHUNK * k, |chunk_idx, sl| {
-            let base = chunk_idx * MATVEC_ROW_CHUNK;
-            for (i, orow) in sl.chunks_mut(k).enumerate() {
-                row_multi(base + i, orow);
-            }
+            rows_into(chunk_idx * MATVEC_ROW_CHUNK, sl);
         });
     }
 
@@ -399,6 +390,52 @@ mod tests {
                 (2, 2, 1.0),
             ],
         )
+    }
+
+    /// The single-column row loop the lane-tiled kernel replaced, kept
+    /// verbatim as its independent reference.
+    fn reference_matvec_into(m: &CsrMatrix, x: &[f64], out: &mut [f64]) {
+        let row_dot = |r: usize| {
+            let mut acc = 0.0;
+            for (c, v) in m.row(r) {
+                acc += v * x[c];
+            }
+            acc
+        };
+        for (r, yi) in out.iter_mut().enumerate() {
+            *yi = row_dot(r);
+        }
+    }
+
+    /// The lane-tiled kernel equals the reference row loop column by
+    /// column, bit for bit, at every width, on every input shape and on
+    /// vectors holding `−0.0`, subnormals and `±1e300`.
+    #[test]
+    fn tiled_matvec_matches_the_scalar_reference_at_every_width() {
+        use crate::twin_inputs::{laplacians, rhs, WIDTHS};
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let column = |xs: &[f64], k: usize, j: usize| -> Vec<f64> {
+            xs.iter().skip(j).step_by(k).copied().collect()
+        };
+        for (name, lap) in laplacians() {
+            let n = lap.rows();
+            for k in WIDTHS {
+                for shift in 0..4 {
+                    let xs = rhs(n, k, shift);
+                    let mut out = vec![f64::NAN; n * k];
+                    lap.matvec_multi_into(&xs, k, &mut out);
+                    for j in 0..k {
+                        let mut want = vec![0.0; n];
+                        reference_matvec_into(&lap, &column(&xs, k, j), &mut want);
+                        assert_eq!(
+                            bits(&column(&out, k, j)),
+                            bits(&want),
+                            "{name}, k = {k}, shift {shift}, column {j}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

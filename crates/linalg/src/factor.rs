@@ -6,6 +6,9 @@
 //! factor's nonzeros instead of `k²`. On the star gadgets the sparsifier
 //! builds, the factor is an arrow matrix and the solve is `O(n)`.
 
+use std::iter;
+
+use crate::csr::{for_each_tile, LaneTile};
 use crate::{CsrMatrix, LinalgError};
 
 /// Direct solver for Laplacian systems `L x = b`, correct on *singular*
@@ -246,61 +249,31 @@ impl GroundedCholesky {
         x
     }
 
-    /// Allocation-free pseudo-inverse application `x ← L† b`: the reduced
-    /// right-hand side and per-component accumulators live in `scratch`
-    /// (sized on first use, reused thereafter). The floating-point
-    /// operation sequence matches [`GroundedCholesky::solve`] exactly, so
-    /// both produce bitwise-equal results.
+    /// Allocation-free `x ← L† b`: the width-1
+    /// [`GroundedCholesky::solve_multi_into`], with its buffers in
+    /// `scratch` (sized on first use). Bitwise equal to
+    /// [`GroundedCholesky::solve`].
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != n` or `x.len() != n`.
     pub fn solve_into(&self, b: &[f64], x: &mut [f64], scratch: &mut SolveScratch) {
-        assert_eq!(b.len(), self.n, "rhs length mismatch");
-        assert_eq!(x.len(), self.n, "solution length mismatch");
-        // Project b onto range(L): remove per-component mean.
-        let num_comps = self.comp_size.len();
-        let k = self.reduced_vertices.len();
-        scratch.comp.resize(num_comps, 0.0);
-        scratch.rhs.resize(k, 0.0);
-        scratch.comp.fill(0.0);
-        for (v, &bv) in b.iter().enumerate() {
-            scratch.comp[self.component[v]] += bv;
-        }
-        self.sums_to_means(&mut scratch.comp, 1);
-        for (ri, &v) in self.reduced_vertices.iter().enumerate() {
-            scratch.rhs[ri] = b[v] - scratch.comp[self.component[v]];
-        }
-        self.sweeps(&mut scratch.rhs);
-        x.fill(0.0);
-        for (ri, &v) in self.reduced_vertices.iter().enumerate() {
-            x[v] = scratch.rhs[ri];
-        }
-        // Shift to the zero-mean representative per component.
-        scratch.comp.fill(0.0);
-        for (v, &xv) in x.iter().enumerate() {
-            scratch.comp[self.component[v]] += xv;
-        }
-        self.sums_to_means(&mut scratch.comp, 1);
-        for (xv, &c) in x.iter_mut().zip(&self.component) {
-            *xv -= scratch.comp[c];
-        }
+        self.solve_multi_into(b, 1, x, scratch);
     }
 
     /// Batched pseudo-inverse application over `k` interleaved
     /// right-hand sides: `bs` and `xs` hold `n` rows of `k` lanes
-    /// (`bs[v*k + j]` is entry `v` of vector `j`). Each sparse factor row
-    /// is read **once per substitution sweep for the whole batch** instead
-    /// of once per right-hand side, with lanes processed in register tiles
-    /// of [`crate::RHS_LANES`].
+    /// (`bs[v*k + j]` is entry `v` of vector `j`).
     ///
-    /// Every lane performs exactly the floating-point operations of
-    /// [`GroundedCholesky::solve_into`] on that column (projection,
-    /// substitution, mean shift — all in the same order), so column `j`
-    /// of the result is bitwise identical to a single solve of column
-    /// `j`. Width `k == 1` runs [`GroundedCholesky::solve_into`] itself:
-    /// the tiled sweeps are measurably slower on a single column
-    /// (`DESIGN.md` §10).
+    /// One lane-tiled kernel serves every width, as in
+    /// [`crate::CsrMatrix::matvec_multi_into`]. A tile makes five passes:
+    /// the component sums of `b`, the forward sweep (which forms each
+    /// row's projected right-hand side when it reaches the row), the
+    /// backward sweep, the component sums of the solution, and the mean
+    /// shift that writes `x`; each factor row is read once per sweep for
+    /// the tile's lanes. Every lane performs exactly the operations of a
+    /// single-column solve, in the same order, so column `j` is bitwise
+    /// identical to [`GroundedCholesky::solve_into`] on column `j`.
     ///
     /// # Panics
     ///
@@ -312,65 +285,142 @@ impl GroundedCholesky {
         xs: &mut [f64],
         scratch: &mut SolveScratch,
     ) {
-        assert!(k > 0, "batch width must be positive");
-        if k == 1 {
-            return self.solve_into(bs, xs, scratch);
-        }
-        assert_eq!(bs.len(), self.n * k, "rhs batch length mismatch");
-        assert_eq!(xs.len(), self.n * k, "solution batch length mismatch");
-        let num_comps = self.comp_size.len();
-        let kred = self.reduced_vertices.len();
-        scratch.comp.resize(num_comps * k, 0.0);
-        scratch.rhs.resize(kred * k, 0.0);
-        scratch.comp.fill(0.0);
-        // Project every column onto range(L): remove per-component means.
-        for (v, brow) in bs.chunks(k).enumerate() {
-            let base = self.component[v] * k;
-            for (j, &bv) in brow.iter().enumerate() {
-                scratch.comp[base + j] += bv;
-            }
-        }
-        self.sums_to_means(&mut scratch.comp, k);
-        for (ri, &v) in self.reduced_vertices.iter().enumerate() {
-            let base = self.component[v] * k;
-            for j in 0..k {
-                scratch.rhs[ri * k + j] = bs[v * k + j] - scratch.comp[base + j];
-            }
-        }
-        self.sweeps_multi(&mut scratch.rhs, k);
-        xs.fill(0.0);
-        for (ri, &v) in self.reduced_vertices.iter().enumerate() {
-            xs[v * k..(v + 1) * k].copy_from_slice(&scratch.rhs[ri * k..(ri + 1) * k]);
-        }
-        // Shift each column to its zero-mean representative per component.
-        scratch.comp.fill(0.0);
-        for (v, xrow) in xs.chunks(k).enumerate() {
-            let base = self.component[v] * k;
-            for (j, &xv) in xrow.iter().enumerate() {
-                scratch.comp[base + j] += xv;
-            }
-        }
-        self.sums_to_means(&mut scratch.comp, k);
-        for (xrow, &c) in xs.chunks_mut(k).zip(&self.component) {
-            for (xv, &mean) in xrow.iter_mut().zip(&scratch.comp[c * k..]) {
-                *xv -= mean;
-            }
-        }
+        assert_eq!(bs.len(), self.n * k, "rhs length mismatch");
+        self.solve_prefix_multi_into(bs, k, xs, scratch);
     }
 
-    /// Divides each component's `k` column sums in `comp` by its size.
-    fn sums_to_means(&self, comp: &mut [f64], k: usize) {
-        for (sums, &c) in comp.chunks_mut(k).zip(&self.comp_size) {
-            for s in sums {
-                *s /= c as f64;
+    /// [`GroundedCholesky::solve_multi_into`] of right-hand sides that are
+    /// zero past their first `m ≤ n` rows, restricted to those rows: `bs`
+    /// and `xs` hold `m` rows of `k` lanes. Bitwise equal to padding `bs`
+    /// with zero rows, solving, and keeping the first `m` solution rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`, `bs.len() != xs.len()`, or `bs.len()` is not
+    /// `m*k` for some `m ≤ n`.
+    pub fn solve_prefix_multi_into(
+        &self,
+        bs: &[f64],
+        k: usize,
+        xs: &mut [f64],
+        scratch: &mut SolveScratch,
+    ) {
+        assert!(k > 0, "batch width must be positive");
+        assert_eq!(xs.len(), bs.len(), "solution length mismatch");
+        assert!(
+            bs.len().is_multiple_of(k) && bs.len() <= self.n * k,
+            "rhs length mismatch"
+        );
+        for_each_tile(k, &mut SolveTile(self, bs, xs, scratch));
+    }
+}
+
+/// [`GroundedCholesky::solve_prefix_multi_into`] of
+/// `(factor, bs, xs, scratch)`.
+struct SolveTile<'a>(
+    &'a GroundedCholesky,
+    &'a [f64],
+    &'a mut [f64],
+    &'a mut SolveScratch,
+);
+
+impl LaneTile for SolveTile<'_> {
+    /// Lanes `j..j + L`. The reduced right-hand side is tile-local
+    /// (`rhs[ri][l]`), so both sweeps run with the stride `L` whatever
+    /// `k` is; rows past `bs` are zero.
+    #[inline(always)]
+    fn tile<const L: usize>(&mut self, k: usize, j: usize) {
+        let SolveTile(chol, bs, xs, scratch) = self;
+        let (chol, bs) = (*chol, *bs);
+        let lanes = |row: &[f64]| -> [f64; L] { row[j..j + L].try_into().unwrap() };
+        let solution = |rhs: &[[f64; L]], v: usize| match chol.reduced_index[v] {
+            NONE => [0.0; L],
+            ri => rhs[ri],
+        };
+        let means = |comp: &mut [[f64; L]]| {
+            for (sums, &size) in comp.iter_mut().zip(&chol.comp_size) {
+                *sums = sums.map(|s| s / size as f64);
+            }
+        };
+        scratch.comp.clear();
+        scratch.comp.resize(chol.comp_size.len() * L, 0.0);
+        scratch.rhs.resize(chol.reduced_vertices.len() * L, 0.0);
+        let (comp, _) = scratch.comp.as_chunks_mut::<L>();
+        let (rhs, _) = scratch.rhs.as_chunks_mut::<L>();
+        // Project onto range(L): per-component means of every lane.
+        let padded = bs.chunks_exact(k).map(lanes).chain(iter::repeat([0.0; L]));
+        component_sums(comp, &chol.component, padded);
+        means(comp);
+        // Forward sweep, forming row `i`'s right-hand side `b[v] − mean`
+        // when it reaches the row. Both sweeps read only entries already
+        // in their target state, so working in place performs exactly the
+        // operations of the two-buffer formulation.
+        for (i, &v) in chol.reduced_vertices.iter().enumerate() {
+            let b = if v * k < bs.len() {
+                lanes(&bs[v * k..])
+            } else {
+                [0.0; L]
+            };
+            let mean = comp[chol.component[v]];
+            let mut acc: [f64; L] = std::array::from_fn(|l| b[l] - mean[l]);
+            for (r, u) in chol.lower.row(i) {
+                for l in 0..L {
+                    acc[l] -= u * rhs[r][l];
+                }
+            }
+            rhs[i] = acc.map(|a| a / chol.diag[i]);
+        }
+        for i in (0..rhs.len()).rev() {
+            let mut acc = rhs[i];
+            for (r, u) in chol.upper.row(i) {
+                for l in 0..L {
+                    acc[l] -= u * rhs[r][l];
+                }
+            }
+            rhs[i] = acc.map(|a| a / chol.diag[i]);
+        }
+        // Shift to the zero-mean representative per component: sum the
+        // solution (grounded vertices hold `+0.0`), then write `x`.
+        comp.fill([0.0; L]);
+        component_sums(comp, &chol.component, (0..chol.n).map(|v| solution(rhs, v)));
+        means(comp);
+        for (v, (xrow, &c)) in xs.chunks_exact_mut(k).zip(&chol.component).enumerate() {
+            let x = solution(rhs, v);
+            for l in 0..L {
+                xrow[j + l] = x[l] - comp[c][l];
             }
         }
     }
 }
 
-/// Reusable buffers for [`GroundedCholesky::solve_into`]: per-component
-/// accumulators and the reduced right-hand side (which the triangular
-/// solves overwrite in place).
+/// Adds each vertex's lanes to its component's sums, vertices ascending.
+/// The current component's sums stay in registers while consecutive
+/// vertices share it (every component's additions keep their order).
+#[inline(always)]
+fn component_sums<const L: usize>(
+    sums: &mut [[f64; L]],
+    component: &[usize],
+    lanes: impl Iterator<Item = [f64; L]>,
+) {
+    let Some(&first) = component.first() else {
+        return;
+    };
+    let (mut cur, mut acc) = (first, sums[first]);
+    for (&c, x) in component.iter().zip(lanes) {
+        if c != cur {
+            sums[cur] = acc;
+            (cur, acc) = (c, sums[c]);
+        }
+        for l in 0..L {
+            acc[l] += x[l];
+        }
+    }
+    sums[cur] = acc;
+}
+
+/// Reusable buffers for [`GroundedCholesky::solve_multi_into`]:
+/// per-component accumulators and the reduced right-hand side of one
+/// tile (which the triangular solves overwrite in place).
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
     comp: Vec<f64>,
@@ -447,74 +497,6 @@ fn factor_pattern(
     (ptr, idx)
 }
 
-impl GroundedCholesky {
-    /// Solves `L Lᵀ x = b` on the reduced system by forward/back
-    /// substitution, overwriting `v` (`b` on entry, `x` on exit). Both
-    /// sweeps read only entries already in their target state, so the
-    /// in-place form performs exactly the operations of the two-buffer
-    /// formulation.
-    fn sweeps(&self, v: &mut [f64]) {
-        let n = self.diag.len();
-        let solve_row = |rows: &CsrMatrix, v: &mut [f64], i: usize| {
-            let mut s = v[i];
-            for (c, l) in rows.row(i) {
-                s -= l * v[c];
-            }
-            v[i] = s / self.diag[i];
-        };
-        for i in 0..n {
-            solve_row(&self.lower, v, i);
-        }
-        for i in (0..n).rev() {
-            solve_row(&self.upper, v, i);
-        }
-    }
-
-    /// Batched [`GroundedCholesky::sweeps`] over `k` interleaved columns
-    /// (`v[r*k + j]` is entry `r` of column `j`), lanes register-tiled in
-    /// blocks of [`crate::RHS_LANES`]. Each factor row is read once per
-    /// sweep for the whole batch. Per column, the substitutions perform
-    /// exactly the operations of the single-column sweeps, in the same
-    /// order.
-    fn sweeps_multi(&self, v: &mut [f64], k: usize) {
-        const LANES: usize = crate::csr::RHS_LANES;
-        let n = self.diag.len();
-        debug_assert_eq!(v.len(), n * k);
-        let solve_row = |rows: &CsrMatrix, v: &mut [f64], i: usize| {
-            let d = self.diag[i];
-            let mut j = 0;
-            while j + LANES <= k {
-                let mut acc = [0.0f64; LANES];
-                acc.copy_from_slice(&v[i * k + j..i * k + j + LANES]);
-                for (c, l) in rows.row(i) {
-                    let vc = &v[c * k + j..c * k + j + LANES];
-                    for (a, &x) in acc.iter_mut().zip(vc) {
-                        *a -= l * x;
-                    }
-                }
-                for (slot, a) in v[i * k + j..i * k + j + LANES].iter_mut().zip(acc) {
-                    *slot = a / d;
-                }
-                j += LANES;
-            }
-            while j < k {
-                let mut s = v[i * k + j];
-                for (c, l) in rows.row(i) {
-                    s -= l * v[c * k + j];
-                }
-                v[i * k + j] = s / d;
-                j += 1;
-            }
-        };
-        for i in 0..n {
-            solve_row(&self.lower, v, i);
-        }
-        for i in (0..n).rev() {
-            solve_row(&self.upper, v, i);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,9 +505,8 @@ mod tests {
     use proptest::prelude::*;
 
     // The dense reference: the left-looking Cholesky (with the NaN-aware
-    // pivot test) and the two substitution kernels the sparse factor
-    // replaced, so the sparse code can be differenced against them bit
-    // for bit.
+    // pivot test) and the substitution kernel the sparse factor replaced,
+    // so the sparse code can be differenced against them bit for bit.
 
     /// Dense Cholesky factorization `A = L Lᵀ` returning the lower factor.
     fn cholesky_lower(a: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
@@ -576,45 +557,6 @@ mod tests {
         }
     }
 
-    /// Dense batched `L Lᵀ X = B` over `k` interleaved columns.
-    fn dense_sweeps_multi(l: &DenseMatrix, u: &DenseMatrix, v: &mut [f64], k: usize) {
-        const LANES: usize = RHS_LANES;
-        let n = l.rows();
-        let sweep = |rows: &DenseMatrix, v: &mut [f64], i: usize, lo: usize, hi: usize| {
-            let ri = rows.row(i);
-            let mut j = 0;
-            while j + LANES <= k {
-                let mut acc = [0.0f64; LANES];
-                acc.copy_from_slice(&v[i * k + j..i * k + j + LANES]);
-                for kk in lo..hi {
-                    let lik = ri[kk];
-                    let vk = &v[kk * k + j..kk * k + j + LANES];
-                    for (a, &vv) in acc.iter_mut().zip(vk) {
-                        *a -= lik * vv;
-                    }
-                }
-                for (slot, a) in v[i * k + j..i * k + j + LANES].iter_mut().zip(acc) {
-                    *slot = a / ri[i];
-                }
-                j += LANES;
-            }
-            while j < k {
-                let mut s = v[i * k + j];
-                for kk in lo..hi {
-                    s -= ri[kk] * v[kk * k + j];
-                }
-                v[i * k + j] = s / ri[i];
-                j += 1;
-            }
-        };
-        for i in 0..n {
-            sweep(l, v, i, 0, i);
-        }
-        for i in (0..n).rev() {
-            sweep(u, v, i, i + 1, n);
-        }
-    }
-
     /// The grounded reduction of `lap` as a dense matrix, assembled as the
     /// dense solver did.
     fn dense_reduced(lap: &CsrMatrix, chol: &GroundedCholesky) -> DenseMatrix {
@@ -636,14 +578,12 @@ mod tests {
 
     /// `L† B` over `k` interleaved columns with the dense factor: the
     /// projection and mean shift of [`GroundedCholesky::solve_multi_into`]
-    /// around the dense kernels (`multi == false` runs the single-column
-    /// kernel, which needs `k == 1`).
+    /// around the dense substitution, column by column.
     fn dense_solve(
         chol: &GroundedCholesky,
         (l, u): (&DenseMatrix, &DenseMatrix),
         bs: &[f64],
         k: usize,
-        multi: bool,
     ) -> Vec<f64> {
         let size = |c: usize| chol.comp_size[c] as f64;
         let mut comp = vec![0.0; chol.comp_size.len() * k];
@@ -660,11 +600,12 @@ mod tests {
             let c = chol.component[v];
             rhs.extend((0..k).map(|j| bs[v * k + j] - comp[c * k + j]));
         }
-        if multi {
-            dense_sweeps_multi(l, u, &mut rhs, k);
-        } else {
-            assert_eq!(k, 1);
-            dense_sweeps(l, u, &mut rhs);
+        for j in 0..k {
+            let mut col = column(&rhs, k, j);
+            dense_sweeps(l, u, &mut col);
+            for (r, x) in col.into_iter().enumerate() {
+                rhs[r * k + j] = x;
+            }
         }
         let mut xs = vec![0.0; bs.len()];
         for (ri, &v) in chol.reduced_vertices.iter().enumerate() {
@@ -689,9 +630,119 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    // The scalar single-column solve the lane-tiled kernel replaced,
+    // kept verbatim as its independent reference.
+    impl GroundedCholesky {
+        fn reference_solve_into(&self, b: &[f64], x: &mut [f64], scratch: &mut SolveScratch) {
+            assert_eq!(b.len(), self.n, "rhs length mismatch");
+            assert_eq!(x.len(), self.n, "solution length mismatch");
+            // Project b onto range(L): remove per-component mean.
+            let num_comps = self.comp_size.len();
+            let k = self.reduced_vertices.len();
+            scratch.comp.resize(num_comps, 0.0);
+            scratch.rhs.resize(k, 0.0);
+            scratch.comp.fill(0.0);
+            for (v, &bv) in b.iter().enumerate() {
+                scratch.comp[self.component[v]] += bv;
+            }
+            self.reference_sums_to_means(&mut scratch.comp, 1);
+            for (ri, &v) in self.reduced_vertices.iter().enumerate() {
+                scratch.rhs[ri] = b[v] - scratch.comp[self.component[v]];
+            }
+            self.reference_sweeps(&mut scratch.rhs);
+            x.fill(0.0);
+            for (ri, &v) in self.reduced_vertices.iter().enumerate() {
+                x[v] = scratch.rhs[ri];
+            }
+            // Shift to the zero-mean representative per component.
+            scratch.comp.fill(0.0);
+            for (v, &xv) in x.iter().enumerate() {
+                scratch.comp[self.component[v]] += xv;
+            }
+            self.reference_sums_to_means(&mut scratch.comp, 1);
+            for (xv, &c) in x.iter_mut().zip(&self.component) {
+                *xv -= scratch.comp[c];
+            }
+        }
+
+        /// Divides each component's `k` column sums in `comp` by its size.
+        fn reference_sums_to_means(&self, comp: &mut [f64], k: usize) {
+            for (sums, &c) in comp.chunks_mut(k).zip(&self.comp_size) {
+                for s in sums {
+                    *s /= c as f64;
+                }
+            }
+        }
+
+        /// Solves `L Lᵀ x = b` on the reduced system by forward/back
+        /// substitution, overwriting `v` (`b` on entry, `x` on exit).
+        fn reference_sweeps(&self, v: &mut [f64]) {
+            let n = self.diag.len();
+            let solve_row = |rows: &CsrMatrix, v: &mut [f64], i: usize| {
+                let mut s = v[i];
+                for (c, l) in rows.row(i) {
+                    s -= l * v[c];
+                }
+                v[i] = s / self.diag[i];
+            };
+            for i in 0..n {
+                solve_row(&self.lower, v, i);
+            }
+            for i in (0..n).rev() {
+                solve_row(&self.upper, v, i);
+            }
+        }
+    }
+
+    /// Column `j` of the `n`-row, width-`k` batch `xs`.
+    fn column(xs: &[f64], k: usize, j: usize) -> Vec<f64> {
+        xs.iter().skip(j).step_by(k).copied().collect()
+    }
+
+    /// The lane-tiled kernel equals the scalar reference column by column,
+    /// bit for bit, at every width, on every input shape and on right-hand
+    /// sides holding `−0.0`, subnormals and `±1e300`; so does its prefix
+    /// form against a zero-padded reference. One scratch serves every
+    /// width and both forms.
+    #[test]
+    fn tiled_solve_matches_the_scalar_reference_at_every_width() {
+        use crate::twin_inputs::{laplacians, rhs, WIDTHS};
+        let mut scratch = SolveScratch::default();
+        let mut reference = SolveScratch::default();
+        for (name, lap) in laplacians() {
+            let chol = GroundedCholesky::new(&lap).unwrap();
+            let n = chol.n();
+            for k in WIDTHS {
+                for shift in 0..4 {
+                    let bs = rhs(n, k, shift);
+                    let mut xs = vec![f64::NAN; n * k];
+                    chol.solve_multi_into(&bs, k, &mut xs, &mut scratch);
+                    let prefix = n / 2 + 1;
+                    let mut head = vec![f64::NAN; prefix * k];
+                    chol.solve_prefix_multi_into(&bs[..head.len()], k, &mut head, &mut scratch);
+                    let mut padded = bs.clone();
+                    padded[head.len()..].fill(0.0);
+                    for j in 0..k {
+                        let mut want = vec![0.0; n];
+                        chol.reference_solve_into(&column(&bs, k, j), &mut want, &mut reference);
+                        let what = format!("{name}, k = {k}, shift {shift}, column {j}");
+                        assert_eq!(bits(&column(&xs, k, j)), bits(&want), "{what}");
+                        chol.reference_solve_into(
+                            &column(&padded, k, j),
+                            &mut want,
+                            &mut reference,
+                        );
+                        want.truncate(prefix);
+                        assert_eq!(bits(&column(&head, k, j)), bits(&want), "prefix: {what}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Differences the sparse factor of `lap` against the dense reference
-    /// bit for bit: every factor entry, `solve_into`, and
-    /// `solve_multi_into` at batch widths around the register tile.
+    /// bit for bit: every factor entry, and `solve_multi_into` at batch
+    /// widths around the register tile.
     ///
     /// The right-hand sides hold no `−0.0`, the one input on which the
     /// sign of an exactly-zero output may differ (see
@@ -718,15 +769,7 @@ mod tests {
                 .collect();
             let mut xs = vec![0.0; n * lanes];
             chol.solve_multi_into(&bs, lanes, &mut xs, &mut SolveScratch::default());
-            assert_eq!(
-                bits(&xs),
-                bits(&dense_solve(&chol, (&l, &u), &bs, lanes, true))
-            );
-            if lanes == 1 {
-                let mut x = vec![0.0; n];
-                chol.solve_into(&bs, &mut x, &mut SolveScratch::default());
-                assert_eq!(bits(&x), bits(&dense_solve(&chol, (&l, &u), &bs, 1, false)));
-            }
+            assert_eq!(bits(&xs), bits(&dense_solve(&chol, (&l, &u), &bs, lanes)));
         }
     }
 
@@ -848,8 +891,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// A Laplacian reweighted through its [`LaplacianPattern`] and
         /// refactored in place equals a fresh assembly and a fresh
-        /// factor bit for bit: assembled values, every factor entry,
-        /// `solve_into` and `solve_multi_into`.
+        /// factor bit for bit: assembled values, every factor entry and
+        /// `solve_multi_into`.
         #[test]
         fn refactor_is_bitwise_equal_to_a_fresh_factor(
             n in 2usize..24,
@@ -888,11 +931,6 @@ mod tests {
                 chol.solve_multi_into(&bs, lanes, &mut got, &mut SolveScratch::default());
                 fresh.solve_multi_into(&bs, lanes, &mut want, &mut SolveScratch::default());
                 prop_assert_eq!(bits(&got), bits(&want));
-                if lanes == 1 {
-                    chol.solve_into(&bs, &mut got, &mut SolveScratch::default());
-                    fresh.solve_into(&bs, &mut want, &mut SolveScratch::default());
-                    prop_assert_eq!(bits(&got), bits(&want));
-                }
             }
         }
     }

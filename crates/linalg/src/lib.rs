@@ -43,6 +43,8 @@ mod error;
 mod factor;
 mod laplacian;
 pub mod par;
+#[cfg(test)]
+mod twin_inputs;
 pub mod vec_ops;
 
 pub use cheby::{

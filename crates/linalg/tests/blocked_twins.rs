@@ -13,7 +13,8 @@
 //! * `CsrMatrix::matvec_multi_into` vs `k` independent single matvecs;
 //! * `GroundedCholesky::solve_multi_into` vs `k` single solves;
 //! * `chebyshev_solve_fixed_into` over an interleaved batch of `k`
-//!   columns vs `k` single preconditioned solves;
+//!   columns vs `k` single preconditioned solves (these three at every
+//!   batch width `k` of `WIDTHS`);
 //! * `symmetric_eigenvalues` and `symmetric_reduce(..).eigenvalues()` vs
 //!   `symmetric_eigen(..).eigenvalues()` (the eigensolver is serial, so
 //!   this twin has no thread budget).
@@ -24,6 +25,10 @@ use cc_linalg::{
     MATMUL_J_BLOCK, MATMUL_K_PANEL, PAR_MIN_NNZ,
 };
 use proptest::prelude::*;
+
+/// Batch widths: one tile of every lane count, full tiles plus every
+/// remainder, and several full tiles.
+const WIDTHS: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16];
 
 /// Naive reference matmul: `i,k,j` loops, ascending `k` per output
 /// element, skipping `a[i][k] == 0` — exactly the reduction order the
@@ -101,33 +106,35 @@ proptest! {
     fn csr_matvec_multi_matches_k_single_matvecs(
         pool in proptest::collection::vec(-50f64..50.0, 24),
     ) {
-        let (n, k) = (1200usize, 7usize); // k deliberately not a lane multiple
+        let n = 6000usize;
         let lap = path_laplacian(n, &pool);
-        prop_assert!(lap.nnz() * k >= PAR_MIN_NNZ, "batch must take the parallel path");
-        let xs: Vec<f64> = (0..n * k).map(|i| pool[i % pool.len()] * 0.5).collect();
-        // Reference: k independent single-RHS matvecs, serial.
-        let want = par::with_threads(1, || {
-            let mut want = vec![0.0; n * k];
-            let mut col = vec![0.0; n];
-            let mut out = vec![0.0; n];
-            for j in 0..k {
-                for v in 0..n {
-                    col[v] = xs[v * k + j];
+        prop_assert!(lap.nnz() >= PAR_MIN_NNZ, "every batch must take the parallel path");
+        for k in WIDTHS {
+            let xs: Vec<f64> = (0..n * k).map(|i| pool[i % pool.len()] * 0.5).collect();
+            // Reference: k independent single-RHS matvecs, serial.
+            let want = par::with_threads(1, || {
+                let mut want = vec![0.0; n * k];
+                let mut col = vec![0.0; n];
+                let mut out = vec![0.0; n];
+                for j in 0..k {
+                    for v in 0..n {
+                        col[v] = xs[v * k + j];
+                    }
+                    lap.matvec_into(&col, &mut out);
+                    for v in 0..n {
+                        want[v * k + j] = out[v];
+                    }
                 }
-                lap.matvec_into(&col, &mut out);
-                for v in 0..n {
-                    want[v * k + j] = out[v];
-                }
-            }
-            want
-        });
-        for threads in [1usize, 2, 8] {
-            let got = par::with_threads(threads, || {
-                let mut got = vec![0.0; n * k];
-                lap.matvec_multi_into(&xs, k, &mut got);
-                got
+                want
             });
-            assert_bits_eq(&got, &want, "csr matvec_multi");
+            for threads in [1usize, 2, 8] {
+                let got = par::with_threads(threads, || {
+                    let mut got = vec![0.0; n * k];
+                    lap.matvec_multi_into(&xs, k, &mut got);
+                    got
+                });
+                assert_bits_eq(&got, &want, &format!("csr matvec_multi, k = {k}"));
+            }
         }
     }
 
@@ -135,44 +142,46 @@ proptest! {
     fn cholesky_solve_multi_matches_k_single_solves(
         pool in proptest::collection::vec(-5f64..5.0, 24),
     ) {
-        let (n, k) = (80usize, 6usize);
+        let n = 80usize;
         let lap = path_laplacian(n, &pool);
         let chol = GroundedCholesky::new(&lap).unwrap();
-        // Per-lane zero-mean right-hand sides.
-        let mut bs = vec![0.0f64; n * k];
-        for j in 0..k {
-            for v in 0..n {
-                bs[v * k + j] = pool[(v + 5 * j) % pool.len()];
-            }
-            let mean: f64 = (0..n).map(|v| bs[v * k + j]).sum::<f64>() / n as f64;
-            for v in 0..n {
-                bs[v * k + j] -= mean;
-            }
-        }
-        let want = par::with_threads(1, || {
-            let mut want = vec![0.0; n * k];
-            let mut col = vec![0.0; n];
-            let mut out = vec![0.0; n];
-            let mut scratch = SolveScratch::default();
+        for k in WIDTHS {
+            // Per-lane zero-mean right-hand sides.
+            let mut bs = vec![0.0f64; n * k];
             for j in 0..k {
                 for v in 0..n {
-                    col[v] = bs[v * k + j];
+                    bs[v * k + j] = pool[(v + 5 * j) % pool.len()];
                 }
-                chol.solve_into(&col, &mut out, &mut scratch);
+                let mean: f64 = (0..n).map(|v| bs[v * k + j]).sum::<f64>() / n as f64;
                 for v in 0..n {
-                    want[v * k + j] = out[v];
+                    bs[v * k + j] -= mean;
                 }
             }
-            want
-        });
-        for threads in [1usize, 2, 8] {
-            let got = par::with_threads(threads, || {
-                let mut got = vec![0.0; n * k];
+            let want = par::with_threads(1, || {
+                let mut want = vec![0.0; n * k];
+                let mut col = vec![0.0; n];
+                let mut out = vec![0.0; n];
                 let mut scratch = SolveScratch::default();
-                chol.solve_multi_into(&bs, k, &mut got, &mut scratch);
-                got
+                for j in 0..k {
+                    for v in 0..n {
+                        col[v] = bs[v * k + j];
+                    }
+                    chol.solve_into(&col, &mut out, &mut scratch);
+                    for v in 0..n {
+                        want[v * k + j] = out[v];
+                    }
+                }
+                want
             });
-            assert_bits_eq(&got, &want, "cholesky solve_multi");
+            for threads in [1usize, 2, 8] {
+                let got = par::with_threads(threads, || {
+                    let mut got = vec![0.0; n * k];
+                    let mut scratch = SolveScratch::default();
+                    chol.solve_multi_into(&bs, k, &mut got, &mut scratch);
+                    got
+                });
+                assert_bits_eq(&got, &want, &format!("cholesky solve_multi, k = {k}"));
+            }
         }
     }
 
@@ -180,74 +189,76 @@ proptest! {
     fn chebyshev_multi_matches_k_single_solves(
         pool in proptest::collection::vec(-5f64..5.0, 24),
     ) {
-        let (n, k) = (64usize, 5usize);
+        let n = 64usize;
         let kappa = 16.0;
         let iterations = 12;
         let lap = path_laplacian(n, &pool);
         let chol = GroundedCholesky::new(&lap).unwrap();
-        let mut bs = vec![0.0f64; n * k];
-        for j in 0..k {
-            for v in 0..n {
-                bs[v * k + j] = pool[(2 * v + j) % pool.len()];
-            }
-            let mean: f64 = (0..n).map(|v| bs[v * k + j]).sum::<f64>() / n as f64;
-            for v in 0..n {
-                bs[v * k + j] -= mean;
-            }
-        }
-        // Reference: k single preconditioned solves, serial.
-        let want = par::with_threads(1, || {
-            let mut want = vec![0.0; n * k];
-            let mut col = vec![0.0; n];
-            let mut x = vec![0.0; n];
-            let mut ws = ChebyshevWorkspace::new(n);
-            let mut scratch = SolveScratch::default();
+        for k in WIDTHS {
+            let mut bs = vec![0.0f64; n * k];
             for j in 0..k {
                 for v in 0..n {
-                    col[v] = bs[v * k + j];
+                    bs[v * k + j] = pool[(2 * v + j) % pool.len()];
                 }
-                chebyshev_solve_fixed_into(
-                    |p, out| lap.matvec_into(p, out),
-                    |r, out| {
-                        chol.solve_into(r, out, &mut scratch);
-                        for zi in out.iter_mut() {
-                            *zi /= kappa;
-                        }
-                    },
-                    &col,
-                    kappa,
-                    iterations,
-                    &mut x,
-                    &mut ws,
-                );
+                let mean: f64 = (0..n).map(|v| bs[v * k + j]).sum::<f64>() / n as f64;
                 for v in 0..n {
-                    want[v * k + j] = x[v];
+                    bs[v * k + j] -= mean;
                 }
             }
-            want
-        });
-        for threads in [1usize, 2, 8] {
-            let got = par::with_threads(threads, || {
-                let mut xs = vec![0.0; n * k];
-                let mut ws = ChebyshevWorkspace::new(n * k);
+            // Reference: k single preconditioned solves, serial.
+            let want = par::with_threads(1, || {
+                let mut want = vec![0.0; n * k];
+                let mut col = vec![0.0; n];
+                let mut x = vec![0.0; n];
+                let mut ws = ChebyshevWorkspace::new(n);
                 let mut scratch = SolveScratch::default();
-                chebyshev_solve_fixed_into(
-                    |p, out| lap.matvec_multi_into(p, k, out),
-                    |r, out| {
-                        chol.solve_multi_into(r, k, out, &mut scratch);
-                        for zi in out.iter_mut() {
-                            *zi /= kappa;
-                        }
-                    },
-                    &bs,
-                    kappa,
-                    iterations,
-                    &mut xs,
-                    &mut ws,
-                );
-                xs
+                for j in 0..k {
+                    for v in 0..n {
+                        col[v] = bs[v * k + j];
+                    }
+                    chebyshev_solve_fixed_into(
+                        |p, out| lap.matvec_into(p, out),
+                        |r, out| {
+                            chol.solve_into(r, out, &mut scratch);
+                            for zi in out.iter_mut() {
+                                *zi /= kappa;
+                            }
+                        },
+                        &col,
+                        kappa,
+                        iterations,
+                        &mut x,
+                        &mut ws,
+                    );
+                    for v in 0..n {
+                        want[v * k + j] = x[v];
+                    }
+                }
+                want
             });
-            assert_bits_eq(&got, &want, "chebyshev multi");
+            for threads in [1usize, 2, 8] {
+                let got = par::with_threads(threads, || {
+                    let mut xs = vec![0.0; n * k];
+                    let mut ws = ChebyshevWorkspace::new(n * k);
+                    let mut scratch = SolveScratch::default();
+                    chebyshev_solve_fixed_into(
+                        |p, out| lap.matvec_multi_into(p, k, out),
+                        |r, out| {
+                            chol.solve_multi_into(r, k, out, &mut scratch);
+                            for zi in out.iter_mut() {
+                                *zi /= kappa;
+                            }
+                        },
+                        &bs,
+                        kappa,
+                        iterations,
+                        &mut xs,
+                        &mut ws,
+                    );
+                    xs
+                });
+                assert_bits_eq(&got, &want, &format!("chebyshev multi, k = {k}"));
+            }
         }
     }
 

@@ -182,15 +182,6 @@ impl<C: Communicator> TracingComm<C> {
         self.max_node_recv
     }
 
-    /// Discards the recorded trace (the wrapped ledger is untouched).
-    pub fn clear_trace(&mut self) {
-        self.events.clear();
-        self.phases.clear();
-        self.max_pair_words = 0;
-        self.max_node_send = 0;
-        self.max_node_recv = 0;
-    }
-
     fn record(&mut self, primitive: &'static str, stats: CallStats, sizes: &[usize], rounds: u64) {
         let phase = self.inner.ledger().current_phase().to_string();
         self.max_pair_words = self.max_pair_words.max(stats.max_pair_words);

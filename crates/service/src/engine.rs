@@ -273,11 +273,6 @@ impl<C: Communicator> FlowEngine<C> {
         self.graphs.get(name).map(|e| &e.spec)
     }
 
-    /// Registered graph names (lexicographic).
-    pub fn graph_names(&self) -> impl Iterator<Item = &str> {
-        self.graphs.keys().map(|s| s.as_str())
-    }
-
     /// Submits one request.
     ///
     /// # Errors

@@ -18,6 +18,7 @@
 //! `α = √(µ_max/µ₂)`.
 
 use cc_graph::{Graph, VertexId};
+#[cfg(test)]
 use cc_linalg::DenseMatrix;
 
 /// A star gadget standing in for one expander cluster.
@@ -80,8 +81,9 @@ impl ClusterGadget {
 
     /// Dense Schur complement of the gadget onto the cluster vertices
     /// (local indexing aligned with `vertices`):
-    /// `c·(diag(d) − d dᵀ/S)`. For tests and certification.
-    pub fn schur_complement_dense(&self) -> DenseMatrix {
+    /// `c·(diag(d) − d dᵀ/S)`.
+    #[cfg(test)]
+    fn schur_complement_dense(&self) -> DenseMatrix {
         let k = self.vertices.len();
         let s: f64 = self.star_weights.iter().sum();
         let mut m = DenseMatrix::zeros(k, k);

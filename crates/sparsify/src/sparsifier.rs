@@ -210,9 +210,9 @@ impl SparsifierSolver {
     }
 
     /// Allocation-free variant of [`SparsifierSolver::solve`]: the
-    /// width-1 [`SparsifierSolver::solve_multi_into`]. The padded
-    /// right-hand side, full gadget solution, and factor scratch live in
-    /// `scratch` (sized on first use). Bitwise identical to `solve`.
+    /// width-1 [`SparsifierSolver::solve_multi_into`]. The factor scratch
+    /// lives in `scratch` (sized on first use). Bitwise identical to
+    /// `solve`.
     ///
     /// # Panics
     ///
@@ -223,15 +223,16 @@ impl SparsifierSolver {
     }
 
     /// Batched preconditioner solve over `k` interleaved right-hand
-    /// sides (`bs[v*k + j]` is entry `v` of vector `j`): pads every
-    /// column with zero demand at the auxiliary star centers, runs the
-    /// batched gadget solve
-    /// ([`cc_linalg::GroundedCholesky::solve_multi_into`] — each row of
-    /// the sparse factor is read once per sweep for the whole batch), and
-    /// restricts to the original vertices. This is the
-    /// amortization of one sparsifier build across a batch of solves:
-    /// column `j` of the result is bitwise identical to
-    /// [`SparsifierSolver::solve_into`] on column `j`.
+    /// sides (`bs[v*k + j]` is entry `v` of vector `j`): the batched
+    /// gadget solve with zero demand at the auxiliary star centers,
+    /// restricted to the original vertices
+    /// ([`cc_linalg::GroundedCholesky::solve_prefix_multi_into`]: the
+    /// centers are the suffix of the gadget's vertex range, so no padded
+    /// copy is made, and each row of the sparse factor is read once per
+    /// sweep for a whole tile of lanes). This is the amortization of one
+    /// sparsifier build across a batch of solves: column `j` of the
+    /// result is bitwise identical to [`SparsifierSolver::solve_into`] on
+    /// column `j`.
     ///
     /// # Panics
     ///
@@ -254,24 +255,16 @@ impl SparsifierSolver {
             self.n * k,
             "output batch must have k entries per original vertex"
         );
-        let total = self.chol.n();
-        scratch.padded.resize(total * k, 0.0);
-        scratch.full.resize(total * k, 0.0);
         // Interleaved layout is vertex-major, and the auxiliary centers
         // are the vertices n..total — the batch rhs is a prefix.
-        scratch.padded[..self.n * k].copy_from_slice(bs);
-        scratch.padded[self.n * k..].fill(0.0);
         self.chol
-            .solve_multi_into(&scratch.padded, k, &mut scratch.full, &mut scratch.factor);
-        out.copy_from_slice(&scratch.full[..self.n * k]);
+            .solve_prefix_multi_into(bs, k, out, &mut scratch.factor);
     }
 }
 
 /// Reusable buffers for [`SparsifierSolver::solve_into`].
 #[derive(Debug, Clone, Default)]
 pub struct SparsifierSolveScratch {
-    padded: Vec<f64>,
-    full: Vec<f64>,
     factor: SolveScratch,
 }
 

@@ -7,7 +7,8 @@
 //! `Clique` and allocates freely) happens outside the armed region, one
 //! warm-up batched solve sizes every workspace, and the armed region
 //! re-runs `SparsifierSolver::solve_multi_into` and the full batched
-//! Chebyshev solve and asserts the counter did not move.
+//! Chebyshev solve and asserts the counter did not move — at `k = 3` (one
+//! tail tile of the lane-tiled kernels) and `k = 8` (two full tiles).
 //!
 //! Threads are pinned to 1 (the fan-out machinery allocates on spawn and
 //! results are bitwise identical either way); a single `#[test]` keeps
@@ -61,7 +62,6 @@ fn armed<R>(f: impl FnOnce() -> R) -> (R, u64) {
 fn batched_solve_steady_state_performs_zero_heap_allocations() {
     par::with_threads(1, || {
         let n = 24;
-        let k = 8;
         let g = cc_graph::generators::random_connected(n, 80, 4, 7);
         let mut clique = Clique::new(n);
         let h = build_sparsifier(&mut clique, &g, &SparsifyParams::default()).unwrap();
@@ -70,45 +70,26 @@ fn batched_solve_steady_state_performs_zero_heap_allocations() {
         let kappa = h.kappa();
         let alpha = h.alpha();
 
-        // Interleaved batch of zero-mean right-hand sides.
-        let mut bs = vec![0.0f64; n * k];
-        for j in 0..k {
-            for v in 0..n {
-                bs[v * k + j] = ((v * 13 + j * 5) % 11) as f64 - 5.0;
-            }
-            let mean: f64 = (0..n).map(|v| bs[v * k + j]).sum::<f64>() / n as f64;
-            for v in 0..n {
-                bs[v * k + j] -= mean;
-            }
-        }
-
-        let mut xs = vec![0.0f64; n * k];
-        let mut ws = ChebyshevWorkspace::new(n * k);
-        let mut scratch = SparsifierSolveScratch::default();
-
-        // Warm-up: size every workspace once.
-        solver.solve_multi_into(&bs, k, &mut xs, &mut scratch);
-        chebyshev_solve_fixed_into(
-            |p, out| lap.matvec_multi_into(p, k, out),
-            |r, out| {
-                solver.solve_multi_into(r, k, out, &mut scratch);
-                for zi in out.iter_mut() {
-                    *zi /= alpha;
+        // A tail tile alone, and two full tiles.
+        for k in [3, 8] {
+            // Interleaved batch of zero-mean right-hand sides.
+            let mut bs = vec![0.0f64; n * k];
+            for j in 0..k {
+                for v in 0..n {
+                    bs[v * k + j] = ((v * 13 + j * 5) % 11) as f64 - 5.0;
                 }
-            },
-            &bs,
-            kappa,
-            20,
-            &mut xs,
-            &mut ws,
-        );
+                let mean: f64 = (0..n).map(|v| bs[v * k + j]).sum::<f64>() / n as f64;
+                for v in 0..n {
+                    bs[v * k + j] -= mean;
+                }
+            }
 
-        let ((), count) = armed(|| {
+            let mut xs = vec![0.0f64; n * k];
+            let mut ws = ChebyshevWorkspace::new(n * k);
+            let mut scratch = SparsifierSolveScratch::default();
+
+            // Warm-up: size every workspace once.
             solver.solve_multi_into(&bs, k, &mut xs, &mut scratch);
-        });
-        assert_eq!(count, 0, "SparsifierSolver::solve_multi_into allocated");
-
-        let (iters, count) = armed(|| {
             chebyshev_solve_fixed_into(
                 |p, out| lap.matvec_multi_into(p, k, out),
                 |r, out| {
@@ -122,9 +103,37 @@ fn batched_solve_steady_state_performs_zero_heap_allocations() {
                 20,
                 &mut xs,
                 &mut ws,
-            )
-        });
-        assert_eq!(iters, 20);
-        assert_eq!(count, 0, "batched chebyshev_solve_fixed_into allocated");
+            );
+
+            let ((), count) = armed(|| {
+                solver.solve_multi_into(&bs, k, &mut xs, &mut scratch);
+            });
+            assert_eq!(
+                count, 0,
+                "SparsifierSolver::solve_multi_into allocated at k = {k}"
+            );
+
+            let (iters, count) = armed(|| {
+                chebyshev_solve_fixed_into(
+                    |p, out| lap.matvec_multi_into(p, k, out),
+                    |r, out| {
+                        solver.solve_multi_into(r, k, out, &mut scratch);
+                        for zi in out.iter_mut() {
+                            *zi /= alpha;
+                        }
+                    },
+                    &bs,
+                    kappa,
+                    20,
+                    &mut xs,
+                    &mut ws,
+                )
+            });
+            assert_eq!(iters, 20);
+            assert_eq!(
+                count, 0,
+                "batched chebyshev_solve_fixed_into allocated at k = {k}"
+            );
+        }
     });
 }
