@@ -49,11 +49,6 @@ impl ApspSession {
         self.n
     }
 
-    /// The session's arc set.
-    pub fn arcs(&self) -> &[(usize, usize, i64)] {
-        &self.arcs
-    }
-
     /// The round-accounting model APSP computations use.
     pub fn model(&self) -> RoundModel {
         self.model

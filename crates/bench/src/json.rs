@@ -5,7 +5,7 @@
 //!
 //! A field's role is fixed by its name, so a document read back from disk
 //! splits into the same rows it was written from: [`KEY_FIELDS`] identify
-//! a row within its array, [`is_host_field`] names the host measurements
+//! a row within its array, `is_host_field` names the host measurements
 //! that are never compared, and every other field is deterministic.
 
 use std::collections::BTreeMap;
@@ -264,7 +264,7 @@ pub const KEY_FIELDS: [&str; 9] = [
 /// Whether field `name` measures the host (`*_ns`, `*speedup`,
 /// `wall_ms`, `requests_per_sec`, `threads`); `--check` never compares
 /// those.
-pub fn is_host_field(name: &str) -> bool {
+fn is_host_field(name: &str) -> bool {
     name.ends_with("_ns")
         || name.ends_with("speedup")
         || matches!(name, "wall_ms" | "requests_per_sec" | "threads")

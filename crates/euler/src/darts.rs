@@ -96,11 +96,6 @@ impl DartStructure {
         self.edge_of.len()
     }
 
-    /// The edge a dart belongs to.
-    pub fn edge_of(&self, d: DartId) -> EdgeId {
-        self.edge_of[d]
-    }
-
     /// The vertex a dart points at — also the processor hosting the dart.
     pub fn head(&self, d: DartId) -> VertexId {
         self.head[d]
@@ -179,7 +174,7 @@ impl CycleSummary {
         dart_cost: impl Fn(DartId) -> i64,
         special: Option<DartId>,
     ) -> Self {
-        let e = darts.edge_of(d);
+        let e = darts.edge_of[d];
         Self {
             max_edge: e,
             has_canonical_of_max: darts.is_canonical(d),
@@ -218,21 +213,6 @@ impl CycleSummary {
             self.has_special_backward as u64,
         ]
     }
-
-    /// Unpacks a summary from [`CycleSummary::to_words`] format.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() < 5`.
-    pub fn from_words(words: &[u64]) -> Self {
-        Self {
-            max_edge: words[0] as usize,
-            has_canonical_of_max: words[1] != 0,
-            cost: cc_model::decode_i64(words[2]),
-            has_special_forward: words[3] != 0,
-            has_special_backward: words[4] != 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +244,7 @@ mod tests {
         for d in 0..darts.dart_count() {
             let s = darts.succ(d);
             assert_eq!(darts.head(d), darts.tail(s), "dart {d} succ {s}");
-            assert_ne!(darts.edge_of(d), darts.edge_of(s));
+            assert_ne!(darts.edge_of[d], darts.edge_of[s]);
         }
     }
 
@@ -313,18 +293,5 @@ mod tests {
         assert!(acc.has_special_forward);
         assert!(!acc.has_special_backward);
         assert_eq!(acc.cost, 1);
-    }
-
-    #[test]
-    fn summary_words_roundtrip() {
-        let s = CycleSummary {
-            max_edge: 42,
-            has_canonical_of_max: true,
-            cost: -275,
-            has_special_forward: false,
-            has_special_backward: true,
-        };
-        assert_eq!(CycleSummary::from_words(&s.to_words()), s);
-        assert_eq!(s.to_words().len(), 5);
     }
 }

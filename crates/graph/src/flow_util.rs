@@ -1,7 +1,42 @@
-//! Integral flow utilities shared by the flow pipelines: fixing small
-//! demand deficits of a unit-scaled flow by residual augmentation.
+//! Integral flow utilities shared by the flow pipelines: the rounding
+//! unit `Δ`, the bound on capacities and costs that keeps integer flow
+//! arithmetic at that unit in range, and fixing small demand deficits of a
+//! unit-scaled flow by residual augmentation.
 
 use crate::DiGraph;
+
+/// `1/Δ` for the rounding unit `Δ = 2^{-⌈log₂ 2m⌉} ≤ 1/(2m)` of an
+/// `m`-arc flow (capped at `2^40`): the precision the flow IPMs maintain,
+/// and the scale at which the snaps count flow in integer units.
+pub fn rounding_scale(m: usize) -> u64 {
+    let k = ((2 * m.max(1)) as f64).log2().ceil() as u32;
+    1u64 << k.min(40)
+}
+
+/// The flow bound `B` of an `n`-vertex, `m`-arc instance: the largest
+/// capacity, `|cost|` and `|demand|` whose integer arithmetic stays inside
+/// `i64`. With `S` = [`rounding_scale`]`(m)`, the pipelines' largest
+/// intermediates are a vertex's deficit in `Δ` units (at most `m + 1`
+/// terms of `B·S`), a flow's cost `Σ f_e·c_e ≤ m·B²`, a Bellman–Ford
+/// distance in cycle cancelling (`≤ 2m·n·B`), and a min-cost-flow instance
+/// grows by at most `n` super arcs of capacity `|σ_v|`. All of them are at
+/// most `B²·S·(m + n + 2)`, so
+///
+/// `B = ⌊√(i64::MAX / (S·(m + n + 2)))⌋`.
+///
+/// `B·S` then stays below `2^53`, so a flow in `Δ` units is exact in `f64`.
+pub fn flow_bound(n: usize, m: usize) -> i64 {
+    let terms = rounding_scale(m).saturating_mul((m + n + 2) as u64);
+    ((i64::MAX as u64) / terms).isqrt() as i64
+}
+
+/// Whether every capacity and `|cost|` of `g` is at most [`flow_bound`].
+pub fn within_flow_bound(g: &DiGraph) -> bool {
+    let bound = flow_bound(g.n(), g.m()).unsigned_abs();
+    g.edges()
+        .iter()
+        .all(|e| e.capacity.unsigned_abs() <= bound && e.cost.unsigned_abs() <= bound)
+}
 
 /// Adjusts the integer flow `units` (in units of `1/cap_scale` of a flow
 /// unit; edge `e`'s capacity is `capacity(e) · cap_scale` units) so its

@@ -121,11 +121,6 @@ impl<C: Communicator> BarrierEngine<C> {
         self.stats
     }
 
-    /// True once a sparsifier template has been captured.
-    pub fn has_template(&self) -> bool {
-        self.template.is_some()
-    }
-
     /// Attaches a shared [`TemplateCache`] for **cross-instance**
     /// template reuse: before its first build the engine consults the
     /// cache (keyed by the resistance buffer's edge support), and any
@@ -136,11 +131,6 @@ impl<C: Communicator> BarrierEngine<C> {
     /// per stage in [`crate::StageStats::template_cache_hits`].
     pub fn set_template_cache(&mut self, cache: TemplateCache) {
         self.cache = Some(cache);
-    }
-
-    /// The attached cross-instance cache, if any.
-    pub fn template_cache(&self) -> Option<&TemplateCache> {
-        self.cache.as_ref()
     }
 
     /// Recomputes the engine's resistance buffer from the adapter's
@@ -381,9 +371,9 @@ mod tests {
         let mut clique = Clique::new(6);
         let mut engine: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
         engine.resistances_into(6, ring_fill, |_| f64::INFINITY);
-        assert!(!engine.has_template());
+        assert!(engine.template.is_none());
         engine.build_network(&mut clique, "test").unwrap();
-        assert!(engine.has_template());
+        assert!(engine.template.is_some());
         let first = engine.network().unwrap().resistances().to_vec();
         engine.build_network(&mut clique, "test").unwrap();
         assert_eq!(first, engine.network().unwrap().resistances());
@@ -514,7 +504,7 @@ mod tests {
             |_| f64::INFINITY,
         );
         second.build_network(&mut clique, "test").unwrap();
-        assert!(second.has_template());
+        assert!(second.template.is_some());
         assert_eq!(cache.hits(), 1);
         let s = second.stats().stage("test");
         assert_eq!(
@@ -543,7 +533,7 @@ mod tests {
         engine.resistances_into(6, ring_fill, |_| f64::INFINITY);
         engine.build_network(&mut clique, "test").unwrap();
         engine.build_network(&mut clique, "test").unwrap();
-        assert!(!engine.has_template());
+        assert!(engine.template.is_none());
         assert_eq!(engine.stats().stage("test").builds, 2);
     }
 

@@ -602,9 +602,7 @@ pub(crate) fn max_flow_ipm_inner<C: Communicator>(
             stats.engine.merge(&cleanup);
         }
 
-        // Δ = 2^{-⌈log₂(2m)⌉} ≤ 1/(2m): the precision the IPM maintains.
-        let k = ((2 * g.m().max(1)) as f64).log2().ceil() as u32;
-        let delta = 1.0 / (1u64 << k.min(40)) as f64;
+        let delta = 1.0 / cc_graph::flow_util::rounding_scale(g.m()) as f64;
 
         let mut flow: Vec<i64> = vec![0; g.m()];
         if g.m() > 0 {

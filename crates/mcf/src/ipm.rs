@@ -324,7 +324,9 @@ fn ipm_core<C: Communicator>(
 /// # Errors
 ///
 /// [`McfError::Infeasible`] if the demands cannot be routed;
-/// [`McfError::BadDemands`] if `sigma` is malformed; [`McfError::Comm`] /
+/// [`McfError::BadDemands`] if `sigma` is malformed: a length other
+/// than `n`, a sum other than zero or beyond `i64`, or some `|σ_v|` above
+/// [`cc_graph::flow_util::flow_bound`]; [`McfError::Comm`] /
 /// [`McfError::Solver`] / [`McfError::Rounding`] if the communication
 /// substrate rejects a primitive call in the respective stage — injected
 /// faults surface as typed errors, never as panics or silently wrong
@@ -363,9 +365,23 @@ pub(crate) fn min_cost_flow_ipm_inner<C: Communicator>(
             reason: "length mismatch",
         });
     }
-    if sigma.iter().sum::<i64>() != 0 {
+    match sigma.iter().try_fold(0i64, |sum, &s| sum.checked_add(s)) {
+        Some(0) => {}
+        Some(_) => {
+            return Err(McfError::BadDemands {
+                reason: "demands must sum to zero",
+            })
+        }
+        None => {
+            return Err(McfError::BadDemands {
+                reason: "demand sum overflows i64",
+            })
+        }
+    }
+    let bound = cc_graph::flow_util::flow_bound(g.n(), g.m()).unsigned_abs();
+    if sigma.iter().any(|s| s.unsigned_abs() > bound) {
         return Err(McfError::BadDemands {
-            reason: "demands must sum to zero",
+            reason: "demands must satisfy |σ_v| ≤ flow_bound(n, m)",
         });
     }
     assert!(
@@ -376,8 +392,7 @@ pub(crate) fn min_cost_flow_ipm_inner<C: Communicator>(
     clique.phase("mincostflow", |clique| {
         let (fractional, mut stats) = ipm_core(clique, g, sigma, options, cache)?;
 
-        let k = ((2 * g.m().max(1)) as f64).log2().ceil() as u32;
-        let delta = 1.0 / (1u64 << k.min(40)) as f64;
+        let delta = 1.0 / cc_graph::flow_util::rounding_scale(g.m()) as f64;
 
         let mut flow = vec![0i64; g.m()];
         if g.m() > 0 {

@@ -108,7 +108,7 @@ pub struct BroadcastComm<C: Communicator> {
 
 impl<C: Communicator> BroadcastComm<C> {
     /// Wraps `inner` in the given mode.
-    pub fn with_mode(inner: C, mode: BroadcastMode) -> Self {
+    fn with_mode(inner: C, mode: BroadcastMode) -> Self {
         Self { inner, mode }
     }
 
@@ -121,11 +121,6 @@ impl<C: Communicator> BroadcastComm<C> {
     /// their honest broadcast cost.
     pub fn measured(inner: C) -> Self {
         Self::with_mode(inner, BroadcastMode::Measured)
-    }
-
-    /// The mode chosen at construction.
-    pub fn broadcast_mode(&self) -> BroadcastMode {
-        self.mode
     }
 
     /// Unwraps, returning the substrate (and its ledger).
@@ -406,7 +401,6 @@ mod tests {
     fn reports_broadcast_mode() {
         let comm = BroadcastComm::strict(Clique::new(2));
         assert_eq!(Communicator::mode(&comm), CommunicationMode::Broadcast);
-        assert_eq!(comm.broadcast_mode(), BroadcastMode::Strict);
         // The substrate's constants pass through.
         assert_eq!(comm.config(), CliqueConfig::default());
     }

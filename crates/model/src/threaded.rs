@@ -45,8 +45,7 @@
 //! completing twice) fails loudly rather than corrupting a later round.
 
 use crate::{
-    delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId, Op,
-    Reply, Words,
+    delivery, Clique, Communicator, CostKind, Envelope, ModelError, NodeId, Op, Reply, Words,
 };
 
 /// Per-source outboxes: `outboxes[src][i] = (dst, words)`.
@@ -85,48 +84,17 @@ pub struct ThreadedComm {
 }
 
 impl ThreadedComm {
-    /// A threaded clique of `n` nodes with default accounting constants;
-    /// worker count from [`cc_par::current_threads`] (clamped to `n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn new(n: usize) -> Self {
-        Self::with_config_and_workers(n, CliqueConfig::default(), cc_par::current_threads())
-    }
-
-    /// A threaded clique with an explicit worker count (clamped to `n`).
+    /// A threaded clique of `n` nodes with default accounting constants
+    /// and an explicit worker count (clamped to `n`).
     ///
     /// # Panics
     ///
     /// Panics if `n < 2` or `workers == 0`.
     pub fn with_workers(n: usize, workers: usize) -> Self {
-        Self::with_config_and_workers(n, CliqueConfig::default(), workers)
-    }
-
-    /// A threaded clique with explicit accounting constants; worker count
-    /// from [`cc_par::current_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` or `config.routing_capacity_factor == 0`.
-    pub fn with_config(n: usize, config: CliqueConfig) -> Self {
-        Self::with_config_and_workers(n, config, cc_par::current_threads())
-    }
-
-    /// A threaded clique with explicit accounting constants and worker
-    /// count (clamped to `n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`, `workers == 0`, or
-    /// `config.routing_capacity_factor == 0`.
-    pub fn with_config_and_workers(n: usize, config: CliqueConfig, workers: usize) -> Self {
         assert!(workers > 0, "threaded clique needs at least one worker");
-        let workers = workers.min(n);
         Self {
-            seq: Clique::with_config(n, config),
-            workers,
+            seq: Clique::new(n),
+            workers: workers.min(n),
         }
     }
 

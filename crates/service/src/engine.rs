@@ -3,7 +3,8 @@
 use std::collections::BTreeMap;
 
 use cc_apsp::{ApspSession, RoundModel, SsspOutcome, INFINITY};
-use cc_core::{SolverOptions, SolverSession};
+use cc_core::{CoreError, SolverOptions, SolverSession};
+use cc_graph::{flow_util, DiGraph, Graph};
 use cc_maxflow::{IpmOptions, MaxFlowSession};
 use cc_mcf::{McfOptions, McfSession};
 use cc_model::Communicator;
@@ -161,19 +162,67 @@ pub struct ServiceOutcome {
     pub stats: RequestStats,
 }
 
-/// One registered graph: its spec, generation, and the lazily built
-/// per-generation state every request against it reuses.
-#[derive(Debug, Clone)]
+/// One registered graph: its generation, the spec with the facts its
+/// requests are admitted on, and the lazily built per-generation
+/// sessions every request against it reuses.
+#[derive(Debug)]
 struct GraphEntry {
     generation: u64,
+    graph: Registered,
+    sessions: Sessions,
+}
+
+/// A registered spec and the facts admission reads, derived once at
+/// registration.
+#[derive(Debug)]
+struct Registered {
     spec: GraphSpec,
+    /// Connected component per vertex (undirected graphs), for rejecting
+    /// resistances across components before any solver work.
+    components: Vec<usize>,
+    /// Why the spec cannot serve its Laplacian or flow requests, if it
+    /// cannot: a non-finite volume `2·Σw` (the sparsifier's conductance
+    /// threshold is derived from it), or a capacity or cost beyond
+    /// [`cc_graph::flow_util::flow_bound`].
+    domain_problem: Option<&'static str>,
+    /// Why the spec's arcs cannot serve shortest paths, if they cannot
+    /// ([`arcs_problem`]).
+    arcs_problem: Option<&'static str>,
+}
+
+impl Registered {
+    fn new(spec: GraphSpec) -> Self {
+        let (components, domain_problem) = match &spec {
+            GraphSpec::Undirected(g) => (
+                g.components(),
+                (!(2.0 * g.total_weight()).is_finite())
+                    .then_some("edge weights must be finite and have a finite volume 2·Σw"),
+            ),
+            GraphSpec::Directed(g) => (
+                Vec::new(),
+                (!flow_util::within_flow_bound(g))
+                    .then_some("capacities and costs must be at most flow_bound(n, m)"),
+            ),
+            GraphSpec::Arcs { .. } => (Vec::new(), None),
+        };
+        let arcs_problem = spec_arcs(&spec).and_then(|arcs| arcs_problem(arcs, spec.n()));
+        Self {
+            spec,
+            components,
+            domain_problem,
+            arcs_problem,
+        }
+    }
+}
+
+/// The per-generation state requests reuse, dropped whole on
+/// re-registration and before a retry.
+#[derive(Debug, Default)]
+struct Sessions {
     /// Generation-scoped sparsifier template cache shared by the flow
     /// sessions (max-flow and MCF key by edge support, so one cache
     /// serves both).
     cache: TemplateCache,
-    /// Connected component per vertex (undirected graphs), for rejecting
-    /// resistances across components before any solver work.
-    components: Vec<usize>,
     /// Laplacian solver + workspace (undirected graphs; carries the
     /// sparsifier Cholesky factorization reused across requests).
     solver: Option<SolverSession>,
@@ -181,6 +230,9 @@ struct GraphEntry {
     mcf: Option<McfSession>,
     apsp: Option<ApspSession>,
 }
+
+/// One request's place in a batch, filled once it has run.
+type Slot = Option<Result<ServiceOutcome, ServiceError>>;
 
 /// A long-lived engine over one communicator: a registry of named
 /// graphs, session state reused across requests, batch admission for
@@ -229,37 +281,17 @@ impl<C: Communicator> FlowEngine<C> {
     /// entry's generation and drops every cached artifact — solver
     /// factorization, sparsifier templates, APSP matrix — so no request
     /// can ever be served from a previous generation's state. Returns
-    /// the new generation (1 for a first registration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has more vertices than the clique has nodes.
+    /// the new generation (1 for a first registration). Any spec
+    /// registers; what a request cannot use of it is that request's
+    /// `BadRequest` (see [`GraphSpec`]).
     pub fn register(&mut self, name: &str, spec: GraphSpec) -> u64 {
-        assert!(
-            spec.n() <= self.clique.n(),
-            "graph {:?} has {} vertices but the clique only {} nodes",
-            name,
-            spec.n(),
-            self.clique.n()
-        );
         let generation = self.graphs.get(name).map_or(1, |e| e.generation + 1);
-        let components = match &spec {
-            GraphSpec::Undirected(g) => g.components(),
-            _ => Vec::new(),
+        let entry = GraphEntry {
+            generation,
+            graph: Registered::new(spec),
+            sessions: Sessions::default(),
         };
-        self.graphs.insert(
-            name.to_string(),
-            GraphEntry {
-                generation,
-                spec,
-                components,
-                cache: TemplateCache::new(),
-                solver: None,
-                maxflow: None,
-                mcf: None,
-                apsp: None,
-            },
-        );
+        self.graphs.insert(name.to_string(), entry);
         generation
     }
 
@@ -270,7 +302,7 @@ impl<C: Communicator> FlowEngine<C> {
 
     /// The registered spec of a graph.
     pub fn graph_spec(&self, name: &str) -> Option<&GraphSpec> {
-        self.graphs.get(name).map(|e| &e.spec)
+        self.graphs.get(name).map(|e| &e.graph.spec)
     }
 
     /// Submits one request.
@@ -285,13 +317,16 @@ impl<C: Communicator> FlowEngine<C> {
             .expect("one request in, one result out")
     }
 
-    /// Submits a batch. Admission: [`Request::LaplacianSolve`] entries
-    /// sharing `(graph, eps)` are answered by one `solve_multi_into`
-    /// call (each response is its column of the batched solve —
-    /// bitwise-identical to a lone solve by the multi-RHS kernel
-    /// contract). Groups of two or more run first; then every other
-    /// request runs alone, in submission order — a lone Laplacian solve
-    /// as a group of one. Results are returned in submission order.
+    /// Submits a batch. Every request passes one admission step
+    /// against its registered graph, which turns it into a typed job or a
+    /// `BadRequest` before any communication. [`Request::LaplacianSolve`]
+    /// entries sharing `(graph, eps)` are answered by one
+    /// `solve_multi_into` call (each response is its column of the
+    /// batched solve — bitwise-identical to a lone solve by the multi-RHS
+    /// kernel contract). Groups of two or more run first; then every
+    /// other request runs alone, in submission order — a lone Laplacian
+    /// solve, or an effective resistance (the column `e_s − e_t`), as a
+    /// group of one. Results are returned in submission order.
     pub fn submit_batch(
         &mut self,
         requests: Vec<Request>,
@@ -301,27 +336,20 @@ impl<C: Communicator> FlowEngine<C> {
 
         // Group batchable solves by (graph, eps). BTreeMap keeps the
         // grouping deterministic; members stay in submission order.
-        let mut groups: BTreeMap<(String, u64), Vec<usize>> = BTreeMap::new();
+        let mut groups: BTreeMap<(&str, u64), Vec<usize>> = BTreeMap::new();
         for (i, r) in requests.iter().enumerate() {
             if let Request::LaplacianSolve { graph, eps, .. } = r {
-                groups
-                    .entry((graph.clone(), eps.to_bits()))
-                    .or_default()
-                    .push(i);
+                groups.entry((graph, eps.to_bits())).or_default().push(i);
             }
         }
 
-        let mut slots: Vec<Option<Result<ServiceOutcome, ServiceError>>> =
-            requests.iter().map(|_| None).collect();
-        for ((graph, eps_bits), members) in groups {
-            if members.len() >= 2 {
-                let eps = f64::from_bits(eps_bits);
-                self.execute_solve_group(&graph, eps, &members, base_id, &requests, &mut slots);
-            }
+        let mut slots: Vec<Slot> = vec![None; requests.len()];
+        for members in groups.values().filter(|members| members.len() >= 2) {
+            self.run(members, base_id, &requests, &mut slots);
         }
         for i in 0..requests.len() {
             if slots[i].is_none() {
-                self.execute_alone(i, base_id, &requests, &mut slots);
+                self.run(&[i], base_id, &requests, &mut slots);
             }
         }
         self.retry_failed(&requests, base_id, &mut slots);
@@ -336,12 +364,7 @@ impl<C: Communicator> FlowEngine<C> {
     /// and charging deterministic backoff rounds before each attempt.
     /// The process watchdog deadline ([`cc_par::watchdog_timeout`])
     /// bounds how long the loop keeps retrying.
-    fn retry_failed(
-        &mut self,
-        requests: &[Request],
-        base_id: u64,
-        slots: &mut [Option<Result<ServiceOutcome, ServiceError>>],
-    ) {
+    fn retry_failed(&mut self, requests: &[Request], base_id: u64, slots: &mut [Slot]) {
         let policy = self.config.retry;
         if policy.max_attempts <= 1 {
             return;
@@ -362,18 +385,14 @@ impl<C: Communicator> FlowEngine<C> {
                 // the graph, so the retry rebuilds fresh instead of
                 // trusting state a faulty transport may have poisoned.
                 if let Some(entry) = self.graphs.get_mut(requests[i].graph()) {
-                    entry.cache = TemplateCache::new();
-                    entry.solver = None;
-                    entry.maxflow = None;
-                    entry.mcf = None;
-                    entry.apsp = None;
+                    entry.sessions = Sessions::default();
                 }
                 let backoff = policy.backoff_for(attempts - 1);
                 if backoff > 0 {
                     self.clique
                         .phase("service_retry", |c| c.charge_implemented(backoff));
                 }
-                self.execute_alone(i, base_id, requests, slots);
+                self.run(&[i], base_id, requests, slots);
                 match slots[i].as_mut().expect("slot just filled") {
                     Ok(outcome) => {
                         outcome.stats.attempts = attempts;
@@ -396,457 +415,407 @@ impl<C: Communicator> FlowEngine<C> {
         }
     }
 
-    /// Runs request `i` on its own, filling its slot: a Laplacian solve
-    /// as a group of one, anything else through [`FlowEngine::execute`].
-    fn execute_alone(
-        &mut self,
-        i: usize,
-        base_id: u64,
-        requests: &[Request],
-        slots: &mut [Option<Result<ServiceOutcome, ServiceError>>],
-    ) {
-        if let Request::LaplacianSolve { graph, eps, .. } = &requests[i] {
-            self.execute_solve_group(graph, *eps, &[i], base_id, requests, slots);
-        } else {
-            slots[i] = Some(self.execute(base_id + i as u64, requests[i].clone()));
-        }
-    }
-
-    /// Runs one admitted group of same-graph same-`eps` Laplacian
-    /// solves (a lone solve is a group of one) through
-    /// `solve_multi_into`, filling the members' slots. Every failure is
-    /// stamped with the transport faults the group observed, and every
-    /// member is held to the per-request round budget.
-    fn execute_solve_group(
-        &mut self,
-        graph: &str,
-        eps: f64,
-        members: &[usize],
-        base_id: u64,
-        requests: &[Request],
-        slots: &mut [Option<Result<ServiceOutcome, ServiceError>>],
-    ) {
-        let fail_all = |slots: &mut [Option<Result<ServiceOutcome, ServiceError>>],
-                        kind: ServiceErrorKind,
-                        faults: u64| {
-            for &i in members {
-                let mut e = ServiceError::new(base_id + i as u64, graph, kind.clone());
-                e.faults_observed = faults;
-                slots[i] = Some(Err(e));
-            }
-        };
-        let Some(entry) = self.graphs.get_mut(graph) else {
-            fail_all(slots, ServiceErrorKind::UnknownGraph, 0);
+    /// Runs `members` — one request of any kind, or a group of
+    /// same-graph, same-`eps` Laplacian solves — filling their slots.
+    /// Each member is admitted on its own, and a member that fails
+    /// admission leaves the group. The admitted solve columns are
+    /// answered by one `solve_multi_into` call; every other job runs on
+    /// the graph's sessions. Every answer then passes
+    /// [`FlowEngine::settle`].
+    fn run(&mut self, members: &[usize], base_id: u64, requests: &[Request], slots: &mut [Slot]) {
+        let name = requests[members[0]].graph();
+        let id = |i: usize| base_id + i as u64;
+        let Some(entry) = self.graphs.get_mut(name) else {
+            let unknown = |i| ServiceError::new(id(i), name, ServiceErrorKind::UnknownGraph);
+            members
+                .iter()
+                .for_each(|&i| slots[i] = Some(Err(unknown(i))));
             return;
         };
-        let GraphSpec::Undirected(g) = &entry.spec else {
-            fail_all(
-                slots,
-                ServiceErrorKind::BadRequest {
-                    reason: "Laplacian solve needs an undirected graph",
-                },
-                0,
-            );
-            return;
-        };
-        let n = g.n();
-        if eps.is_nan() || eps <= 0.0 {
-            fail_all(
-                slots,
-                ServiceErrorKind::BadRequest {
-                    reason: "eps must be positive",
-                },
-                0,
-            );
-            return;
-        }
-        // Per-member validation: malformed members error out solo and
-        // leave the group; the rest still batch (k may drop to 1, which
-        // is just a width-1 batch — same bits either way).
-        let mut valid: Vec<usize> = Vec::with_capacity(members.len());
-        for &i in members {
-            let Request::LaplacianSolve { b, .. } = &requests[i] else {
-                unreachable!("group members are Laplacian solves");
-            };
-            match rhs_problem(b, n) {
-                None => valid.push(i),
-                Some(reason) => {
-                    slots[i] = Some(Err(ServiceError::new(
-                        base_id + i as u64,
-                        graph,
-                        ServiceErrorKind::BadRequest { reason },
-                    )));
-                }
-            }
-        }
-        if valid.is_empty() {
-            return;
-        }
-        let k = valid.len();
-
-        let clique = &mut self.clique;
+        let (clique, config) = (&mut self.clique, &self.config);
         let faults0 = clique.faults_observed();
         let rounds0 = clique.ledger().total_rounds();
         let charged0 = clique.ledger().charged_rounds();
-        let built = match ensure_solver(entry, clique, &self.config.solver) {
-            Ok(built) => built,
-            Err(kind) => {
-                let faults = clique.faults_observed() - faults0;
-                fail_all(slots, kind, faults);
-                return;
-            }
+        let hits0 = entry.sessions.cache.hits();
+        let stats = |i: usize, rounds, charged_rounds, built, batched_with| RequestStats {
+            request_id: id(i),
+            graph: name.to_string(),
+            generation: entry.generation,
+            rounds,
+            charged_rounds,
+            built,
+            batched_with,
+            attempts: 1,
+            ..RequestStats::default()
         };
-        let rounds_built = clique.ledger().total_rounds();
-        let charged_built = clique.ledger().charged_rounds();
-
-        let mut bs = vec![0.0; n * k];
-        for (j, &i) in valid.iter().enumerate() {
-            let Request::LaplacianSolve { b, .. } = &requests[i] else {
-                unreachable!("validated above");
-            };
-            for v in 0..n {
-                bs[v * k + j] = b[v];
-            }
-        }
-        let mut xs = Vec::new();
-        let session = entry.solver.as_mut().expect("solver just ensured");
-        let iterations = match session.solve_multi_into(clique, &bs, k, eps, &mut xs) {
-            Ok(it) => it,
-            Err(e) => {
-                let faults = clique.faults_observed() - faults0;
-                fail_all(slots, ServiceErrorKind::Core(e), faults);
-                return;
-            }
-        };
-        let solve_rounds = clique.ledger().total_rounds() - rounds_built;
-        let solve_charged = clique.ledger().charged_rounds() - charged_built;
-
-        for (j, &i) in valid.iter().enumerate() {
-            let x: Vec<f64> = (0..n).map(|v| xs[v * k + j]).collect();
-            // The build is attributed to the group's first member; the
-            // solve rounds split evenly (each iteration broadcasts once
-            // per column, so the share is exact).
-            let (build_r, build_c, paid_build) = if j == 0 {
-                (rounds_built - rounds0, charged_built - charged0, built)
-            } else {
-                (0, 0, false)
-            };
-            let member_rounds = build_r + solve_rounds / k as u64;
-            if let Some(budget) = self.config.round_budget {
-                if member_rounds > budget {
-                    let mut e = ServiceError::new(
-                        base_id + i as u64,
-                        graph,
-                        ServiceErrorKind::RoundBudgetExceeded {
-                            rounds: member_rounds,
-                            budget,
-                        },
-                    );
-                    e.faults_observed = clique.faults_observed() - faults0;
-                    slots[i] = Some(Err(e));
+        let mut answers: Vec<(usize, Result<ServiceOutcome, ServiceErrorKind>)> = Vec::new();
+        let mut columns = Vec::with_capacity(members.len());
+        let mut solve = None;
+        for &i in members {
+            let job = match admit(&requests[i], &entry.graph, clique.n()) {
+                Ok(job) => job,
+                Err(reason) => {
+                    let kind = ServiceErrorKind::BadRequest { reason };
+                    slots[i] = Some(Err(ServiceError::new(id(i), name, kind)));
                     continue;
                 }
-            }
-            slots[i] = Some(Ok(ServiceOutcome {
-                response: Response::Potentials { x, iterations },
-                stats: RequestStats {
-                    request_id: base_id + i as u64,
-                    graph: graph.to_string(),
-                    generation: entry.generation,
-                    rounds: member_rounds,
-                    charged_rounds: build_c + solve_charged / k as u64,
-                    template_cache_hits: 0,
-                    built: paid_build,
-                    batched_with: k,
-                    engine: None,
-                    attempts: 1,
-                    degraded: None,
-                },
-            }));
-        }
-    }
-
-    /// Executes one request that is not a Laplacian solve: runs it,
-    /// stamps observed transport faults onto any failure, and enforces
-    /// the per-request round budget.
-    fn execute(&mut self, id: u64, request: Request) -> Result<ServiceOutcome, ServiceError> {
-        let faults0 = self.clique.faults_observed();
-        match self.execute_inner(id, request) {
-            Ok(outcome) => {
-                if let Some(budget) = self.config.round_budget {
-                    if outcome.stats.rounds > budget {
-                        let mut e = ServiceError::new(
-                            id,
-                            &outcome.stats.graph,
-                            ServiceErrorKind::RoundBudgetExceeded {
-                                rounds: outcome.stats.rounds,
-                                budget,
-                            },
-                        );
-                        e.faults_observed = self.clique.faults_observed() - faults0;
-                        return Err(e);
+            };
+            let sessions = &mut entry.sessions;
+            let answer = match job {
+                Job::Column { graph, eps, source } => {
+                    solve = Some((graph, eps));
+                    columns.push((i, source));
+                    continue;
+                }
+                Job::MaxFlow { graph, s, t } => sessions
+                    .maxflow
+                    .get_or_insert_with(|| {
+                        MaxFlowSession::with_cache(config.maxflow, sessions.cache.clone())
+                    })
+                    .max_flow(clique, graph, s, t)
+                    .map(|out| {
+                        let response = Response::MaxFlow {
+                            flow: out.flow,
+                            value: out.value,
+                        };
+                        (response, false, Some(out.stats.engine))
+                    })
+                    .map_err(ServiceErrorKind::MaxFlow),
+                Job::MinCostFlow { graph, demands } => sessions
+                    .mcf
+                    .get_or_insert_with(|| {
+                        McfSession::with_cache(config.mcf, sessions.cache.clone())
+                    })
+                    .min_cost_flow(clique, graph, demands)
+                    .map(|out| {
+                        let response = Response::MinCostFlow {
+                            flow: out.flow,
+                            cost: out.cost,
+                        };
+                        (response, false, Some(out.stats.engine))
+                    })
+                    .map_err(ServiceErrorKind::Mcf),
+                Job::Paths { n, arcs, source } => {
+                    let session = sessions.apsp.get_or_insert_with(|| {
+                        ApspSession::new(n, arcs.iter().collect(), config.round_model)
+                    });
+                    match source {
+                        Some(source) => session
+                            .sssp(clique, source)
+                            .map(|outcome| {
+                                let response = match outcome {
+                                    SsspOutcome::Converged { dist, .. } => Response::Sssp {
+                                        dist,
+                                        negative_cycle: false,
+                                    },
+                                    SsspOutcome::NegativeCycle { .. } => Response::Sssp {
+                                        dist: Vec::new(),
+                                        negative_cycle: true,
+                                    },
+                                };
+                                (response, false, None)
+                            })
+                            .map_err(ServiceErrorKind::Apsp),
+                        None => {
+                            let built = session.apsp_cached().is_none();
+                            let apsp = session.apsp(clique);
+                            let dist = (0..n)
+                                .map(|u| (0..n).map(|v| apsp.dist(u, v)).collect())
+                                .collect();
+                            Ok((Response::Apsp { dist }, built, None))
+                        }
                     }
                 }
-                Ok(outcome)
+            };
+            let rounds = clique.ledger().total_rounds() - rounds0;
+            let charged = clique.ledger().charged_rounds() - charged0;
+            let hits = entry.sessions.cache.hits() - hits0;
+            answers.push((
+                i,
+                answer.map(|(response, built, engine)| ServiceOutcome {
+                    response,
+                    stats: RequestStats {
+                        template_cache_hits: hits,
+                        engine,
+                        ..stats(i, rounds, charged, built, 1)
+                    },
+                }),
+            ));
+        }
+
+        if let Some((g, eps)) = solve {
+            let (n, k) = (g.n(), columns.len());
+            let solved = ensure_solver(&mut entry.sessions.solver, clique, g, &config.solver)
+                .and_then(|(session, built)| {
+                    let rounds_built = clique.ledger().total_rounds();
+                    let charged_built = clique.ledger().charged_rounds();
+                    let mut bs = vec![0.0; n * k];
+                    for (j, (_, source)) in columns.iter().enumerate() {
+                        match *source {
+                            Column::Rhs(b) => (0..n).for_each(|v| bs[v * k + j] = b[v]),
+                            Column::Pair(s, t) => (bs[s * k + j], bs[t * k + j]) = (1.0, -1.0),
+                        }
+                    }
+                    let mut xs = Vec::new();
+                    let iterations = session.solve_multi_into(clique, &bs, k, eps, &mut xs)?;
+                    Ok((built, rounds_built, charged_built, xs, iterations))
+                });
+            for (j, &(i, ref source)) in columns.iter().enumerate() {
+                let answer = match &solved {
+                    Err(e) => Err(ServiceErrorKind::Core(e.clone())),
+                    Ok((built, rounds_built, charged_built, xs, iterations)) => {
+                        let iterations = *iterations;
+                        let response = match *source {
+                            Column::Rhs(_) => Response::Potentials {
+                                x: (0..n).map(|v| xs[v * k + j]).collect(),
+                                iterations,
+                            },
+                            Column::Pair(s, t) => Response::Resistance {
+                                value: xs[s * k + j] - xs[t * k + j],
+                                iterations,
+                            },
+                        };
+                        // The build is attributed to the group's first
+                        // member; the solve rounds split evenly (each
+                        // iteration broadcasts once per column, so the
+                        // share is exact).
+                        let solve_rounds = clique.ledger().total_rounds() - rounds_built;
+                        let solve_charged = clique.ledger().charged_rounds() - charged_built;
+                        let (build_r, build_c, paid) = if j == 0 {
+                            (rounds_built - rounds0, charged_built - charged0, *built)
+                        } else {
+                            (0, 0, false)
+                        };
+                        let rounds = build_r + solve_rounds / k as u64;
+                        let charged = build_c + solve_charged / k as u64;
+                        Ok(ServiceOutcome {
+                            response,
+                            stats: stats(i, rounds, charged, paid, k),
+                        })
+                    }
+                };
+                answers.push((i, answer));
             }
-            Err(mut e) => {
-                e.faults_observed = self.clique.faults_observed() - faults0;
-                Err(e)
-            }
+        }
+
+        for (i, answer) in answers {
+            slots[i] = Some(self.settle(id(i), name, faults0, answer));
         }
     }
 
-    /// The raw single-request dispatch (no fault stamping, no budget).
-    /// Laplacian solves never reach it: they run through
-    /// [`FlowEngine::execute_solve_group`].
-    fn execute_inner(&mut self, id: u64, request: Request) -> Result<ServiceOutcome, ServiceError> {
-        let name = request.graph().to_string();
-        let err = |kind| Err(ServiceError::new(id, &name, kind));
-        let Some(entry) = self.graphs.get_mut(&name) else {
-            return err(ServiceErrorKind::UnknownGraph);
+    /// The one copy of a request's failure bookkeeping: holds a success
+    /// to the per-request round budget, and stamps a failure with the
+    /// transport faults observed since `faults0`.
+    fn settle(
+        &self,
+        id: u64,
+        graph: &str,
+        faults0: u64,
+        answer: Result<ServiceOutcome, ServiceErrorKind>,
+    ) -> Result<ServiceOutcome, ServiceError> {
+        let kind = match (answer, self.config.round_budget) {
+            (Ok(outcome), Some(budget)) if outcome.stats.rounds > budget => {
+                ServiceErrorKind::RoundBudgetExceeded {
+                    rounds: outcome.stats.rounds,
+                    budget,
+                }
+            }
+            (Ok(outcome), _) => return Ok(outcome),
+            (Err(kind), _) => kind,
         };
-        let clique = &mut self.clique;
-        let rounds0 = clique.ledger().total_rounds();
-        let charged0 = clique.ledger().charged_rounds();
-        let hits0 = entry.cache.hits();
-        let mut built = false;
-        let mut engine_stats = None;
-
-        let response = match request {
-            Request::EffectiveResistance { s, t, eps, .. } => {
-                let GraphSpec::Undirected(g) = &entry.spec else {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "effective resistance needs an undirected graph",
-                    });
-                };
-                if s >= g.n() || t >= g.n() || s == t {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "terminals must be distinct in-range vertices",
-                    });
-                }
-                if entry.components[s] != entry.components[t] {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "terminals lie in different components (infinite resistance)",
-                    });
-                }
-                if eps.is_nan() || eps <= 0.0 {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "eps must be positive",
-                    });
-                }
-                built = ensure_solver(entry, clique, &self.config.solver)
-                    .map_err(|kind| ServiceError::new(id, &name, kind))?;
-                let session = entry.solver.as_mut().expect("solver just ensured");
-                let mut b = vec![0.0; session.n()];
-                b[s] = 1.0;
-                b[t] = -1.0;
-                let mut x = Vec::new();
-                let iterations = session
-                    .solve_into(clique, &b, eps, &mut x)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
-                Response::Resistance {
-                    value: x[s] - x[t],
-                    iterations,
-                }
-            }
-            Request::MaxFlow { s, t, .. } => {
-                let GraphSpec::Directed(g) = &entry.spec else {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "max flow needs a directed graph",
-                    });
-                };
-                if s >= g.n() || t >= g.n() || s == t {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "terminals must be distinct in-range vertices",
-                    });
-                }
-                let session = entry.maxflow.get_or_insert_with(|| {
-                    MaxFlowSession::with_cache(self.config.maxflow, entry.cache.clone())
-                });
-                let out = session
-                    .max_flow(clique, g, s, t)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::MaxFlow(e)))?;
-                engine_stats = Some(out.stats.engine);
-                Response::MaxFlow {
-                    flow: out.flow,
-                    value: out.value,
-                }
-            }
-            Request::MinCostFlow { demands, .. } => {
-                let GraphSpec::Directed(g) = &entry.spec else {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "min-cost flow needs a directed graph",
-                    });
-                };
-                if clique.n() < g.n() + 2 {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "clique too small for MCF rounding (needs n + 2 nodes)",
-                    });
-                }
-                let session = entry.mcf.get_or_insert_with(|| {
-                    McfSession::with_cache(self.config.mcf, entry.cache.clone())
-                });
-                let out = session
-                    .min_cost_flow(clique, g, &demands)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Mcf(e)))?;
-                engine_stats = Some(out.stats.engine);
-                Response::MinCostFlow {
-                    flow: out.flow,
-                    cost: out.cost,
-                }
-            }
-            Request::Sssp { source, .. } => {
-                if matches!(entry.spec, GraphSpec::Undirected(_)) {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "SSSP needs a directed or arc graph",
-                    });
-                }
-                if source >= entry.spec.n() {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "source out of range",
-                    });
-                }
-                let session = match apsp_session(entry, self.config.round_model) {
-                    Ok(session) => session,
-                    Err(reason) => return err(ServiceErrorKind::BadRequest { reason }),
-                };
-                match session
-                    .sssp(clique, source)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Apsp(e)))?
-                {
-                    SsspOutcome::Converged { dist, .. } => Response::Sssp {
-                        dist,
-                        negative_cycle: false,
-                    },
-                    SsspOutcome::NegativeCycle { .. } => Response::Sssp {
-                        dist: Vec::new(),
-                        negative_cycle: true,
-                    },
-                }
-            }
-            Request::Apsp { .. } => {
-                if matches!(entry.spec, GraphSpec::Undirected(_)) {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "APSP needs a directed or arc graph",
-                    });
-                }
-                let n = entry.spec.n();
-                let session = match apsp_session(entry, self.config.round_model) {
-                    Ok(session) => session,
-                    Err(reason) => return err(ServiceErrorKind::BadRequest { reason }),
-                };
-                if session.arcs().iter().any(|&(_, _, w)| w < 0) {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "APSP needs non-negative arc weights (SSSP accepts negative ones)",
-                    });
-                }
-                built = session.apsp_cached().is_none();
-                let apsp = session.apsp(clique);
-                let dist = (0..n)
-                    .map(|u| (0..n).map(|v| apsp.dist(u, v)).collect())
-                    .collect();
-                Response::Apsp { dist }
-            }
-            Request::LaplacianSolve { .. } => unreachable!("solves run as groups"),
-        };
-
-        Ok(ServiceOutcome {
-            response,
-            stats: RequestStats {
-                request_id: id,
-                graph: name.clone(),
-                generation: entry.generation,
-                rounds: clique.ledger().total_rounds() - rounds0,
-                charged_rounds: clique.ledger().charged_rounds() - charged0,
-                template_cache_hits: entry.cache.hits() - hits0,
-                built,
-                batched_with: 1,
-                engine: engine_stats,
-                attempts: 1,
-                degraded: None,
-            },
-        })
+        let mut e = ServiceError::new(id, graph, kind);
+        e.faults_observed = self.clique.faults_observed() - faults0;
+        Err(e)
     }
 }
 
-/// Why a Laplacian right-hand side is malformed for an `n`-vertex graph,
-/// if it is: a wrong length, or an entry that is NaN or infinite (the
-/// solve would return all-NaN potentials).
-fn rhs_problem(b: &[f64], n: usize) -> Option<&'static str> {
-    if b.len() != n {
-        Some("rhs length must equal the vertex count")
-    } else if !b.iter().all(|x| x.is_finite()) {
-        Some("rhs entries must be finite")
-    } else {
-        None
+/// An admitted request: every check passed, and the job borrows the
+/// typed graph it runs on.
+enum Job<'a> {
+    /// One column of a Laplacian solve group.
+    Column {
+        graph: &'a Graph,
+        eps: f64,
+        source: Column<'a>,
+    },
+    MaxFlow {
+        graph: &'a DiGraph,
+        s: usize,
+        t: usize,
+    },
+    MinCostFlow {
+        graph: &'a DiGraph,
+        demands: &'a [i64],
+    },
+    /// Shortest paths from `source`, or between all pairs when `None`.
+    Paths {
+        n: usize,
+        arcs: Arcs<'a>,
+        source: Option<usize>,
+    },
+}
+
+/// Where a solve column's right-hand side comes from.
+enum Column<'a> {
+    /// A Laplacian solve's `b`; its response is the potentials.
+    Rhs(&'a [f64]),
+    /// An effective resistance's `e_s − e_t`; its response is `x_s − x_t`.
+    Pair(usize, usize),
+}
+
+/// The admission step: turns `request` into a job on its registered
+/// graph, or into the reason it is a `BadRequest`. Every check runs
+/// here, before any communication, in the order the request's kind
+/// lists them.
+fn admit<'a>(
+    request: &'a Request,
+    graph: &'a Registered,
+    clique_n: usize,
+) -> Result<Job<'a>, &'static str> {
+    let spec = &graph.spec;
+    let n = spec.n();
+    if n > clique_n {
+        return Err("graph has more vertices than the clique has nodes");
+    }
+    let domain = || graph.domain_problem.map_or(Ok(()), Err);
+    let positive = |eps: f64| match eps.is_nan() || eps <= 0.0 {
+        true => Err("eps must be positive"),
+        false => Ok(eps),
+    };
+    let terminals = |s: usize, t: usize| match s >= n || t >= n || s == t {
+        true => Err("terminals must be distinct in-range vertices"),
+        false => Ok(()),
+    };
+    match (request, spec) {
+        (Request::LaplacianSolve { b, eps, .. }, GraphSpec::Undirected(g)) => {
+            let eps = positive(*eps)?;
+            if b.len() != n {
+                return Err("rhs length must equal the vertex count");
+            }
+            if !b.iter().all(|x| x.is_finite()) {
+                return Err("rhs entries must be finite");
+            }
+            domain()?;
+            let source = Column::Rhs(b);
+            Ok(Job::Column {
+                graph: g,
+                eps,
+                source,
+            })
+        }
+        (Request::LaplacianSolve { .. }, _) => Err("Laplacian solve needs an undirected graph"),
+        (Request::EffectiveResistance { s, t, eps, .. }, GraphSpec::Undirected(g)) => {
+            terminals(*s, *t)?;
+            if graph.components[*s] != graph.components[*t] {
+                return Err("terminals lie in different components (infinite resistance)");
+            }
+            let eps = positive(*eps)?;
+            domain()?;
+            let source = Column::Pair(*s, *t);
+            Ok(Job::Column {
+                graph: g,
+                eps,
+                source,
+            })
+        }
+        (Request::EffectiveResistance { .. }, _) => {
+            Err("effective resistance needs an undirected graph")
+        }
+        (Request::MaxFlow { s, t, .. }, GraphSpec::Directed(g)) => {
+            terminals(*s, *t)?;
+            domain()?;
+            Ok(Job::MaxFlow {
+                graph: g,
+                s: *s,
+                t: *t,
+            })
+        }
+        (Request::MaxFlow { .. }, _) => Err("max flow needs a directed graph"),
+        (Request::MinCostFlow { demands, .. }, GraphSpec::Directed(g)) => {
+            if clique_n < n + 2 {
+                return Err("clique too small for MCF rounding (needs n + 2 nodes)");
+            }
+            domain()?;
+            Ok(Job::MinCostFlow { graph: g, demands })
+        }
+        (Request::MinCostFlow { .. }, _) => Err("min-cost flow needs a directed graph"),
+        (Request::Sssp { source, .. }, _) => {
+            let arcs = spec_arcs(spec).ok_or("SSSP needs a directed or arc graph")?;
+            if *source >= n {
+                return Err("source out of range");
+            }
+            graph.arcs_problem.map_or(Ok(()), Err)?;
+            let source = Some(*source);
+            Ok(Job::Paths { n, arcs, source })
+        }
+        (Request::Apsp { .. }, _) => {
+            let arcs = spec_arcs(spec).ok_or("APSP needs a directed or arc graph")?;
+            graph.arcs_problem.map_or(Ok(()), Err)?;
+            if arcs.iter().any(|(_, _, w)| w < 0) {
+                return Err("APSP needs non-negative arc weights (SSSP accepts negative ones)");
+            }
+            Ok(Job::Paths {
+                n,
+                arcs,
+                source: None,
+            })
+        }
     }
 }
 
 /// Why a shortest-path arc list is malformed for an `n`-vertex graph, if
 /// it is: an endpoint that is not a vertex, or a weight too large in
 /// magnitude for the bound documented on [`GraphSpec::Arcs`].
-fn arcs_problem(arcs: &[(usize, usize, i64)], n: usize) -> Option<&'static str> {
+fn arcs_problem(arcs: Arcs<'_>, n: usize) -> Option<&'static str> {
     // A path of fewer than `n` arcs has at most `n − 1` of them.
     let max_weight = (INFINITY as u64 - 1) / (n.max(2) as u64 - 1);
-    if arcs.iter().any(|&(u, v, _)| u >= n || v >= n) {
+    if arcs.iter().any(|(u, v, _)| u >= n || v >= n) {
         Some("arc endpoints must be vertices")
-    } else if arcs.iter().any(|&(_, _, w)| w.unsigned_abs() > max_weight) {
+    } else if arcs.iter().any(|(_, _, w)| w.unsigned_abs() > max_weight) {
         Some("arc weights must satisfy |w|·(n − 1) < INFINITY")
     } else {
         None
     }
 }
 
-/// Builds the entry's Laplacian solver if absent; returns whether this
-/// call paid the build. An edge weight that is not finite, or weights
-/// whose volume `2·Σw` overflows (the sparsifier's conductance threshold
-/// is derived from it), is a `BadRequest` before anything is
-/// communicated: either makes the volume non-finite.
-fn ensure_solver<C: Communicator>(
-    entry: &mut GraphEntry,
-    clique: &mut C,
-    options: &SolverOptions,
-) -> Result<bool, ServiceErrorKind> {
-    if entry.solver.is_some() {
-        return Ok(false);
-    }
-    let GraphSpec::Undirected(g) = &entry.spec else {
-        unreachable!("callers checked the spec kind");
-    };
-    if !(2.0 * g.total_weight()).is_finite() {
-        return Err(ServiceErrorKind::BadRequest {
-            reason: "edge weights must be finite and have a finite volume 2·Σw",
-        });
-    }
-    let session = SolverSession::build(clique, g, options).map_err(ServiceErrorKind::Core)?;
-    entry.solver = Some(session);
-    Ok(true)
+/// The shortest-path arcs of a directed or arc spec.
+#[derive(Clone, Copy)]
+enum Arcs<'a> {
+    Directed(&'a DiGraph),
+    Bare(&'a [(usize, usize, i64)]),
 }
 
-/// The entry's shortest-path session, created on first use. Only then
-/// are the spec's arcs copied out and checked ([`arcs_problem`]), so a
-/// request on an existing session copies nothing.
-fn apsp_session(
-    entry: &mut GraphEntry,
-    model: RoundModel,
-) -> Result<&mut ApspSession, &'static str> {
-    if entry.apsp.is_none() {
-        let n = entry.spec.n();
-        let arcs = spec_arcs(&entry.spec);
-        if let Some(reason) = arcs_problem(&arcs, n) {
-            return Err(reason);
+impl<'a> Arcs<'a> {
+    /// The arcs as `(from, to, weight)`; a directed graph's weight is
+    /// its cost.
+    fn iter(self) -> Box<dyn Iterator<Item = (usize, usize, i64)> + 'a> {
+        match self {
+            Arcs::Directed(g) => Box::new(g.edges().iter().map(|e| (e.from, e.to, e.cost))),
+            Arcs::Bare(arcs) => Box::new(arcs.iter().copied()),
         }
-        entry.apsp = Some(ApspSession::new(n, arcs, model));
     }
-    Ok(entry.apsp.as_mut().expect("session just ensured"))
 }
 
-/// The shortest-path arc list of a directed or arc spec (directed graphs
-/// contribute `(from, to, cost)`).
-fn spec_arcs(spec: &GraphSpec) -> Vec<(usize, usize, i64)> {
+/// The shortest-path arcs of a spec (`None` for an undirected graph).
+fn spec_arcs(spec: &GraphSpec) -> Option<Arcs<'_>> {
     match spec {
-        GraphSpec::Undirected(_) => unreachable!("callers checked the spec kind"),
-        GraphSpec::Directed(g) => g.edges().iter().map(|e| (e.from, e.to, e.cost)).collect(),
-        GraphSpec::Arcs { arcs, .. } => arcs.clone(),
+        GraphSpec::Undirected(_) => None,
+        GraphSpec::Directed(g) => Some(Arcs::Directed(g)),
+        GraphSpec::Arcs { arcs, .. } => Some(Arcs::Bare(arcs)),
     }
+}
+
+/// Builds the Laplacian solver if absent; returns it and whether this
+/// call paid the build.
+fn ensure_solver<'s, C: Communicator>(
+    solver: &'s mut Option<SolverSession>,
+    clique: &mut C,
+    g: &Graph,
+    options: &SolverOptions,
+) -> Result<(&'s mut SolverSession, bool), CoreError> {
+    let built = solver.is_none();
+    if built {
+        *solver = Some(SolverSession::build(clique, g, options)?);
+    }
+    Ok((solver.as_mut().expect("solver just ensured"), built))
 }

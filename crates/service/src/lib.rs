@@ -11,7 +11,8 @@
 //!
 //! * the Laplacian solver (sparsifier + grounded Cholesky factorization)
 //!   is built on the first solve against a graph and reused by every
-//!   later solve and effective-resistance request;
+//!   later solve and effective-resistance request — a resistance is the
+//!   width-1 solve of the column `e_s − e_t`, answered by `x_s − x_t`;
 //! * max-flow / min-cost-flow requests share a generation-scoped
 //!   [`cc_sparsify::TemplateCache`], so repeated flow queries on one
 //!   support skip the `n^{o(1)}`-round expander decompositions
@@ -23,8 +24,15 @@
 //!   lone solve (which runs as a group of one), and total rounds equal
 //!   the sum of lone solves.
 //!
-//! Re-registering a name bumps the entry's **generation** and drops all
-//! cached artifacts, so no request is ever served from stale state.
+//! Every request passes **one admission step** against its registered
+//! graph, which turns it into a typed job over the typed graph or into a
+//! [`ServiceErrorKind::BadRequest`] before any communication: graph kind,
+//! vertex ranges, `eps`, right-hand sides, and the facts `register`
+//! derives once (components, a finite volume, the arcs' weight bound,
+//! the flow bound of [`GraphSpec::Directed`], and a graph no larger than
+//! the clique). Re-registering a name bumps the entry's **generation**
+//! and drops all cached artifacts, so no request is ever served from
+//! stale state.
 //! Every request is accounted individually ([`RequestStats`]: ledger
 //! rounds, cache hits, build attribution, batch width), and every
 //! failure is a typed [`ServiceError`] carrying the request ID and graph

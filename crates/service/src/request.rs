@@ -12,14 +12,22 @@ use cc_graph::{DiGraph, Graph};
 /// * [`GraphSpec::Arcs`] — SSSP / APSP only (weighted directed arcs
 ///   with no capacity semantics; negative weights allowed, but only
 ///   SSSP accepts them).
+///
+/// Any spec registers. A request against a graph with more vertices than
+/// the engine's clique has nodes is a `BadRequest`, whatever its kind.
 #[derive(Debug, Clone)]
 pub enum GraphSpec {
     /// A positively weighted undirected graph (Laplacian domain). A
     /// Laplacian request on a graph with an infinite edge weight is a
     /// `BadRequest`.
     Undirected(Graph),
-    /// A capacitated, costed directed graph (flow domain). As shortest-
-    /// path arcs, its costs obey the weight bound of [`GraphSpec::Arcs`].
+    /// A capacitated, costed directed graph (flow domain). A max-flow or
+    /// min-cost-flow request is a `BadRequest` unless every capacity and
+    /// `|cost|` is at most [`cc_graph::flow_util::flow_bound`]`(n, m)`,
+    /// the bound that keeps the integer flow arithmetic at the rounding
+    /// unit `Δ` inside `i64` (about `3.8·10^8` for `n = m = 3`, and
+    /// shrinking like `1/m`). As shortest-path arcs, its costs obey the
+    /// weight bound of [`GraphSpec::Arcs`] instead.
     Directed(DiGraph),
     /// Bare weighted arcs on vertices `0..n` (shortest-path domain).
     ///
@@ -90,7 +98,8 @@ pub enum Request {
     MinCostFlow {
         /// Registered directed graph.
         graph: String,
-        /// Demand per vertex (must sum to zero).
+        /// Demand per vertex (must sum to zero; each `|σ_v|` at most the
+        /// flow bound of [`GraphSpec::Directed`]).
         demands: Vec<i64>,
     },
     /// Single-source shortest paths (Bellman–Ford; negative arcs

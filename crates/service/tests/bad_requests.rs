@@ -7,7 +7,11 @@
 //! a weight whose paths reach `INFINITY` (reported reachable vertices as
 //! unreachable), and a Laplacian request on an infinite edge weight, or
 //! on finite weights whose volume `2·Σw` overflows (both panicked in the
-//! solver build).
+//! solver build). So are requests against a graph with more vertices than
+//! the clique has nodes (registration panicked), and flow requests on
+//! capacities or costs beyond `flow_bound` (integer overflow: a panic in
+//! debug builds, a panic or a wrong cost in release builds); demands
+//! whose sum overflows or that exceed the bound are `BadDemands`.
 
 use cc_graph::{generators, DiGraph, Graph};
 use cc_model::Clique;
@@ -301,4 +305,192 @@ fn extreme_weights_with_a_finite_volume_fail_typed() {
             "{w}: {solo:?}"
         );
     }
+}
+
+#[test]
+fn a_graph_larger_than_the_clique_is_a_bad_request_of_every_kind() {
+    // Registering used to panic; now each request against the graph is
+    // rejected before any communication.
+    let mut engine = FlowEngine::new(Clique::new(3));
+    engine.register("lap", GraphSpec::Undirected(generators::path(5)));
+    engine.register(
+        "net",
+        GraphSpec::Directed(DiGraph::from_capacities(5, &[(0, 1, 1), (1, 4, 1)])),
+    );
+    engine.register(
+        "arcs",
+        GraphSpec::Arcs {
+            n: 5,
+            arcs: vec![(0, 1, 1)],
+        },
+    );
+    let mut b = vec![0.0; 5];
+    b[0] = 1.0;
+    b[4] = -1.0;
+    let solve = Request::LaplacianSolve {
+        graph: "lap".into(),
+        b,
+        eps: 1e-8,
+    };
+    let requests = vec![
+        solve.clone(),
+        solve,
+        Request::EffectiveResistance {
+            graph: "lap".into(),
+            s: 0,
+            t: 4,
+            eps: 1e-8,
+        },
+        Request::MaxFlow {
+            graph: "net".into(),
+            s: 0,
+            t: 4,
+        },
+        Request::MinCostFlow {
+            graph: "net".into(),
+            demands: vec![1, 0, 0, 0, -1],
+        },
+        Request::Sssp {
+            graph: "net".into(),
+            source: 0,
+        },
+        Request::Apsp {
+            graph: "net".into(),
+        },
+        Request::Sssp {
+            graph: "arcs".into(),
+            source: 0,
+        },
+        Request::Apsp {
+            graph: "arcs".into(),
+        },
+    ];
+    let out = engine.submit_batch(requests.clone());
+    for (request, out) in requests.iter().zip(&out) {
+        assert!(is_bad_request(out, "more vertices"), "{request:?}: {out:?}");
+    }
+    assert_eq!(engine.ledger().total_rounds(), 0);
+}
+
+/// A 3-vertex flow network (0→1, 1→2, 0→2) with one arc's capacity or
+/// cost replaced.
+fn triangle(capacity: i64, cost: i64) -> DiGraph {
+    let mut g = DiGraph::new(3);
+    g.add_edge(0, 1, capacity, cost);
+    g.add_edge(1, 2, capacity, cost);
+    g.add_edge(0, 2, capacity, cost);
+    g
+}
+
+fn flow_requests(demands: Vec<i64>) -> [Request; 2] {
+    [
+        Request::MaxFlow {
+            graph: "net".into(),
+            s: 0,
+            t: 2,
+        },
+        Request::MinCostFlow {
+            graph: "net".into(),
+            demands,
+        },
+    ]
+}
+
+#[test]
+fn flow_inputs_beyond_the_flow_bound_are_typed_errors() {
+    // Each of these used to overflow: a capacity times the rounding scale
+    // in the snaps (2^61, 2^62, i64::MAX; the latter also in the sum of
+    // capacities), a cost in cycle cancelling (i64::MAX) or its negation
+    // (i64::MIN, which release builds answered with a wrong cost).
+    let mut engine = FlowEngine::new(Clique::new(5));
+    for (capacity, cost) in [
+        (1 << 61, 1),
+        (1 << 62, 1),
+        (i64::MAX, 1),
+        (2, i64::MAX),
+        (2, i64::MIN),
+    ] {
+        engine.register("net", GraphSpec::Directed(triangle(capacity, cost)));
+        let before = engine.ledger().total_rounds();
+        for request in flow_requests(vec![2, 0, -2]) {
+            let out = engine.submit(request.clone());
+            assert!(
+                is_bad_request(&out, "flow_bound"),
+                "{capacity} {cost} {request:?}: {out:?}"
+            );
+        }
+        assert_eq!(engine.ledger().total_rounds(), before);
+        // Shortest paths read only the costs, under the arcs bound.
+        let sssp = engine.submit(Request::Sssp {
+            graph: "net".into(),
+            source: 0,
+        });
+        if cost == 1 {
+            assert!(sssp.is_ok(), "{capacity}: {sssp:?}");
+        } else {
+            assert!(is_bad_request(&sssp, "INFINITY"), "{cost}: {sssp:?}");
+        }
+    }
+
+    // Demands whose sum overflows, or that exceed the bound, are the
+    // min-cost-flow pipeline's typed `BadDemands`.
+    engine.register("net", GraphSpec::Directed(triangle(2, 1)));
+    for demands in [vec![i64::MAX, i64::MAX, 2], vec![i64::MAX, 0, -i64::MAX]] {
+        let out = engine.submit(Request::MinCostFlow {
+            graph: "net".into(),
+            demands: demands.clone(),
+        });
+        assert!(
+            matches!(
+                &out,
+                Err(e) if matches!(e.kind, ServiceErrorKind::Mcf(cc_mcf::McfError::BadDemands { .. }))
+            ),
+            "{demands:?}: {out:?}"
+        );
+    }
+}
+
+#[test]
+fn the_largest_admitted_flow_values_match_the_oracles() {
+    let bound = cc_graph::flow_util::flow_bound(3, 3);
+    let mut engine = FlowEngine::new(Clique::new(5));
+    let g = triangle(bound, bound);
+    engine.register("net", GraphSpec::Directed(g.clone()));
+    let [max_flow, min_cost_flow] = flow_requests(vec![bound, 0, -bound]);
+    let Ok(out) = engine.submit(max_flow) else {
+        panic!("max flow at the bound failed")
+    };
+    let Response::MaxFlow { value, .. } = out.response else {
+        panic!("expected a max flow")
+    };
+    assert_eq!(value, cc_maxflow::dinic(&g, 0, 2).1);
+    assert_eq!(value, 2 * bound);
+    let Ok(out) = engine.submit(min_cost_flow) else {
+        panic!("min-cost flow at the bound failed")
+    };
+    let Response::MinCostFlow { flow, cost } = out.response else {
+        panic!("expected a min-cost flow")
+    };
+    let (_, want) = cc_mcf::ssp_min_cost_flow(&g, &[bound, 0, -bound]).unwrap();
+    assert_eq!(cost, want);
+    assert_eq!(g.flow_cost(&flow), cost);
+
+    // One past the bound, as a capacity, a cost or a demand.
+    for (capacity, cost) in [(bound + 1, bound), (bound, bound + 1), (bound, -bound - 1)] {
+        engine.register("net", GraphSpec::Directed(triangle(capacity, cost)));
+        for request in flow_requests(vec![1, 0, -1]) {
+            let out = engine.submit(request.clone());
+            assert!(is_bad_request(&out, "flow_bound"), "{request:?}: {out:?}");
+        }
+    }
+    engine.register("net", GraphSpec::Directed(g));
+    let [_, past] = flow_requests(vec![bound + 1, 0, -bound - 1]);
+    let out = engine.submit(past);
+    assert!(
+        matches!(
+            &out,
+            Err(e) if matches!(e.kind, ServiceErrorKind::Mcf(cc_mcf::McfError::BadDemands { .. }))
+        ),
+        "{out:?}"
+    );
 }

@@ -7,23 +7,33 @@
 //! solution bits, its execution slot after the groups of two or more,
 //! and the fields of its `BadRequest` and `RoundBudgetExceeded` errors on
 //! an honest `Clique`.
+//!
+//! An `EffectiveResistance` is the width-1 solve of `e_s − e_t`. Its pins
+//! were recorded while it still ran through a single-column solve of its
+//! own: `RequestStats`, the bits of `x_s − x_t` and `iterations`, its slot
+//! in a mixed batch, and its budget, fault and retry fields under a
+//! corrupting and a silent node.
 
 use cc_graph::generators;
-use cc_model::Clique;
+use cc_model::{Clique, Communicator, FaultComm, FaultPlan, FaultRule};
 use cc_service::{
-    EngineConfig, FlowEngine, GraphSpec, Request, RequestStats, Response, ServiceError,
-    ServiceErrorKind, ServiceOutcome,
+    EngineConfig, FlowEngine, GraphSpec, Request, RequestStats, Response, RetryPolicy,
+    ServiceError, ServiceErrorKind, ServiceOutcome,
 };
 
 const N: usize = 12;
 
 fn engine(config: EngineConfig) -> FlowEngine<Clique> {
     let mut engine = FlowEngine::with_config(Clique::new(N), config);
+    register(&mut engine);
+    engine
+}
+
+fn register<C: Communicator>(engine: &mut FlowEngine<C>) {
     engine.register(
         "g",
         GraphSpec::Undirected(generators::random_connected(N, 30, 4, 3)),
     );
-    engine
 }
 
 fn solve(s: usize, t: usize, eps: f64) -> Request {
@@ -147,4 +157,100 @@ fn engine_with_budget(budget: u64) -> FlowEngine<Clique> {
         round_budget: Some(budget),
         ..EngineConfig::default()
     })
+}
+
+fn resistance(s: usize, t: usize, eps: f64) -> Request {
+    Request::EffectiveResistance {
+        graph: "g".into(),
+        s,
+        t,
+        eps,
+    }
+}
+
+/// The resistance's bit pattern and the iteration count.
+fn resistance_bits(outcome: &ServiceOutcome) -> (u64, usize) {
+    let Response::Resistance { value, iterations } = &outcome.response else {
+        panic!("expected a resistance, got {:?}", outcome.response)
+    };
+    (value.to_bits(), *iterations)
+}
+
+#[test]
+fn lone_resistances_keep_their_stats_and_bits() {
+    let mut engine = engine(EngineConfig::default());
+    // A resistance costs what the solve of `e_s − e_t` costs: the build
+    // on the first request, then 15 one-round Chebyshev iterations.
+    let first = engine.submit(resistance(0, 11, 1e-8)).unwrap();
+    assert_eq!(first.stats, stats(0, 21, 4, true));
+    assert_eq!(resistance_bits(&first), (0x3fc1_3aae_1b99_7c19, 15));
+    let second = engine.submit(resistance(3, 7, 1e-8)).unwrap();
+    assert_eq!(second.stats, stats(1, 15, 0, false));
+    assert_eq!(resistance_bits(&second), (0x3fc1_4500_85be_aea5, 15));
+
+    // Between two solves of one group, a resistance still runs alone,
+    // at its slot after the group.
+    let out = engine.submit_batch(vec![
+        solve(0, 11, 1e-4),
+        resistance(5, 2, 1e-8),
+        solve(3, 7, 1e-4),
+    ]);
+    let out: Vec<ServiceOutcome> = out.into_iter().map(Result::unwrap).collect();
+    let group = |id| RequestStats {
+        batched_with: 2,
+        ..stats(id, 8, 0, false)
+    };
+    assert_eq!(out[0].stats, group(2));
+    assert_eq!(out[2].stats, group(4));
+    assert_eq!(out[1].stats, stats(3, 15, 0, false));
+    assert_eq!(resistance_bits(&out[1]), (0x3fb9_59f5_1d0c_04b4, 15));
+    assert_eq!(engine.ledger().total_rounds(), 67);
+}
+
+#[test]
+fn lone_resistance_errors_keep_their_fields() {
+    let error = |request_id, kind, faults_observed, attempts| ServiceError {
+        request_id,
+        graph: "g".into(),
+        kind,
+        faults_observed,
+        attempts,
+    };
+    let over = |rounds| ServiceErrorKind::RoundBudgetExceeded { rounds, budget: 5 };
+    let mut engine = engine_with_budget(5);
+    let first = engine.submit(resistance(0, 11, 1e-8)).unwrap_err();
+    assert_eq!(first, error(0, over(21), 0, 1));
+    let second = engine.submit(resistance(0, 11, 1e-8)).unwrap_err();
+    assert_eq!(second, error(1, over(15), 0, 1));
+
+    // A corrupting node under the same budget: one corrupted word per
+    // broadcast, 2 in the build and one per Chebyshev iteration.
+    let mut engine = FlowEngine::with_config(
+        FaultComm::new(
+            Clique::new(N),
+            FaultPlan::new(7).with(FaultRule::Corrupt(2)),
+        ),
+        EngineConfig {
+            round_budget: Some(5),
+            ..EngineConfig::default()
+        },
+    );
+    register(&mut engine);
+    let corrupted = engine.submit(resistance(0, 11, 1e-8)).unwrap_err();
+    assert_eq!(corrupted, error(0, over(21), 2 + 15, 1));
+
+    // A silent node under three attempts: one omission per attempt, and
+    // backoff 4 then 8 in the retry phase.
+    let mut engine = FlowEngine::with_config(
+        FaultComm::new(Clique::new(N), FaultPlan::new(3).with(FaultRule::Silent(1))),
+        EngineConfig {
+            retry: RetryPolicy::retries(3, 4),
+            ..EngineConfig::default()
+        },
+    );
+    register(&mut engine);
+    let silenced = engine.submit(resistance(0, 11, 1e-8)).unwrap_err();
+    assert!(silenced.comm_rooted(), "{silenced}");
+    assert_eq!((silenced.faults_observed, silenced.attempts), (3, 3));
+    assert_eq!(engine.ledger().phase("service_retry").implemented, 12);
 }
