@@ -9,8 +9,6 @@
 //!
 //! Every section is a list of [`Row`]s, or one row whose fields hold rows:
 //!
-//! - `records`: CSR mat-vec, dense mat-mul and Chebyshev, serial vs
-//!   parallel, each parallel result checked bitwise against serial;
 //! - `large`: batched multi-RHS kernels vs `k` single-RHS runs on wide
 //!   banded Laplacians up to `n = 2048`, checked column for column;
 //! - `ipm`: golden max-flow and min-cost-flow IPM runs;
@@ -39,8 +37,8 @@ use cc_conform::CellOutcome;
 use cc_core::{solve_laplacian, SolverOptions};
 use cc_graph::generators::{bipartite_assignment, expander, random_connected, random_flow_network};
 use cc_linalg::{
-    chebyshev_solve_fixed_into as cheby_fixed, laplacian_from_edges, par, vec_ops::remove_mean,
-    ChebyshevWorkspace, CsrMatrix, DenseMatrix, GroundedCholesky, SolveScratch,
+    chebyshev_solve_fixed_into as cheby_fixed, laplacian_from_edges, vec_ops::remove_mean,
+    ChebyshevWorkspace, CsrMatrix, GroundedCholesky, SolveScratch,
 };
 use cc_maxflow::{max_flow_ipm, IpmOptions};
 use cc_mcf::{min_cost_flow_ipm, McfOptions};
@@ -77,10 +75,6 @@ fn time_ns(reps: usize, mut f: impl FnMut()) -> u64 {
     samples[samples.len() / 2]
 }
 
-fn bits_equal(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 /// FNV-1a over the IEEE-754 bits of a float slice.
 fn hash_f64(xs: &[f64]) -> u64 {
     fnv1a_words(xs.iter().map(|x| x.to_bits()))
@@ -108,87 +102,6 @@ fn rhs(n: usize, salt: usize) -> Vec<f64> {
         .collect();
     remove_mean(&mut b);
     b
-}
-
-/// A `records` row: `run` timed on one thread and on the default pool,
-/// each into its own copy of `out`, and the two results compared bitwise.
-fn record<T: Clone>(
-    (bench, n, work, reps): (&str, usize, usize, usize),
-    out: T,
-    mut run: impl FnMut(&mut T),
-    bits: fn(&T) -> &[f64],
-) -> Row {
-    let (mut serial, mut parallel) = (out.clone(), out);
-    let serial_ns = par::with_threads(1, || time_ns(reps, || run(&mut serial)));
-    let parallel_ns = time_ns(reps, || run(&mut parallel));
-    let speedup = serial_ns as f64 / parallel_ns.max(1) as f64;
-    Row::default()
-        .key("bench", bench)
-        .key("n", n)
-        .det("work", work)
-        .host("serial_ns", serial_ns)
-        .host("parallel_ns", parallel_ns)
-        .host("speedup", Json::fixed(speedup, 3))
-        .det("bitwise_equal", bits_equal(bits(&serial), bits(&parallel)))
-}
-
-fn records() -> Vec<Row> {
-    // Path plus two skip-level bands: a handful of off-diagonals per row,
-    // like real graph Laplacians.
-    let laplacian = |n| {
-        let weight = |i: usize, d| match d {
-            1 => 1.0 + (i % 7) as f64,
-            16 => 0.5 + (i % 3) as f64,
-            _ => 0.25,
-        };
-        banded(n, &[1, 16, 64], weight).0
-    };
-    let mut rows = Vec::new();
-    for n in [1024, 4096, 16384, 65536] {
-        eprintln!("  csr_matvec n={n}…");
-        let (a, x) = (laplacian(n), rhs(n, 0));
-        let id = ("csr_matvec", n, a.nnz(), if n >= 16384 { 11 } else { 31 });
-        rows.push(record(
-            id,
-            vec![0.0; n],
-            |y| a.matvec_into(&x, y),
-            Vec::as_slice,
-        ));
-    }
-    for n in [96, 192, 384] {
-        eprintln!("  dense_matmul n={n}…");
-        let dense = |salt: usize| {
-            let data = (0..n * n).map(|k| ((k * 31 + salt * 17) % 23) as f64 - 11.0);
-            DenseMatrix::from_row_major(n, n, data.collect())
-        };
-        let (a, b) = (dense(1), dense(2));
-        let matmul = |c: &mut DenseMatrix| *c = a.matmul(&b).expect("conforming shapes");
-        let id = ("dense_matmul", n, n * n * n, 7);
-        rows.push(record(
-            id,
-            DenseMatrix::zeros(n, n),
-            matmul,
-            DenseMatrix::as_slice,
-        ));
-    }
-    eprintln!("  chebyshev n=16384…");
-    let (n, iters) = (16384, 40);
-    let (a, b, mut ws) = (laplacian(n), rhs(n, 0), ChebyshevWorkspace::new(n));
-    let solve = |x: &mut Vec<f64>| {
-        let matvec = |p: &[f64], ap: &mut [f64]| a.matvec_into(p, ap);
-        cheby_fixed(
-            matvec,
-            |r, z| z.copy_from_slice(r),
-            &b,
-            16.0,
-            iters,
-            x,
-            &mut ws,
-        );
-    };
-    let id = ("chebyshev_fixed", n, iters * a.nnz(), 7);
-    rows.push(record(id, vec![0.0; n], solve, Vec::as_slice));
-    rows
 }
 
 /// Width of the large tier's right-hand-side batches.
@@ -714,20 +627,16 @@ fn main() {
         return check(path, large_tier);
     }
     let out_path = arg(0).unwrap_or("BENCH_baseline.json");
-    let threads = par::max_threads();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("bench_snapshot: {threads} thread(s) available");
-    let records = Json::from(records());
     let (large, large_det) =
         large_sections(&[256, 512, 1024, 2048], |n| if n >= 2048 { 3 } else { 5 });
     let equal = |row: &Json| row.get("bitwise_equal") == Some(&Json::Bool(true));
-    let all_equal = [&records, &large]
-        .into_iter()
-        .all(|s| matches!(s, Json::Arr(rows) if rows.iter().all(equal)));
+    let all_equal = matches!(&large, Json::Arr(rows) if rows.iter().all(equal));
     let doc = Row::default()
         .det("schema", "cc-bench/snapshot-v7")
         .host("threads", threads)
         .det("all_bitwise_equal", all_equal)
-        .det("records", records)
         .det("large", large);
     let doc = CHECKED.iter().fold(doc, |doc, &(name, section)| {
         eprintln!("  {name}…");
@@ -738,6 +647,6 @@ fn main() {
     eprintln!("wrote {out_path}");
     assert!(
         all_equal,
-        "parallel and batched results must equal their serial twins bitwise"
+        "batched results must equal their single-column twins bitwise"
     );
 }

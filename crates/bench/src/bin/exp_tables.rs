@@ -10,7 +10,7 @@
 //! with the block under the same `## ` title in `<path>`; it exits
 //! non-zero at the first differing row. The tables hold only
 //! deterministic quantities (rounds, iteration counts, certified factors,
-//! verdicts), so the check holds at any thread count.
+//! verdicts), so the check holds on any host.
 
 use cc_bench::{check_doc, EXPERIMENTS};
 

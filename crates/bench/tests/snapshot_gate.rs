@@ -42,7 +42,7 @@ fn committed_baseline_round_trips() {
     assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
     assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
     assert!(drift(&doc, &doc).is_empty());
-    for section in ["records", "large", "ipm", "congestion", "service"] {
+    for section in ["large", "ipm", "congestion", "service"] {
         assert!(doc.get(section).is_some(), "{section}");
     }
     for section in ["threaded", "adversary", "broadcast", "large_determinism"] {

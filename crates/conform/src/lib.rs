@@ -34,11 +34,11 @@
 //!   [`run_service_soak`] replays a randomized typed request stream
 //!   against the whole corpus registered in one long-lived
 //!   `FlowEngine`, spot-checking sampled responses against the same
-//!   oracles and fingerprinting every response for cross-run and
-//!   cross-thread-count bitwise comparison.
+//!   oracles and fingerprinting every response for cross-run bitwise
+//!   comparison.
 //!
 //! The harness is itself deterministic: same corpus, same probes, same
-//! fault streams on every run and every thread count.
+//! fault streams on every run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,8 +7,8 @@
 //! exercised — and spot-checks a sampled fraction of the responses
 //! against the sequential [`crate::oracle`]s. The driver is fully
 //! deterministic: same [`SoakConfig`], same [`SoakReport`] (including
-//! the response fingerprint) on every run and every thread count, which
-//! is exactly what the CI soak job and the bench snapshot pin.
+//! the response fingerprint) on every run, which is exactly what the CI
+//! soak job and the bench snapshot pin.
 
 use std::collections::BTreeMap;
 
@@ -71,8 +71,8 @@ pub struct SoakReport {
     /// Rounds charged under the theorem-shape accounting.
     pub charged_rounds: u64,
     /// FNV-1a fingerprint of every response payload, in submission
-    /// order. Bitwise determinism across runs and thread counts is
-    /// asserted by comparing fingerprints.
+    /// order. Bitwise determinism across runs is asserted by comparing
+    /// fingerprints.
     pub fingerprint: u64,
     /// Requests per kind, in the order: Laplacian solve, effective
     /// resistance, max flow, min-cost flow, SSSP, APSP.

@@ -6,7 +6,6 @@
 //! tunes the sampled-oracle density.
 
 use cc_conform::{run_service_soak, run_service_soak_on, SoakConfig};
-use cc_linalg::par::with_threads;
 use cc_model::{BroadcastComm, Clique, ThreadedComm};
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -48,25 +47,6 @@ fn seeded_soak_has_zero_oracle_mismatches() {
         report.template_cache_hits > 0,
         "the stream must observe cross-request cache reuse"
     );
-}
-
-#[test]
-fn soak_stream_is_bitwise_identical_across_thread_counts() {
-    // Skip the oracle inside the threaded replays: conformance is the
-    // other test's job, identity of the response fingerprints is this
-    // one's.
-    let config = SoakConfig {
-        oracle_every: 0,
-        ..soak_config()
-    };
-    let base = with_threads(1, || run_service_soak(&config));
-    for threads in [2, 8] {
-        let got = with_threads(threads, || run_service_soak(&config));
-        assert_eq!(
-            base, got,
-            "soak report diverged at {threads} worker threads"
-        );
-    }
 }
 
 #[test]

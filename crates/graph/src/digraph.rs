@@ -119,9 +119,14 @@ impl DiGraph {
         self.edges.iter().map(|e| e.capacity).max().unwrap_or(0)
     }
 
-    /// Largest absolute cost `W` (`0` for the empty graph).
+    /// Largest absolute cost `W` (`0` for the empty graph), saturating at
+    /// `i64::MAX` for a cost of `i64::MIN`.
     pub fn max_abs_cost(&self) -> i64 {
-        self.edges.iter().map(|e| e.cost.abs()).max().unwrap_or(0)
+        self.edges
+            .iter()
+            .map(|e| e.cost.saturating_abs())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Checks a flow vector for capacity feasibility and conservation with

@@ -18,11 +18,6 @@ enum Reuse {
     CacheHit,
 }
 
-/// Fixed chunk size of the engine's per-edge fan-outs. Decomposition
-/// depends only on the edge count, never the thread count, so results
-/// are bitwise identical at any parallelism level.
-pub const EDGE_CHUNK: usize = 2048;
-
 /// Solver-facing options of a [`BarrierEngine`] (the problem adapters
 /// carry the step rule and budgets themselves).
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +58,7 @@ impl Default for EngineOptions {
 /// the engine. The engine keeps one [`ElectricalNetwork`]: the first
 /// build sizes it, and every later build on the template path reweights
 /// it in place ([`ElectricalNetwork::reweight`]). In steady state (after
-/// the first iterations have sized every buffer) the resistance fan-out,
+/// the first iterations have sized every buffer) the resistance refill,
 /// [`BarrierEngine::build_network`], [`BarrierEngine::flow_into`] and
 /// [`BarrierEngine::norm_roundtrip`] perform no heap allocation.
 #[derive(Debug, Clone)]
@@ -136,30 +131,20 @@ impl<C: Communicator> BarrierEngine<C> {
     /// Recomputes the engine's resistance buffer from the adapter's
     /// barrier gradient and returns the minimum barrier gap.
     ///
-    /// `fill(base, slots)` writes `(u, v, r)` for edges
-    /// `base..base + slots.len()`; chunks are [`EDGE_CHUNK`]-sized and
-    /// fanned out across cores (results are bitwise independent of the
-    /// thread count because every slot is a pure function of its index).
-    /// `gap(i)` returns edge `i`'s unclamped barrier gap; the fold uses
-    /// the exact `min` in index order, matching a serial loop bitwise.
+    /// `edge(i)` returns `(u, v, r)` for edge `i`, and `gap(i)` its
+    /// unclamped barrier gap; both run over `0..m` in index order.
     ///
     /// The buffer is reused across calls — steady state allocates
     /// nothing.
-    pub fn resistances_into<F, G>(&mut self, m: usize, fill: F, gap: G) -> f64
-    where
-        F: Fn(usize, &mut [(usize, usize, f64)]) + Sync,
-        G: Fn(usize) -> f64,
-    {
+    pub fn resistances_into(
+        &mut self,
+        m: usize,
+        edge: impl FnMut(usize) -> (usize, usize, f64),
+        gap: impl FnMut(usize) -> f64,
+    ) -> f64 {
         self.resist.clear();
-        self.resist.resize(m, (0, 0, 0.0));
-        cc_linalg::par::par_chunks_mut(&mut self.resist, EDGE_CHUNK, |ci, slots| {
-            fill(ci * EDGE_CHUNK, slots);
-        });
-        let mut min_gap = f64::INFINITY;
-        for i in 0..m {
-            min_gap = min_gap.min(gap(i));
-        }
-        min_gap
+        self.resist.extend((0..m).map(edge));
+        (0..m).map(gap).fold(f64::INFINITY, f64::min)
     }
 
     /// The resistance buffer the last [`BarrierEngine::resistances_into`]
@@ -359,18 +344,15 @@ mod tests {
     use cc_model::Clique;
 
     /// A small connected resistor network on 6 vertices.
-    fn ring_fill(base: usize, slots: &mut [(usize, usize, f64)]) {
-        for (j, slot) in slots.iter_mut().enumerate() {
-            let i = base + j;
-            *slot = (i % 6, (i + 1) % 6, 1.0 + i as f64);
-        }
+    fn ring_edge(i: usize) -> (usize, usize, f64) {
+        (i % 6, (i + 1) % 6, 1.0 + i as f64)
     }
 
     #[test]
     fn template_captured_once_then_reused() {
         let mut clique = Clique::new(6);
         let mut engine: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
-        engine.resistances_into(6, ring_fill, |_| f64::INFINITY);
+        engine.resistances_into(6, ring_edge, |_| f64::INFINITY);
         assert!(engine.template.is_none());
         engine.build_network(&mut clique, "test").unwrap();
         assert!(engine.template.is_some());
@@ -405,12 +387,9 @@ mod tests {
         for step in 0..6usize {
             engine.resistances_into(
                 m,
-                |base, slots| {
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        let i = base + j;
-                        let r = 1.0 + ((i * 7 + step * 3) % 11) as f64 * 0.37;
-                        *slot = (support[i].0, support[i].1, r);
-                    }
+                |i| {
+                    let r = 1.0 + ((i * 7 + step * 3) % 11) as f64 * 0.37;
+                    (support[i].0, support[i].1, r)
                 },
                 |_| f64::INFINITY,
             );
@@ -479,7 +458,7 @@ mod tests {
         let mut clique = Clique::new(6);
         let mut first: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
         first.set_template_cache(cache.clone());
-        first.resistances_into(6, ring_fill, |_| f64::INFINITY);
+        first.resistances_into(6, ring_edge, |_| f64::INFINITY);
         first.build_network(&mut clique, "test").unwrap();
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.misses(), 1);
@@ -495,11 +474,9 @@ mod tests {
         second.set_template_cache(cache.clone());
         second.resistances_into(
             6,
-            |base, slots| {
-                ring_fill(base, slots);
-                for slot in slots.iter_mut() {
-                    slot.2 *= 3.0;
-                }
+            |i| {
+                let (u, v, r) = ring_edge(i);
+                (u, v, 3.0 * r)
             },
             |_| f64::INFINITY,
         );
@@ -530,7 +507,7 @@ mod tests {
                 ..EngineOptions::default()
             },
         );
-        engine.resistances_into(6, ring_fill, |_| f64::INFINITY);
+        engine.resistances_into(6, ring_edge, |_| f64::INFINITY);
         engine.build_network(&mut clique, "test").unwrap();
         engine.build_network(&mut clique, "test").unwrap();
         assert!(engine.template.is_none());
@@ -543,11 +520,9 @@ mod tests {
         let mut engine: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
         engine.resistances_into(
             6,
-            |base, slots| {
-                ring_fill(base, slots);
-                if base == 0 {
-                    slots[2].2 = f64::NAN;
-                }
+            |i| {
+                let (u, v, r) = ring_edge(i);
+                (u, v, if i == 2 { f64::NAN } else { r })
             },
             |_| f64::INFINITY,
         );
@@ -559,11 +534,9 @@ mod tests {
         assert!(engine.network().is_none());
         engine.resistances_into(
             6,
-            |base, slots| {
-                ring_fill(base, slots);
-                if base == 0 {
-                    slots[4].0 = 99;
-                }
+            |i| {
+                let (u, v, r) = ring_edge(i);
+                (if i == 4 { 99 } else { u }, v, r)
             },
             |_| f64::INFINITY,
         );
@@ -581,16 +554,7 @@ mod tests {
     fn min_gap_fold_matches_serial_min() {
         let mut engine: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
         let gaps: Vec<f64> = (0..5000).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
-        let got = engine.resistances_into(
-            gaps.len(),
-            |base, slots| {
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    let i = base + j;
-                    *slot = (i % 6, (i + 1) % 6, 1.0);
-                }
-            },
-            |i| gaps[i],
-        );
+        let got = engine.resistances_into(gaps.len(), |i| (i % 6, (i + 1) % 6, 1.0), |i| gaps[i]);
         let want = gaps.iter().fold(f64::INFINITY, |m, &g| m.min(g));
         assert_eq!(got.to_bits(), want.to_bits());
     }
@@ -599,7 +563,7 @@ mod tests {
     fn flow_into_accounts_rounds_and_iterations() {
         let mut clique = Clique::new(6);
         let mut engine: BarrierEngine<Clique> = BarrierEngine::new(6, EngineOptions::default());
-        engine.resistances_into(6, ring_fill, |_| f64::INFINITY);
+        engine.resistances_into(6, ring_edge, |_| f64::INFINITY);
         engine.build_network(&mut clique, "build").unwrap();
         let mut chi = vec![0.0; 6];
         chi[0] = 1.0;

@@ -19,7 +19,7 @@
 //! * **An allocation-free steady state** — the engine owns one
 //!   [`cc_core::SolveWorkspace`] plus reusable resistance/broadcast
 //!   buffers and its network's refill buffers, so the steady-state
-//!   iteration (resistance fan-out, [`BarrierEngine::build_network`],
+//!   iteration (resistance refill, [`BarrierEngine::build_network`],
 //!   [`BarrierEngine::flow_into`], norm round-trip) performs zero heap
 //!   allocations (`tests/alloc_free.rs`).
 //! * **Per-stage statistics** — every build and solve is accounted in an
@@ -41,7 +41,7 @@ mod error;
 mod select;
 mod stats;
 
-pub use engine::{BarrierEngine, EngineOptions, EDGE_CHUNK};
+pub use engine::{BarrierEngine, EngineOptions};
 pub use error::IpmError;
 pub use select::top_k_into;
 pub use stats::{EngineStats, StageStats};

@@ -14,9 +14,7 @@
 //! [`BarrierEngine::record_residual`] — and asserts the allocation
 //! counter did not move.
 //!
-//! Threads are pinned to 1: the fixed-chunk fan-out machinery itself
-//! allocates when it spawns (and results are bitwise identical either
-//! way, so the serial path is the right one to audit). A single
+//! The kernels are serial, so this pins their only path. A single
 //! `#[test]` keeps the counter free of harness noise from concurrent
 //! tests.
 
@@ -25,7 +23,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cc_core::ElectricalFlow;
 use cc_ipm::{BarrierEngine, EngineOptions};
-use cc_linalg::par;
 use cc_model::{Clique, Communicator};
 
 struct CountingAlloc;
@@ -71,71 +68,66 @@ fn armed<R>(f: impl FnOnce() -> R) -> (R, u64) {
 const N: usize = 16;
 const M: usize = N + N / 2;
 
-fn fill(scale: f64) -> impl Fn(usize, &mut [(usize, usize, f64)]) + Sync {
-    move |base, slots| {
-        for (j, slot) in slots.iter_mut().enumerate() {
-            let i = base + j;
-            let (a, b) = if i < N {
-                (i, (i + 1) % N)
-            } else {
-                (i - N, i - N + N / 2)
-            };
-            *slot = (a, b, scale * (1.0 + ((i * 13) % 7) as f64));
-        }
+fn fill(scale: f64) -> impl Fn(usize) -> (usize, usize, f64) {
+    move |i| {
+        let (a, b) = if i < N {
+            (i, (i + 1) % N)
+        } else {
+            (i - N, i - N + N / 2)
+        };
+        (a, b, scale * (1.0 + ((i * 13) % 7) as f64))
     }
 }
 
 #[test]
 fn steady_state_iteration_performs_zero_heap_allocations() {
-    par::with_threads(1, || {
-        let mut clique = Clique::new(N);
-        let mut engine: BarrierEngine<Clique> = BarrierEngine::new(N, EngineOptions::default());
+    let mut clique = Clique::new(N);
+    let mut engine: BarrierEngine<Clique> = BarrierEngine::new(N, EngineOptions::default());
 
-        let mut chi = vec![0.0; N];
-        chi[0] = 1.0;
-        chi[N - 1] = -1.0;
-        let mut out = ElectricalFlow::default();
+    let mut chi = vec![0.0; N];
+    chi[0] = 1.0;
+    chi[N - 1] = -1.0;
+    let mut out = ElectricalFlow::default();
 
-        // Warm-up: capture the sparsifier template and size the network,
-        // then reweight it once; size the resistance buffer, the solve
-        // workspace and the stats stages.
-        for scale in [1.0, 1.25] {
-            engine.resistances_into(M, fill(scale), |i| 1.0 + i as f64);
-            engine.build_network(&mut clique, "steady").unwrap();
-            engine
-                .flow_into(&mut clique, "steady", &chi, &mut out)
-                .unwrap();
-            engine.norm_roundtrip(&mut clique).unwrap();
-            engine.record_residual("steady", 0.5);
-        }
+    // Warm-up: capture the sparsifier template and size the network,
+    // then reweight it once; size the resistance buffer, the solve
+    // workspace and the stats stages.
+    for scale in [1.0, 1.25] {
+        engine.resistances_into(M, fill(scale), |i| 1.0 + i as f64);
+        engine.build_network(&mut clique, "steady").unwrap();
+        engine
+            .flow_into(&mut clique, "steady", &chi, &mut out)
+            .unwrap();
+        engine.norm_roundtrip(&mut clique).unwrap();
+        engine.record_residual("steady", 0.5);
+    }
 
-        let (min_gap, count) = armed(|| engine.resistances_into(M, fill(1.5), |i| 1.0 + i as f64));
-        assert_eq!(min_gap, 1.0);
-        assert_eq!(count, 0, "resistances_into allocated in steady state");
+    let (min_gap, count) = armed(|| engine.resistances_into(M, fill(1.5), |i| 1.0 + i as f64));
+    assert_eq!(min_gap, 1.0);
+    assert_eq!(count, 0, "resistances_into allocated in steady state");
 
-        let (built, count) = armed(|| engine.build_network(&mut clique, "steady"));
-        built.unwrap();
-        assert_eq!(count, 0, "build_network allocated in steady state");
+    let (built, count) = armed(|| engine.build_network(&mut clique, "steady"));
+    built.unwrap();
+    assert_eq!(count, 0, "build_network allocated in steady state");
 
-        let ((), count) = armed(|| {
-            engine
-                .flow_into(&mut clique, "steady", &chi, &mut out)
-                .unwrap();
-        });
-        assert!(out.flows.iter().all(|f| f.is_finite()));
-        assert_eq!(count, 0, "flow_into allocated in steady state");
-
-        let (r, count) = armed(|| engine.norm_roundtrip(&mut clique));
-        r.unwrap();
-        assert_eq!(count, 0, "norm_roundtrip allocated in steady state");
-
-        let ((), count) = armed(|| engine.record_residual("steady", 0.25));
-        assert_eq!(count, 0, "record_residual allocated in steady state");
-
-        // Sanity: the armed calls were accounted like any others.
-        let stage = engine.stats().stage("steady");
-        assert_eq!(stage.solves, 3);
-        assert_eq!((stage.builds, stage.template_reuses), (1, 2));
-        assert!(clique.ledger().total_rounds() > 0);
+    let ((), count) = armed(|| {
+        engine
+            .flow_into(&mut clique, "steady", &chi, &mut out)
+            .unwrap();
     });
+    assert!(out.flows.iter().all(|f| f.is_finite()));
+    assert_eq!(count, 0, "flow_into allocated in steady state");
+
+    let (r, count) = armed(|| engine.norm_roundtrip(&mut clique));
+    r.unwrap();
+    assert_eq!(count, 0, "norm_roundtrip allocated in steady state");
+
+    let ((), count) = armed(|| engine.record_residual("steady", 0.25));
+    assert_eq!(count, 0, "record_residual allocated in steady state");
+
+    // Sanity: the armed calls were accounted like any others.
+    let stage = engine.stats().stage("steady");
+    assert_eq!(stage.solves, 3);
+    assert_eq!((stage.builds, stage.template_reuses), (1, 2));
+    assert!(clique.ledger().total_rounds() > 0);
 }

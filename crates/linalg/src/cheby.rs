@@ -89,7 +89,7 @@ pub fn chebyshev_iteration_bound(kappa: f64, eps: f64) -> usize {
 /// update is elementwise, so column `j` of the batch performs exactly the
 /// floating-point operations of a single solve of column `j`: given
 /// operators with the same per-column property, the results are bitwise
-/// identical per column, at any thread count.
+/// identical per column.
 ///
 /// Returns the iteration count (`iterations`).
 ///
@@ -321,46 +321,6 @@ mod tests {
         );
         for (a, b) in x.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn identical_across_thread_counts() {
-        // Large enough that matvec_into actually fans out (nnz ≥ PAR_MIN_NNZ,
-        // rows > MATVEC_ROW_CHUNK): bitwise equality across 1, 2, 8 threads.
-        let n = 9000;
-        let edges: Vec<(usize, usize, f64)> = (0..n - 1)
-            .map(|i| (i, i + 1, 1.0 + (i % 7) as f64 * 0.25))
-            .collect();
-        let lap = laplacian_from_edges(n, &edges);
-        assert!(lap.nnz() >= crate::csr::PAR_MIN_NNZ);
-        let mut b: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
-        remove_mean(&mut b);
-        let run = |threads: usize| {
-            crate::par::with_threads(threads, || {
-                let mut x = vec![0.0; n];
-                let mut ws = ChebyshevWorkspace::new(n);
-                chebyshev_solve_fixed_into(
-                    |p, ap| lap.matvec_into(p, ap),
-                    |r, z| z.copy_from_slice(r),
-                    &b,
-                    16.0,
-                    40,
-                    &mut x,
-                    &mut ws,
-                );
-                x
-            })
-        };
-        let base = run(1);
-        for threads in [2, 8] {
-            let got = run(threads);
-            assert!(
-                base.iter()
-                    .zip(&got)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "chebyshev not bitwise identical with {threads} threads"
-            );
         }
     }
 

@@ -1,14 +1,5 @@
 use crate::DenseMatrix;
 
-/// Rows per parallel chunk in [`CsrMatrix::matvec_multi_into`]. Fixed (never
-/// derived from the thread count) so the work decomposition — and hence
-/// the floating-point result — is independent of parallelism.
-pub const MATVEC_ROW_CHUNK: usize = 512;
-
-/// Minimum entry-lane products (`nnz·k`) before
-/// [`CsrMatrix::matvec_multi_into`] fans out.
-pub const PAR_MIN_NNZ: usize = 16_384;
-
 /// The widest register tile of the lane-tiled kernels
 /// ([`CsrMatrix::matvec_multi_into`],
 /// [`crate::GroundedCholesky::solve_multi_into`]). Every lane performs
@@ -48,16 +39,14 @@ pub(crate) fn for_each_tile(k: usize, kernel: &mut impl LaneTile) {
     }
 }
 
-/// [`CsrMatrix::matvec_multi_into`] of `(matrix, xs, first_row, out)`:
-/// the rows `first_row..` that `out` holds.
-struct MatvecTile<'a>(&'a CsrMatrix, &'a [f64], usize, &'a mut [f64]);
+/// [`CsrMatrix::matvec_multi_into`] of `(matrix, xs, out)`.
+struct MatvecTile<'a>(&'a CsrMatrix, &'a [f64], &'a mut [f64]);
 
 impl LaneTile for MatvecTile<'_> {
     #[inline(always)]
     fn tile<const L: usize>(&mut self, k: usize, j: usize) {
-        let MatvecTile(m, xs, first_row, out) = self;
-        let ptr = &m.indptr[*first_row..];
-        for (orow, span) in out.chunks_exact_mut(k).zip(ptr.windows(2)) {
+        let MatvecTile(m, xs, out) = self;
+        for (orow, span) in out.chunks_exact_mut(k).zip(m.indptr.windows(2)) {
             let (cols, vals) = (&m.indices[span[0]..span[1]], &m.values[span[0]..span[1]]);
             let mut acc = [0.0f64; L];
             for (&c, &v) in cols.iter().zip(vals) {
@@ -258,10 +247,7 @@ impl CsrMatrix {
     /// `RHS_LANES` lanes and one tile for the remainder, and a tile reads
     /// each stored entry once for its lanes. Each `(row, rhs)` pair
     /// accumulates in index order from `0.0`, so column `j` is bitwise
-    /// identical to [`CsrMatrix::matvec_into`] on column `j`. Rows fan out
-    /// in fixed chunks of [`MATVEC_ROW_CHUNK`] once `nnz·k ≥`
-    /// [`PAR_MIN_NNZ`]; the chunking never depends on the thread count, so
-    /// neither does the result.
+    /// identical to [`CsrMatrix::matvec_into`] on column `j`.
     ///
     /// # Panics
     ///
@@ -270,15 +256,7 @@ impl CsrMatrix {
         assert!(k > 0, "batch width must be positive");
         assert_eq!(xs.len(), self.cols * k, "matvec dimension mismatch");
         assert_eq!(out.len(), self.rows * k, "matvec output length mismatch");
-        let rows_into = |first_row: usize, out: &mut [f64]| {
-            for_each_tile(k, &mut MatvecTile(self, xs, first_row, out));
-        };
-        if self.nnz() * k < PAR_MIN_NNZ {
-            return rows_into(0, out);
-        }
-        crate::par::par_chunks_mut(out, MATVEC_ROW_CHUNK * k, |chunk_idx, sl| {
-            rows_into(chunk_idx * MATVEC_ROW_CHUNK, sl);
-        });
+        for_each_tile(k, &mut MatvecTile(self, xs, out));
     }
 
     /// Quadratic form `xᵀ A x` (requires a square matrix).
@@ -467,40 +445,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
-        #[test]
-        fn matvec_into_parallel_is_bitwise_equal_to_serial(
-            weights in proptest::collection::vec(0.1f64..10.0, 32),
-            xs in proptest::collection::vec(-100f64..100.0, 32),
-        ) {
-            // A matrix big enough to clear PAR_MIN_NNZ and span many
-            // row chunks; entries and x cycle through the sampled values.
-            let n = 9000;
-            let triplets: Vec<(usize, usize, f64)> = (0..n - 1)
-                .flat_map(|i| {
-                    let w = weights[i % weights.len()];
-                    [(i, i + 1, -w), (i + 1, i, -w), (i, i, w), (i + 1, i + 1, w)]
-                })
-                .collect();
-            let m = CsrMatrix::from_triplets(n, n, &triplets);
-            prop_assert!(m.nnz() >= PAR_MIN_NNZ);
-            let x: Vec<f64> = (0..n).map(|i| xs[i % xs.len()]).collect();
-            let serial = crate::par::with_threads(1, || {
-                let mut y = vec![0.0; n];
-                m.matvec_into(&x, &mut y);
-                y
-            });
-            for threads in [2, 8] {
-                let par = crate::par::with_threads(threads, || {
-                    let mut y = vec![0.0; n];
-                    m.matvec_into(&x, &mut y);
-                    y
-                });
-                for (a, b) in serial.iter().zip(&par) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        }
-
         #[test]
         fn from_triplets_matches_per_row_staging_build(
             triplets in proptest::collection::vec((0usize..6, 0usize..6, -10f64..10.0), 0..40)

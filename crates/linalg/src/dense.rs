@@ -3,27 +3,6 @@ use std::fmt;
 use crate::vec_ops;
 use crate::LinalgError;
 
-/// Output rows per parallel chunk in [`DenseMatrix::matmul`] and
-/// [`DenseMatrix::matvec_into`]. Fixed (never derived from the thread
-/// count) so the decomposition is independent of parallelism.
-pub const MATMUL_ROW_BLOCK: usize = 32;
-
-/// Minimum scalar multiply-adds before dense kernels fan out.
-pub const PAR_MIN_WORK: usize = 262_144;
-
-/// Columns of `B` per cache block in [`DenseMatrix::matmul`]: the output
-/// row segment and the matching `B` panel stay resident while a row
-/// block's contributions accumulate. Fixed — never derived from the
-/// thread count or matrix shape — so blocking is a pure loop reorder of
-/// identical per-element operations.
-pub const MATMUL_J_BLOCK: usize = 64;
-
-/// Rows of `B` (columns of `A`) per cache panel in
-/// [`DenseMatrix::matmul`]. A `MATMUL_K_PANEL × MATMUL_J_BLOCK` panel of
-/// `B` is 32 KiB — it stays in L1/L2 while all rows of an output block
-/// consume it.
-pub const MATMUL_K_PANEL: usize = 64;
-
 /// A dense row-major matrix of `f64`.
 ///
 /// Small and deliberately simple: this backs the *internal* (per-node, free)
@@ -161,9 +140,7 @@ impl DenseMatrix {
         y
     }
 
-    /// Matrix-vector product `out ← A·x` into a caller-provided buffer,
-    /// row-partitioned across threads (each entry is one independent dot
-    /// product, so the result is bitwise identical to the serial loop).
+    /// Matrix-vector product `out ← A·x` into a caller-provided buffer.
     ///
     /// # Panics
     ///
@@ -171,29 +148,14 @@ impl DenseMatrix {
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         assert_eq!(out.len(), self.rows, "matvec output length mismatch");
-        if self.rows * self.cols < PAR_MIN_WORK {
-            for (r, yi) in out.iter_mut().enumerate() {
-                *yi = vec_ops::dot(self.row(r), x);
-            }
-            return;
+        for (r, yi) in out.iter_mut().enumerate() {
+            *yi = vec_ops::dot(self.row(r), x);
         }
-        crate::par::par_chunks_mut(out, MATMUL_ROW_BLOCK, |chunk_idx, sl| {
-            let base = chunk_idx * MATMUL_ROW_BLOCK;
-            for (k, yi) in sl.iter_mut().enumerate() {
-                *yi = vec_ops::dot(self.row(base + k), x);
-            }
-        });
     }
 
-    /// Matrix product `A·B`, blocked two ways: threads own disjoint
-    /// output row blocks of fixed size ([`MATMUL_ROW_BLOCK`]), and within
-    /// a row block the `k`/`j` loops are tiled into
-    /// [`MATMUL_K_PANEL`]`×`[`MATMUL_J_BLOCK`] cache panels of `B` that
-    /// are reused across all rows of the block. Blocking only reorders
-    /// *independent* output elements; each element still accumulates its
-    /// `k` terms in ascending order (panels ascend, `k` ascends within a
-    /// panel), so the result is bitwise identical to the serial `i,k,j`
-    /// triple loop — for any thread count and any block size.
+    /// Matrix product `A·B`: the `i,k,j` triple loop, skipping
+    /// `a[i][k] == 0`, so each output element accumulates its `k` terms in
+    /// ascending order.
     ///
     /// # Errors
     ///
@@ -207,38 +169,18 @@ impl DenseMatrix {
             });
         }
         let mut out = DenseMatrix::zeros(self.rows, b.cols);
-        if b.cols == 0 || self.rows == 0 {
+        if b.cols == 0 {
             return Ok(out);
         }
-        let bc = b.cols;
-        let row_block = |row0: usize, rows: &mut [f64]| {
-            for jb in (0..bc).step_by(MATMUL_J_BLOCK) {
-                let jhi = (jb + MATMUL_J_BLOCK).min(bc);
-                for kb in (0..self.cols).step_by(MATMUL_K_PANEL) {
-                    let khi = (kb + MATMUL_K_PANEL).min(self.cols);
-                    for (local, orow) in rows.chunks_mut(bc).enumerate() {
-                        let i = row0 + local;
-                        let oseg = &mut orow[jb..jhi];
-                        for k in kb..khi {
-                            let aik = self.data[i * self.cols + k];
-                            if aik == 0.0 {
-                                continue;
-                            }
-                            for (oj, bj) in oseg.iter_mut().zip(&b.data[k * bc + jb..k * bc + jhi])
-                            {
-                                *oj += aik * bj;
-                            }
-                        }
-                    }
+        for (i, orow) in out.data.chunks_exact_mut(b.cols).enumerate() {
+            for (k, &aik) in self.row(i).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (oj, bj) in orow.iter_mut().zip(b.row(k)) {
+                    *oj += aik * bj;
                 }
             }
-        };
-        if self.rows * self.cols * bc < PAR_MIN_WORK {
-            row_block(0, &mut out.data);
-        } else {
-            crate::par::par_chunks_mut(&mut out.data, MATMUL_ROW_BLOCK * bc, |chunk_idx, sl| {
-                row_block(chunk_idx * MATMUL_ROW_BLOCK, sl);
-            });
         }
         Ok(out)
     }

@@ -42,7 +42,6 @@ mod eigen;
 mod error;
 mod factor;
 mod laplacian;
-pub mod par;
 #[cfg(test)]
 mod twin_inputs;
 pub mod vec_ops;
@@ -50,8 +49,8 @@ pub mod vec_ops;
 pub use cheby::{
     chebyshev_iteration_bound, chebyshev_solve_fixed_into, relative_a_error, ChebyshevWorkspace,
 };
-pub use csr::{CsrMatrix, MATVEC_ROW_CHUNK, PAR_MIN_NNZ, RHS_LANES};
-pub use dense::{DenseMatrix, MATMUL_J_BLOCK, MATMUL_K_PANEL, MATMUL_ROW_BLOCK, PAR_MIN_WORK};
+pub use csr::{CsrMatrix, RHS_LANES};
+pub use dense::DenseMatrix;
 pub use eigen::{
     symmetric_eigen, symmetric_eigenvalues, symmetric_reduce, SymmetricEigen, SymmetricReduction,
 };

@@ -1,28 +1,24 @@
-//! Bitwise twins for the cache-blocked / batched throughput kernels.
+//! Bitwise twins for the batched throughput kernels.
 //!
 //! Every optimized kernel in this crate is constrained to perform the
 //! *same sequence of floating-point operations per output element* as an
-//! obvious naive reference — cache blocking, register-tiled lanes, and
-//! thread fan-outs rearrange which element is computed *when*, never the
-//! reductions within one element. These properties hold bitwise, at any
-//! thread count, so each test compares exact `f64` bit patterns across
-//! thread budgets 1, 2, and 8:
+//! obvious naive reference — register-tiled lanes rearrange which element
+//! is computed *when*, never the reductions within one element. So each
+//! test compares exact `f64` bit patterns:
 //!
-//! * blocked `DenseMatrix::matmul` vs a naive `i,k,j` triple loop (with
-//!   the same `a[i][k] == 0` skip);
+//! * `DenseMatrix::matmul` vs a naive `i,k,j` triple loop over
+//!   `get`/`set` (with the same `a[i][k] == 0` skip);
 //! * `CsrMatrix::matvec_multi_into` vs `k` independent single matvecs;
 //! * `GroundedCholesky::solve_multi_into` vs `k` single solves;
 //! * `chebyshev_solve_fixed_into` over an interleaved batch of `k`
 //!   columns vs `k` single preconditioned solves (these three at every
 //!   batch width `k` of `WIDTHS`);
 //! * `symmetric_eigenvalues` and `symmetric_reduce(..).eigenvalues()` vs
-//!   `symmetric_eigen(..).eigenvalues()` (the eigensolver is serial, so
-//!   this twin has no thread budget).
+//!   `symmetric_eigen(..).eigenvalues()`.
 
 use cc_linalg::{
-    chebyshev_solve_fixed_into, laplacian_from_edges, par, symmetric_eigen, symmetric_eigenvalues,
+    chebyshev_solve_fixed_into, laplacian_from_edges, symmetric_eigen, symmetric_eigenvalues,
     symmetric_reduce, ChebyshevWorkspace, CsrMatrix, DenseMatrix, GroundedCholesky, SolveScratch,
-    MATMUL_J_BLOCK, MATMUL_K_PANEL, PAR_MIN_NNZ,
 };
 use proptest::prelude::*;
 
@@ -32,7 +28,7 @@ const WIDTHS: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16];
 
 /// Naive reference matmul: `i,k,j` loops, ascending `k` per output
 /// element, skipping `a[i][k] == 0` — exactly the reduction order the
-/// blocked kernel commits to.
+/// kernel commits to.
 fn matmul_naive(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let (n, m, p) = (a.rows(), a.cols(), b.cols());
     let mut out = DenseMatrix::zeros(n, p);
@@ -74,8 +70,8 @@ fn dense_from_pool(rows: usize, cols: usize, pool: &[f64]) -> DenseMatrix {
     m
 }
 
-/// A connected weighted-path Laplacian with weights from the pool, wide
-/// enough to clear the parallel thresholds when scaled by `n`.
+/// A connected weighted-path Laplacian on `n` vertices with weights
+/// from the pool.
 fn path_laplacian(n: usize, pool: &[f64]) -> CsrMatrix {
     let edges: Vec<(usize, usize, f64)> = (0..n - 1)
         .map(|i| (i, i + 1, pool[i % pool.len()].abs() + 0.1))
@@ -90,16 +86,12 @@ proptest! {
     fn blocked_matmul_is_bitwise_equal_to_naive_triple_loop(
         pool in proptest::collection::vec(-10f64..10.0, 24),
     ) {
-        // Spans multiple j-blocks and k-panels plus ragged remainders.
-        let n = MATMUL_J_BLOCK + 17;
-        let m = MATMUL_K_PANEL + 9;
+        let (n, m) = (81, 73);
         let a = dense_from_pool(n, m, &pool);
         let b = dense_from_pool(m, n, &pool);
         let want = matmul_naive(&a, &b);
-        for threads in [1usize, 2, 8] {
-            let got = par::with_threads(threads, || a.matmul(&b).unwrap());
-            assert_bits_eq(got.as_slice(), want.as_slice(), "matmul");
-        }
+        let got = a.matmul(&b).unwrap();
+        assert_bits_eq(got.as_slice(), want.as_slice(), "matmul");
     }
 
     #[test]
@@ -108,11 +100,10 @@ proptest! {
     ) {
         let n = 6000usize;
         let lap = path_laplacian(n, &pool);
-        prop_assert!(lap.nnz() >= PAR_MIN_NNZ, "every batch must take the parallel path");
         for k in WIDTHS {
             let xs: Vec<f64> = (0..n * k).map(|i| pool[i % pool.len()] * 0.5).collect();
-            // Reference: k independent single-RHS matvecs, serial.
-            let want = par::with_threads(1, || {
+            // Reference: k independent single-RHS matvecs.
+            let want = {
                 let mut want = vec![0.0; n * k];
                 let mut col = vec![0.0; n];
                 let mut out = vec![0.0; n];
@@ -126,15 +117,10 @@ proptest! {
                     }
                 }
                 want
-            });
-            for threads in [1usize, 2, 8] {
-                let got = par::with_threads(threads, || {
-                    let mut got = vec![0.0; n * k];
-                    lap.matvec_multi_into(&xs, k, &mut got);
-                    got
-                });
-                assert_bits_eq(&got, &want, &format!("csr matvec_multi, k = {k}"));
-            }
+            };
+            let mut got = vec![0.0; n * k];
+            lap.matvec_multi_into(&xs, k, &mut got);
+            assert_bits_eq(&got, &want, &format!("csr matvec_multi, k = {k}"));
         }
     }
 
@@ -157,7 +143,7 @@ proptest! {
                     bs[v * k + j] -= mean;
                 }
             }
-            let want = par::with_threads(1, || {
+            let want = {
                 let mut want = vec![0.0; n * k];
                 let mut col = vec![0.0; n];
                 let mut out = vec![0.0; n];
@@ -172,16 +158,14 @@ proptest! {
                     }
                 }
                 want
-            });
-            for threads in [1usize, 2, 8] {
-                let got = par::with_threads(threads, || {
-                    let mut got = vec![0.0; n * k];
-                    let mut scratch = SolveScratch::default();
-                    chol.solve_multi_into(&bs, k, &mut got, &mut scratch);
-                    got
-                });
-                assert_bits_eq(&got, &want, &format!("cholesky solve_multi, k = {k}"));
-            }
+            };
+            let got = {
+                let mut got = vec![0.0; n * k];
+                let mut scratch = SolveScratch::default();
+                chol.solve_multi_into(&bs, k, &mut got, &mut scratch);
+                got
+            };
+            assert_bits_eq(&got, &want, &format!("cholesky solve_multi, k = {k}"));
         }
     }
 
@@ -205,8 +189,8 @@ proptest! {
                     bs[v * k + j] -= mean;
                 }
             }
-            // Reference: k single preconditioned solves, serial.
-            let want = par::with_threads(1, || {
+            // Reference: k single preconditioned solves.
+            let want = {
                 let mut want = vec![0.0; n * k];
                 let mut col = vec![0.0; n];
                 let mut x = vec![0.0; n];
@@ -235,30 +219,28 @@ proptest! {
                     }
                 }
                 want
-            });
-            for threads in [1usize, 2, 8] {
-                let got = par::with_threads(threads, || {
-                    let mut xs = vec![0.0; n * k];
-                    let mut ws = ChebyshevWorkspace::new(n * k);
-                    let mut scratch = SolveScratch::default();
-                    chebyshev_solve_fixed_into(
-                        |p, out| lap.matvec_multi_into(p, k, out),
-                        |r, out| {
-                            chol.solve_multi_into(r, k, out, &mut scratch);
-                            for zi in out.iter_mut() {
-                                *zi /= kappa;
-                            }
-                        },
-                        &bs,
-                        kappa,
-                        iterations,
-                        &mut xs,
-                        &mut ws,
-                    );
-                    xs
-                });
-                assert_bits_eq(&got, &want, &format!("chebyshev multi, k = {k}"));
-            }
+            };
+            let got = {
+                let mut xs = vec![0.0; n * k];
+                let mut ws = ChebyshevWorkspace::new(n * k);
+                let mut scratch = SolveScratch::default();
+                chebyshev_solve_fixed_into(
+                    |p, out| lap.matvec_multi_into(p, k, out),
+                    |r, out| {
+                        chol.solve_multi_into(r, k, out, &mut scratch);
+                        for zi in out.iter_mut() {
+                            *zi /= kappa;
+                        }
+                    },
+                    &bs,
+                    kappa,
+                    iterations,
+                    &mut xs,
+                    &mut ws,
+                );
+                xs
+            };
+            assert_bits_eq(&got, &want, &format!("chebyshev multi, k = {k}"));
         }
     }
 

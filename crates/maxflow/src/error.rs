@@ -21,6 +21,10 @@ pub enum MaxFlowError {
     Solver(IpmError),
     /// The flow-rounding stage (Lemma 4.2, `cc-euler`) failed.
     Rounding(EulerError),
+    /// A capacity or `|cost|` exceeds
+    /// [`cc_graph::flow_util::flow_bound`], beyond which the pipeline's
+    /// integer flow arithmetic would overflow `i64`.
+    BeyondFlowBound,
 }
 
 impl fmt::Display for MaxFlowError {
@@ -29,6 +33,9 @@ impl fmt::Display for MaxFlowError {
             MaxFlowError::Comm(e) => write!(f, "communication failure during max flow: {e}"),
             MaxFlowError::Solver(e) => write!(f, "electrical solve failed during max flow: {e}"),
             MaxFlowError::Rounding(e) => write!(f, "flow rounding failed during max flow: {e}"),
+            MaxFlowError::BeyondFlowBound => {
+                write!(f, "capacities and costs must be at most flow_bound(n, m)")
+            }
         }
     }
 }
@@ -39,6 +46,7 @@ impl std::error::Error for MaxFlowError {
             MaxFlowError::Comm(e) => Some(e),
             MaxFlowError::Solver(e) => Some(e),
             MaxFlowError::Rounding(e) => Some(e),
+            MaxFlowError::BeyondFlowBound => None,
         }
     }
 }

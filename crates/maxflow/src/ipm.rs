@@ -22,7 +22,7 @@
 use cc_apsp::RoundModel;
 use cc_core::{ElectricalFlow, SolverOptions};
 use cc_graph::DiGraph;
-use cc_ipm::{top_k_into, BarrierEngine, EngineOptions, EngineStats, EDGE_CHUNK};
+use cc_ipm::{top_k_into, BarrierEngine, EngineOptions, EngineStats};
 use cc_model::Communicator;
 use cc_sparsify::TemplateCache;
 
@@ -186,28 +186,23 @@ fn transform(g: &DiGraph, s: usize, t: usize) -> Vec<TEdge> {
     edges
 }
 
-/// The transformed-graph barrier gradient, one fixed chunk at a time:
+/// The transformed-graph barrier gradient of edge `i`:
 /// `r_e = d_e²(1/gf² + 1/gb²)`, both residuals floored at `gap_floor`
 /// (`NEG_INFINITY` leaves them untouched). Handed to
-/// [`BarrierEngine::resistances_into`]; every slot is a pure function of
-/// its edge index, so the fan-out is bitwise thread-count independent.
-fn fill_barrier(
+/// [`BarrierEngine::resistances_into`].
+fn barrier_edge(
     t_edges: &[TEdge],
     x: &[f64],
     damp: &[f64],
     gap_floor: f64,
-    base: usize,
-    out: &mut [(usize, usize, f64)],
-) {
-    for (j, slot) in out.iter_mut().enumerate() {
-        let i = base + j;
-        let te = &t_edges[i];
-        let gf = (te.cap - x[i]).max(gap_floor);
-        let gb = (te.cap + x[i]).max(gap_floor);
-        let de = damp[i];
-        let r = de * de * (1.0 / (gf * gf) + 1.0 / (gb * gb));
-        *slot = (te.a, te.b, r.clamp(1e-12, 1e12));
-    }
+    i: usize,
+) -> (usize, usize, f64) {
+    let te = &t_edges[i];
+    let gf = (te.cap - x[i]).max(gap_floor);
+    let gb = (te.cap + x[i]).max(gap_floor);
+    let de = damp[i];
+    let r = de * de * (1.0 / (gf * gf) + 1.0 / (gb * gb));
+    (te.a, te.b, r.clamp(1e-12, 1e12))
 }
 
 /// The interior point method core: returns the recovered fractional flow
@@ -284,7 +279,7 @@ fn ipm_core<C: Communicator>(
             // ---- Augmentation (Algorithm 3) ----
             let min_gap = engine.resistances_into(
                 mt,
-                |base, out| fill_barrier(&t_edges, &x, &damp, f64::NEG_INFINITY, base, out),
+                |i| barrier_edge(&t_edges, &x, &damp, f64::NEG_INFINITY, i),
                 |i| {
                     let te = &t_edges[i];
                     (te.cap - x[i]).min(te.cap + x[i])
@@ -349,12 +344,9 @@ fn ipm_core<C: Communicator>(
             if delta * remaining < 1e-9 {
                 break; // stalled
             }
-            cc_linalg::par::par_chunks_mut(&mut x, EDGE_CHUNK, |ci, xs| {
-                let base = ci * EDGE_CHUNK;
-                for (j, xe) in xs.iter_mut().enumerate() {
-                    *xe += delta * f_tilde[base + j];
-                }
-            });
+            for (xe, &fe) in x.iter_mut().zip(f_tilde) {
+                *xe += delta * fe;
+            }
             for (yv, &phi) in y.iter_mut().zip(&electrical.potentials) {
                 *yv += delta * phi;
             }
@@ -374,7 +366,7 @@ fn ipm_core<C: Communicator>(
             if resid_norm > 1e-12 {
                 engine.resistances_into(
                     mt,
-                    |base, out| fill_barrier(&t_edges, &x, &damp, 1e-9, base, out),
+                    |i| barrier_edge(&t_edges, &x, &damp, 1e-9, i),
                     |_| f64::INFINITY, // gap unused on the fixing build
                 );
                 let built = match engine.build_network(clique, "fixing") {
@@ -497,19 +489,16 @@ fn fractional_cleanup<C: Communicator>(
             let flows: &[f64] = f;
             engine.resistances_into(
                 g.m(),
-                |base, out| {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        let i = base + j;
-                        let e = &edges[i];
-                        let u = e.capacity as f64;
-                        let gf = (u - flows[i]).max(1e-6);
-                        let gb = flows[i].max(1e-6);
-                        *slot = (
-                            e.from,
-                            e.to,
-                            (1.0 / (gf * gf) + 1.0 / (gb * gb)).clamp(1e-12, 1e12),
-                        );
-                    }
+                |i| {
+                    let e = &edges[i];
+                    let u = e.capacity as f64;
+                    let gf = (u - flows[i]).max(1e-6);
+                    let gb = flows[i].max(1e-6);
+                    (
+                        e.from,
+                        e.to,
+                        (1.0 / (gf * gf) + 1.0 / (gb * gb)).clamp(1e-12, 1e12),
+                    )
                 },
                 |_| f64::INFINITY, // the cleanup pass has no gap cutoff
             );
@@ -555,9 +544,11 @@ fn fractional_cleanup<C: Communicator>(
 ///
 /// # Errors
 ///
-/// [`MaxFlowError`] if the communication substrate rejects a primitive
-/// call in any stage (IPM solves, rounding, repair) — injected faults
-/// surface here, never as panics or silently wrong flows.
+/// [`MaxFlowError::BeyondFlowBound`] if a capacity or `|cost|` exceeds
+/// [`cc_graph::flow_util::flow_bound`]; otherwise [`MaxFlowError`] if the
+/// communication substrate rejects a primitive call in any stage (IPM
+/// solves, rounding, repair) — injected faults surface here, never as
+/// panics or silently wrong flows.
 ///
 /// # Panics
 ///
@@ -591,6 +582,9 @@ pub(crate) fn max_flow_ipm_inner<C: Communicator>(
 ) -> Result<MaxFlowOutcome, MaxFlowError> {
     assert!(s != t && s < g.n() && t < g.n(), "bad terminals");
     assert!(clique.n() >= g.n(), "clique too small");
+    if !cc_graph::flow_util::within_flow_bound(g) {
+        return Err(MaxFlowError::BeyondFlowBound);
+    }
     clique.phase("maxflow", |clique| {
         let (mut fractional, mut stats) = if g.m() == 0 {
             (Vec::new(), IpmStats::default())
@@ -644,6 +638,23 @@ mod tests {
     use crate::dinic;
     use cc_graph::generators;
     use cc_model::Clique;
+
+    #[test]
+    fn beyond_flow_bound_is_a_typed_error() {
+        // The triangle 0→1→2, 0→2 with one arc beyond the flow bound:
+        // capacity 2^61, or cost i64::MIN.
+        for (capacity, cost) in [(1i64 << 61, 1i64), (2, i64::MIN)] {
+            let mut g = DiGraph::new(3);
+            g.add_edge(0, 1, 2, 1);
+            g.add_edge(1, 2, 2, 1);
+            g.add_edge(0, 2, capacity, cost);
+            let got = max_flow_ipm(&mut Clique::new(5), &g, 0, 2, &IpmOptions::default());
+            assert_eq!(got.unwrap_err(), MaxFlowError::BeyondFlowBound);
+            let session = crate::MaxFlowSession::new(IpmOptions::default());
+            let got = session.max_flow(&mut Clique::new(5), &g, 0, 2);
+            assert_eq!(got.unwrap_err(), MaxFlowError::BeyondFlowBound);
+        }
+    }
 
     fn check_exact(g: &DiGraph, s: usize, t: usize) -> (MaxFlowOutcome, u64) {
         let (_, want) = dinic(g, s, t);

@@ -11,7 +11,7 @@
 use cc_apsp::RoundModel;
 use cc_core::{ElectricalFlow, SolverOptions};
 use cc_graph::DiGraph;
-use cc_ipm::{top_k_into, BarrierEngine, EngineOptions, EngineStats, EDGE_CHUNK};
+use cc_ipm::{top_k_into, BarrierEngine, EngineOptions, EngineStats};
 use cc_model::Communicator;
 use cc_sparsify::TemplateCache;
 
@@ -105,19 +105,14 @@ pub fn default_step_budget(m: usize, max_cost: i64) -> usize {
     (steps.ceil() as usize).clamp(8, 600)
 }
 
-/// The ν-weighted two-sided barrier gradient
-/// `r_e = ν_e (1/f² + 1/(1−f)²)`, one fixed chunk at a time. Handed to
-/// [`BarrierEngine::resistances_into`]; every slot is a pure function of
-/// its edge index, so the fan-out is bitwise thread-count independent.
-fn fill_barrier(g: &DiGraph, f: &[f64], nu: &[f64], base: usize, out: &mut [(usize, usize, f64)]) {
-    let edges = g.edges();
-    for (j, slot) in out.iter_mut().enumerate() {
-        let i = base + j;
-        let e = &edges[i];
-        let fe = f[i];
-        let r = nu[i] * (1.0 / (fe * fe) + 1.0 / ((1.0 - fe) * (1.0 - fe)));
-        *slot = (e.from, e.to, r.clamp(1e-12, 1e12));
-    }
+/// The ν-weighted two-sided barrier gradient of edge `i`:
+/// `r_e = ν_e (1/f² + 1/(1−f)²)`. Handed to
+/// [`BarrierEngine::resistances_into`].
+fn barrier_edge(g: &DiGraph, f: &[f64], nu: &[f64], i: usize) -> (usize, usize, f64) {
+    let e = &g.edges()[i];
+    let fe = f[i];
+    let r = nu[i] * (1.0 / (fe * fe) + 1.0 / ((1.0 - fe) * (1.0 - fe)));
+    (e.from, e.to, r.clamp(1e-12, 1e12))
 }
 
 /// IPM core: log-barrier on `f_e ∈ (0, 1)` from the analytic center
@@ -188,7 +183,7 @@ fn ipm_core<C: Communicator>(
             // extended two-sidedly for the explicit unit capacity.
             let min_gap = engine.resistances_into(
                 m,
-                |base, out| fill_barrier(g, &f, &nu, base, out),
+                |i| barrier_edge(g, &f, &nu, i),
                 |i| {
                     let fe = f[i];
                     fe.min(1.0 - fe)
@@ -245,13 +240,9 @@ fn ipm_core<C: Communicator>(
             if delta < 1e-12 {
                 break;
             }
-            cc_linalg::par::par_chunks_mut(&mut f, EDGE_CHUNK, |ci, fs| {
-                let base = ci * EDGE_CHUNK;
-                for (j, fe) in fs.iter_mut().enumerate() {
-                    *fe += delta * f_tilde[base + j];
-                    *fe = fe.clamp(1e-9, 1.0 - 1e-9);
-                }
-            });
+            for (fe, &fte) in f.iter_mut().zip(f_tilde) {
+                *fe = (*fe + delta * fte).clamp(1e-9, 1.0 - 1e-9);
+            }
             for (yv, &pv) in y.iter_mut().zip(&electrical.potentials) {
                 *yv += delta * pv;
             }
@@ -271,7 +262,7 @@ fn ipm_core<C: Communicator>(
             if res_norm > 1e-12 {
                 engine.resistances_into(
                     m,
-                    |base, out| fill_barrier(g, &f, &nu, base, out),
+                    |i| barrier_edge(g, &f, &nu, i),
                     |_| f64::INFINITY, // gap unused on the correction build
                 );
                 let built = match engine.build_network(clique, "correction") {
@@ -323,6 +314,8 @@ fn ipm_core<C: Communicator>(
 ///
 /// # Errors
 ///
+/// [`McfError::BeyondFlowBound`] if a capacity or `|cost|` exceeds
+/// [`cc_graph::flow_util::flow_bound`];
 /// [`McfError::Infeasible`] if the demands cannot be routed;
 /// [`McfError::BadDemands`] if `sigma` is malformed: a length other
 /// than `n`, a sum other than zero or beyond `i64`, or some `|σ_v|` above
@@ -360,6 +353,9 @@ pub(crate) fn min_cost_flow_ipm_inner<C: Communicator>(
     options: &McfOptions,
     cache: Option<&TemplateCache>,
 ) -> Result<McfOutcome, McfError> {
+    if !cc_graph::flow_util::within_flow_bound(g) {
+        return Err(McfError::BeyondFlowBound);
+    }
     if sigma.len() != g.n() {
         return Err(McfError::BadDemands {
             reason: "length mismatch",
@@ -538,6 +534,24 @@ mod tests {
         let mut clique = Clique::new(5);
         let err = min_cost_flow_ipm(&mut clique, &g, &[1, 0, -1], &McfOptions::default());
         assert_eq!(err.unwrap_err(), McfError::Infeasible);
+    }
+
+    #[test]
+    fn beyond_flow_bound_is_a_typed_error() {
+        // The triangle 0→1→2, 0→2 with one arc beyond the flow bound:
+        // capacity 2^61, or cost i64::MIN (whose `abs` overflows).
+        for (capacity, cost) in [(1i64 << 61, 1i64), (2, i64::MIN)] {
+            let mut g = DiGraph::new(3);
+            g.add_edge(0, 1, 2, 1);
+            g.add_edge(1, 2, 2, 1);
+            g.add_edge(0, 2, capacity, cost);
+            let sigma = [2, 0, -2];
+            let got = min_cost_flow_ipm(&mut Clique::new(5), &g, &sigma, &McfOptions::default());
+            assert_eq!(got.unwrap_err(), McfError::BeyondFlowBound);
+            let session = crate::McfSession::new(McfOptions::default());
+            let got = session.min_cost_flow(&mut Clique::new(5), &g, &sigma);
+            assert_eq!(got.unwrap_err(), McfError::BeyondFlowBound);
+        }
     }
 
     #[test]

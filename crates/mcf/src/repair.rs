@@ -27,6 +27,10 @@ pub enum McfError {
     Solver(IpmError),
     /// The flow-rounding stage (Lemma 4.2, `cc-euler`) failed.
     Rounding(EulerError),
+    /// A capacity or `|cost|` exceeds
+    /// [`cc_graph::flow_util::flow_bound`], beyond which the pipeline's
+    /// integer flow arithmetic would overflow `i64`.
+    BeyondFlowBound,
 }
 
 impl fmt::Display for McfError {
@@ -39,6 +43,9 @@ impl fmt::Display for McfError {
                 write!(f, "electrical solve failed during min cost flow: {e}")
             }
             McfError::Rounding(e) => write!(f, "flow rounding failed during min cost flow: {e}"),
+            McfError::BeyondFlowBound => {
+                write!(f, "capacities and costs must be at most flow_bound(n, m)")
+            }
         }
     }
 }

@@ -284,31 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn round_inside_a_par_map_task_runs_inline() {
-        let run = |comm: &mut dyn Communicator| {
-            let inboxes = comm.exchange(ring_outboxes(9, 2)).unwrap();
-            let routed = comm.route(ring_outboxes(9, 4)).unwrap();
-            (inboxes, routed, comm.ledger().phases().clone())
-        };
-        let want = run(&mut Clique::new(9));
-        // Item 0 runs on the calling thread, items 1..=3 on pool workers,
-        // where each ThreadedComm round is a nested dispatch.
-        let got = cc_par::with_threads(4, || {
-            cc_par::par_map(&[0, 1, 2, 8], |&workers| {
-                (workers > 0).then(|| {
-                    assert!(cc_par::in_worker());
-                    (workers, run(&mut ThreadedComm::with_workers(9, workers)))
-                })
-            })
-        });
-        let got: Vec<_> = got.into_iter().flatten().collect();
-        assert_eq!(got.len(), 3);
-        for (workers, outcome) in got {
-            assert_eq!(outcome, want, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn workers_clamped_to_n() {
         let par = ThreadedComm::with_workers(3, 64);
         assert_eq!(par.workers(), 3);

@@ -1,10 +1,6 @@
-//! Persistent worker pool — the one execution substrate for the
-//! fork-join kernels and for `ThreadedComm`'s sharded rounds.
-//!
-//! [`crate::par_chunks_mut`] and [`crate::par_map_chunks`] used to spawn a
-//! fresh `std::thread::scope` per call; hot loops (a Chebyshev iteration
-//! calls into the kernel layer thousands of times) paid a thread spawn +
-//! join per call. The [`WorkerPool`] keeps its threads alive across calls.
+//! Persistent worker pool — the execution substrate of
+//! `ThreadedComm`'s sharded rounds ([`crate::par_groups`]). Its threads
+//! stay alive across calls, so a round costs no thread spawn.
 //!
 //! There is one dispatch path, [`WorkerPool::scoped`]: it hands a
 //! *borrowed* task closure to the workers (the rayon-style scoped
@@ -327,8 +323,8 @@ static GLOBAL: Mutex<Option<Arc<WorkerPool>>> = Mutex::new(None);
 static WATCHDOG: OnceLock<Option<Duration>> = OnceLock::new();
 
 /// The shared process-wide pool, grown on demand: returns a pool with at
-/// least `min_workers` workers (and at least [`crate::max_threads`]`- 1`,
-/// so the fork-join kernels always find enough lanes). Growing replaces
+/// least `min_workers` workers (and at least [`crate::max_threads`]`- 1`).
+/// Growing replaces
 /// the shared handle with a bigger pool; existing `Arc`s keep the old pool
 /// alive until their last round finishes.
 pub fn global_pool(min_workers: usize) -> Arc<WorkerPool> {

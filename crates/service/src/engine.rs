@@ -241,8 +241,8 @@ type Slot = Option<Result<ServiceOutcome, ServiceError>>;
 /// Determinism: the engine adds no ordering or threading of its own —
 /// requests execute in submission order (batched groups at their first
 /// member's slot), all per-graph state is rebuilt deterministically, so
-/// the same request stream yields bitwise-identical responses at any
-/// worker-thread count, matching fresh-engine-per-request execution.
+/// the same request stream yields bitwise-identical responses, matching
+/// fresh-engine-per-request execution.
 #[derive(Debug)]
 pub struct FlowEngine<C: Communicator> {
     clique: C,

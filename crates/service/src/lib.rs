@@ -40,8 +40,8 @@
 //! comm-rooted classification.
 //!
 //! Determinism discipline is unchanged from the rest of the workspace:
-//! the same request stream produces bitwise-identical responses at any
-//! worker-thread count, identical to fresh-engine-per-request execution.
+//! the same request stream produces bitwise-identical responses,
+//! identical to fresh-engine-per-request execution.
 //!
 //! ```
 //! use cc_model::Clique;

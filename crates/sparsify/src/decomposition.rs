@@ -129,17 +129,14 @@ pub fn default_phi(g: &Graph) -> f64 {
 pub fn expander_decompose(g: &Graph, phi: f64) -> Result<ExpanderDecomposition, LinalgError> {
     assert!(phi > 0.0 && phi < 1.0, "phi must be in (0,1), got {phi}");
     let mut clusters = Vec::new();
-    // Process the worklist in waves: pieces of one wave are vertex-disjoint
-    // and independent, so they fan out across cores (the dense eigensolve
-    // per piece dominates the sparsifier build). Each piece's fate depends
-    // only on its own vertex set — the recursion tree is independent of
-    // processing order — and the cluster list is sorted below, so the
-    // result is identical to the sequential worklist's.
+    // Process the worklist in waves: a wave's pieces are vertex-disjoint,
+    // and each piece's fate depends only on its own vertex set, so the
+    // recursion tree is independent of processing order; the cluster list
+    // is sorted below.
     let mut pending = components(g, &(0..g.n()).collect::<Vec<_>>());
     while !pending.is_empty() {
-        let wave = std::mem::take(&mut pending);
-        for outcome in cc_linalg::par::par_map(&wave, |piece| process_piece(g, piece, phi)) {
-            match outcome? {
+        for piece in std::mem::take(&mut pending) {
+            match process_piece(g, &piece, phi)? {
                 PieceOutcome::Clusters(cs) => clusters.extend(cs),
                 PieceOutcome::Split(pieces) => pending.extend(pieces),
             }

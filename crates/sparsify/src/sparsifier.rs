@@ -365,51 +365,31 @@ pub(crate) fn build_levels<C: Communicator>(
                     .collect::<Vec<_>>(),
             )?;
             clique.broadcast_all(&vec![0u64; clique.n()])?;
-            // Per-cluster work (degree sums, gadget spectra) is mutually
-            // independent, so fan it out; emission below stays sequential
-            // in cluster order, which keeps edge order, center ids, and
-            // the alpha fold identical to the serial loop.
-            enum ClusterWork {
-                Skip,
-                Direct(Vec<(usize, usize, f64)>),
-                Gadget(ClusterGadget),
-            }
-            let work = cc_linalg::par::par_map(&dec.clusters, |cluster| {
+            // Emission runs in cluster order, which fixes edge order,
+            // center ids and the alpha fold.
+            for cluster in &dec.clusters {
                 if cluster.edges.is_empty() {
-                    ClusterWork::Skip
-                } else if cluster.edges.len() <= cluster.len() + params.direct_edge_slack {
+                    continue;
+                }
+                if cluster.edges.len() <= cluster.len() + params.direct_edge_slack {
                     // Keeping the edges verbatim is exact and no larger
                     // than a gadget.
-                    ClusterWork::Direct(
-                        cluster
-                            .edges
-                            .iter()
-                            .map(|&eid| {
-                                let e = remaining.edge(eid);
-                                (e.u, e.v, e.weight)
-                            })
-                            .collect(),
-                    )
+                    edges.extend(cluster.edges.iter().map(|&eid| {
+                        let e = remaining.edge(eid);
+                        (e.u, e.v, e.weight)
+                    }));
                 } else {
                     let degrees = intra_cluster_degrees(&remaining, &cluster.vertices);
-                    ClusterWork::Gadget(ClusterGadget::new(
+                    let gadget = ClusterGadget::new(
                         cluster.vertices.clone(),
                         &degrees,
                         cluster.mu2,
                         cluster.mu_max,
-                    ))
-                }
-            });
-            for item in work {
-                match item {
-                    ClusterWork::Skip => {}
-                    ClusterWork::Direct(cluster_edges) => edges.extend(cluster_edges),
-                    ClusterWork::Gadget(gadget) => {
-                        let center = n + aux_count;
-                        aux_count += 1;
-                        gadget.emit_edges(center, &mut edges);
-                        alpha = alpha.max(gadget.alpha);
-                    }
+                    );
+                    let center = n + aux_count;
+                    aux_count += 1;
+                    gadget.emit_edges(center, &mut edges);
+                    alpha = alpha.max(gadget.alpha);
                 }
             }
             if let Some(captured) = capture.as_deref_mut() {

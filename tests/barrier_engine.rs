@@ -172,7 +172,7 @@ proptest! {
     /// Two runs of an engine-driven IPM on the same instance are bitwise
     /// identical: same flow, same round totals, same per-stage engine
     /// stats. This is the determinism contract the sparsifier-template
-    /// reuse and fixed-chunk fan-outs must not break.
+    /// reuse must not break.
     #[test]
     fn engine_driven_ipm_runs_are_bitwise_identical(
         n in 6usize..10,
