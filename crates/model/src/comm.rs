@@ -4,7 +4,7 @@
 //! — the message-moving primitives plus round accounting — without naming
 //! a concrete substrate. [`crate::Clique`] is the canonical
 //! implementation (the deterministic simulator) and [`crate::ThreadedComm`]
-//! runs the same kernel over a worker pool. Wrapping transports implement
+//! runs the same kernel over scoped threads. Wrapping transports implement
 //! [`Decorator`], the one interception seam: every primitive call reaches
 //! a decorator as one [`Op`] value in [`Decorator::call`], and
 //! [`crate::TracingComm`], [`crate::FaultComm`] (every injected fault, per
@@ -67,8 +67,8 @@ pub fn scoped_phase<C: Communicator, R>(
 /// algorithm code:
 ///
 /// * [`crate::Clique`] — the deterministic simulator;
-/// * [`crate::ThreadedComm`] — the same delivery kernel sharded over a
-///   worker pool, bitwise identical to `Clique`;
+/// * [`crate::ThreadedComm`] — the same delivery kernel sharded over
+///   scoped threads, bitwise identical to `Clique`;
 /// * [`crate::TracingComm`] — wraps any communicator with a structured
 ///   event trace and per-phase congestion statistics;
 /// * [`crate::FaultComm`] — wraps any communicator with deterministic,

@@ -2,11 +2,11 @@
 //!
 //! The paper's model is `n` nodes acting *concurrently*; [`crate::Clique`]
 //! executes rounds as a sequential loop on one thread. `ThreadedComm` runs
-//! the **same delivery kernel** ([`crate::delivery`]) across a persistent
-//! [`cc_par::WorkerPool`]: virtual nodes are sharded many-per-worker
-//! (contiguous source ranges, so `n` reaches the thousands without
-//! thousands of threads), each round is one fork-join step, and the
-//! per-shard partial results are merged in shard-index order.
+//! the **same delivery kernel** ([`crate::delivery`]) across scoped
+//! threads: virtual nodes are sharded many-per-worker (contiguous source
+//! ranges, so `n` reaches the thousands without thousands of threads),
+//! each round is one fork-join step, and the per-shard partial results
+//! are merged in shard-index order.
 //!
 //! # Determinism discipline
 //!
@@ -32,17 +32,16 @@
 //!
 //! # Watchdog contract
 //!
-//! Every sharded round runs on `cc-par`'s one fork-join path
-//! ([`cc_par::par_groups`] over [`cc_par::WorkerPool::scoped`]): one task
-//! per contiguous source shard, shard 0 on the driver thread, and with a
-//! single worker the whole round runs inline. The wait is bounded by the
+//! Every sharded round is one [`cc_par::par_groups`] call: shard 0 runs
+//! on the driver thread, every other shard on a thread of its own inside
+//! a [`std::thread::scope`], and with a single worker the whole round
+//! runs inline. The wait for the spawned shards is bounded by the
 //! [`cc_par::watchdog_timeout`] deadline (`CC_WATCHDOG_SECS`, default
-//! 120 s, `0` disables). The workers hold borrowed pointers into the
-//! round, so a round that misses the deadline cannot unwind: the process
-//! prints the pending/total task counts and aborts — a fast, attributable
-//! failure instead of a hung process. The completion latch also checks
-//! that completions equal dispatches, so a protocol bug (a shard
-//! completing twice) fails loudly rather than corrupting a later round.
+//! 120 s, `0` disables). A scoped thread cannot be abandoned, so a round
+//! that misses the deadline does not unwind: the process prints the
+//! pending/total shard counts and aborts — a fast, attributable failure
+//! instead of a hung process. A panicking shard reaches the driver once
+//! every shard has finished.
 
 use crate::{
     delivery, Clique, Communicator, CostKind, Envelope, ModelError, NodeId, Op, Reply, Words,
@@ -70,8 +69,8 @@ struct ShardReport {
     inboxes: Vec<Vec<Envelope>>,
 }
 
-/// A [`Communicator`] executing the delivery kernel concurrently over a
-/// persistent worker pool, bitwise identical to [`Clique`] at every worker
+/// A [`Communicator`] executing the delivery kernel concurrently over
+/// scoped threads, bitwise identical to [`Clique`] at every worker
 /// count. See the module docs for the determinism discipline and the
 /// watchdog contract.
 #[derive(Debug)]

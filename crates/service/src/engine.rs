@@ -300,11 +300,6 @@ impl<C: Communicator> FlowEngine<C> {
         self.graphs.get(name).map(|e| e.generation)
     }
 
-    /// The registered spec of a graph.
-    pub fn graph_spec(&self, name: &str) -> Option<&GraphSpec> {
-        self.graphs.get(name).map(|e| &e.graph.spec)
-    }
-
     /// Submits one request.
     ///
     /// # Errors

@@ -11,13 +11,15 @@ use cc_service::{FlowEngine, GraphSpec, Request, Response};
 
 const N: usize = 14;
 
+/// The undirected graph `fresh_engine` registers as `"lap"`.
+fn lap_graph() -> cc_graph::Graph {
+    generators::random_connected(N, 34, 4, 3)
+}
+
 fn fresh_engine() -> FlowEngine<Clique> {
     // MCF rounding needs two extra clique nodes beyond the digraph.
     let mut engine = FlowEngine::new(Clique::new(N));
-    engine.register(
-        "lap",
-        GraphSpec::Undirected(generators::random_connected(N, 34, 4, 3)),
-    );
+    engine.register("lap", GraphSpec::Undirected(lap_graph()));
     engine.register(
         "net",
         GraphSpec::Directed(generators::random_flow_network(10, 18, 4, 2)),
@@ -176,10 +178,7 @@ fn reregistration_bumps_generation_and_invalidates_caches() {
 
     // Same support, scaled weights: a new generation must NOT serve the
     // old factorization.
-    let g1 = match engine.graph_spec("lap").unwrap() {
-        GraphSpec::Undirected(g) => g.clone(),
-        _ => unreachable!(),
-    };
+    let g1 = lap_graph();
     let mut g2 = cc_graph::Graph::new(g1.n());
     for e in g1.edges() {
         g2.add_edge(e.u, e.v, e.weight * 2.0);
